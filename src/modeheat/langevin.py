@@ -7,6 +7,12 @@ both precomputed once.  The step size therefore carries no bias and only
 sets the sampling grid; a naive Euler-Maruyama path is kept behind a config
 switch for cross-checking.
 
+Both schemes share one numpy kernel.  The recurrence is an associative
+prefix scan (Blelloch 1990), so each chunk of up to 65536 steps is advanced
+by a Hillis-Steele doubling scan: ceil(log2 m) products of (m, 2N) blocks
+with the squared propagators E, E^2, E^4, ... instead of m tiny
+matrix-vector steps.  It equals the step-by-step loop up to summation order.
+
 Noise comes from counter-based per-member streams (Philox keyed by
 (seed, ensemble_index)), so every trajectory is bit-reproducible on a given
 install regardless of how members are scheduled across threads.
@@ -35,13 +41,6 @@ from .errors import (
 )
 from .model import SystemModel, compile
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    HAVE_NUMBA = False
-
 __all__ = [
     "SimConfig",
     "Trajectory",
@@ -54,11 +53,15 @@ __all__ = [
     "direct_heat_flux_mc",
     "trajectory_to_csv",
     "trajectory_to_binary",
-    "HAVE_NUMBA",
 ]
 
 MAX_STEP_PRODUCT = 0.05
+# Steps per scan and per noise draw.  The chunk length fixes the floating-point
+# summation order of the scan, so it is part of the bit-reproducibility
+# contract: the same install gives the same bits at any thread count and stride.
 _CHUNK = 1 << 16
+# No compiled kernel exists; perfbench/worker.py reads this to record which kernel ran.
+HAVE_NUMBA = False
 # Sokal window constant: stop summing the ACF at the first lag k >= c * tau(k).
 _SOKAL_C = 5.0
 
@@ -179,53 +182,25 @@ class EnsembleStats:
     dt: float
 
 
-# -- integration kernels -------------------------------------------------------
+# -- integration kernel ---------------------------------------------------------
 
 
-def _advance_chunk_py(E, Lq, Z, x, rec, k0, burn_in, stride):
-    """Advance x through len(Z) steps, recording strided post-burn-in samples."""
-    n_rec = rec.shape[0]
-    for i in range(Z.shape[0]):
-        x[:] = E @ x + Lq @ Z[i]
-        s = k0 + i + 1
-        if s > burn_in:
-            rel = s - burn_in
-            if rel % stride == 0:
-                j = rel // stride - 1
-                if j < n_rec:
-                    rec[j] = x
+def _advance_chunk(E, Lq, Z, x):
+    """States after each of the len(Z) steps x_{k+1} = E x_k + Lq z_k from x.
 
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def _advance_chunk_jit(E, Lq, Z, x, rec, k0, burn_in, stride):  # pragma: no cover
-        n = x.shape[0]
-        nchan = Lq.shape[1]
-        n_rec = rec.shape[0]
-        y = np.empty(n)
-        for i in range(Z.shape[0]):
-            for r in range(n):
-                acc = 0.0
-                for c in range(n):
-                    acc += E[r, c] * x[c]
-                for c in range(nchan):
-                    acc += Lq[r, c] * Z[i, c]
-                y[r] = acc
-            for r in range(n):
-                x[r] = y[r]
-            s = k0 + i + 1
-            if s > burn_in:
-                rel = s - burn_in
-                if rel % stride == 0:
-                    j = rel // stride - 1
-                    if j < n_rec:
-                        for r in range(n):
-                            rec[j, r] = x[r]
-
-    _advance_chunk = _advance_chunk_jit
-else:
-    _advance_chunk = _advance_chunk_py
+    Hillis-Steele doubling scan over w_k = Lq z_k (with E x folded into w_0):
+    after the pass with offset d, row k holds sum_{j<2d, j<=k} E^j w_{k-j},
+    so ceil(log2 m) passes of (m, 2N) matrix products replace m tiny ones.
+    """
+    W = Z @ Lq.T
+    W[0] += E @ x
+    P = E
+    d = 1
+    while d < W.shape[0]:
+        W[d:] += W[:-d] @ P.T
+        P = P @ P
+        d *= 2
+    return W
 
 
 def _noise_factor_matrix(Q: np.ndarray) -> np.ndarray:
@@ -286,15 +261,20 @@ def _integrate_member(E, Lq, config: SimConfig, burn_in: int, index: int) -> np.
     )
     n = E.shape[0]
     nchan = Lq.shape[1]
-    n_rec = config.n_steps // config.record_stride
-    rec = np.empty((n_rec, n))
+    stride = config.record_stride
+    rec = np.empty((config.n_steps // stride, n))
     x = np.zeros(n)
     total = burn_in + config.n_steps
     k0 = 0
     while k0 < total:
         m = min(_CHUNK, total - k0)
         Z = rng.standard_normal(size=(m, nchan))
-        _advance_chunk(E, Lq, Z, x, rec, k0, burn_in, config.record_stride)
+        states = _advance_chunk(E, Lq, Z, x)
+        # record j is step burn_in + stride*(j+1); this chunk holds steps k0+1..k0+m
+        j0 = max(0, (k0 - burn_in) // stride)
+        j1 = max(0, (k0 + m - burn_in) // stride)
+        rec[j0:j1] = states[burn_in + stride * (j0 + 1) - k0 - 1 :: stride]
+        x = states[-1]
         k0 += m
         if not np.all(np.isfinite(x)):
             raise NonFiniteState(

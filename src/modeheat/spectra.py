@@ -28,6 +28,7 @@ from .errors import (
     BandOutOfRange,
     DegenerateBand,
     RecordTooShort,
+    UnknownPair,
     UnresolvedSplitting,
 )
 from .langevin import Estimate, Trajectory
@@ -410,7 +411,7 @@ def coupling_from_splitting(
         center = 0.5 * (oi.omega + oj.omega) / (2.0 * math.pi)
         try:
             g_nom = coupling_g(model, pair).value
-        except Exception:
+        except UnknownPair:  # uncoupled pair: the band follows the linewidths alone
             g_nom = 0.0
         half = 2.0 * g_nom / math.pi + 20.0 * max(oi.gamma, oj.gamma) / math.pi
         band = (

@@ -8,6 +8,8 @@ import pytest
 
 import modeheat.langevin as langevin
 from modeheat import (
+    CouplingSpec,
+    FeedbackSpec,
     FingerprintMismatch,
     LargeStepWarning,
     NonFiniteState,
@@ -67,16 +69,59 @@ def test_members_differ_from_each_other(fast_model):
     assert not np.array_equal(a.states, b.states)
 
 
-@pytest.mark.skipif(not langevin.HAVE_NUMBA, reason="numba not installed")
-def test_compiled_and_python_kernels_agree(fast_model, monkeypatch):
-    cfg = SimConfig(dt=DT_FAST, n_steps=2000, seed=9, ensemble_size=2, allow_large_step=True)
-    jit = _quiet_simulate(fast_model, cfg)
-    monkeypatch.setattr(langevin, "_advance_chunk", langevin._advance_chunk_py)
-    py = _quiet_simulate(fast_model, cfg)
-    for ta, tb in zip(jit, py):
-        # identical RNG stream; only float summation order may differ
-        scale = np.max(np.abs(ta.states), axis=0)
-        assert np.all(np.abs(ta.states - tb.states) <= 1e-12 * scale)
+def _reference_loop(model, config, index=0):
+    """Step-by-step x <- E x + Lq z on the member's Philox stream, recording
+    the strided post-burn-in states."""
+    E, Lq = langevin._one_step_operators(model, config)
+    burn_in = langevin._resolve_burn_in(model, config)
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([config.seed, index], dtype=np.uint64))
+    )
+    x = np.zeros(E.shape[0])
+    rec = []
+    total = burn_in + config.n_steps
+    k = 0
+    while k < total:
+        Z = rng.standard_normal(size=(min(langevin._CHUNK, total - k), Lq.shape[1]))
+        for z in Z:
+            x = E @ x + Lq @ z
+            k += 1
+            if k > burn_in and (k - burn_in) % config.record_stride == 0:
+                rec.append(x)
+    return np.array(rec)
+
+
+# low-Q, 10 Hz modes: dt = 1e-3 keeps Euler stable and the automatic burn-in
+# at a few hundred steps
+_SLOW = OscillatorSpec("A", 1e-9, 2 * math.pi * 10, 30.0, 400.0)
+_SLOW_PAIR = SystemModel(
+    oscillators=(_SLOW, OscillatorSpec("B", 1e-9, 2 * math.pi * 12, 20.0, 200.0)),
+    couplings=(CouplingSpec(("A", "B"), 1e-6),),
+    feedbacks={"A": FeedbackSpec(velocity_gain=-6e-8)},
+)
+
+
+@pytest.mark.parametrize(
+    "model", [SystemModel(oscillators=(_SLOW,)), _SLOW_PAIR], ids=["single", "pair"]
+)
+@pytest.mark.parametrize("scheme", ["exact", "euler"])
+@pytest.mark.parametrize("burn_in", [0, 7, None])
+@pytest.mark.parametrize("stride", [1, 3])
+def test_scan_matches_reference_loop(model, scheme, burn_in, stride, monkeypatch):
+    # 7-step chunks put chunk edges inside the burn-in and inside a stride
+    monkeypatch.setattr(langevin, "_CHUNK", 7)
+    cfg = SimConfig(
+        dt=1e-3, n_steps=50, seed=9, burn_in=burn_in, record_stride=stride,
+        scheme=scheme, allow_large_step=True,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        scan = simulate(model, cfg)[0].states
+        loop = _reference_loop(model, cfg)
+    assert scan.shape == loop.shape == (50 // stride, 2 * len(model.oscillators))
+    scale = np.max(np.abs(loop), axis=0)
+    assert np.all(scale > 0)
+    assert np.all(np.abs(scan - loop) <= 1e-12 * scale)
 
 
 def test_record_stride_subsamples_the_stride_one_stream(fast_model):

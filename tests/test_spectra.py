@@ -7,13 +7,16 @@ import warnings
 import numpy as np
 import pytest
 
+import modeheat.spectra as spectra
 from modeheat import (
     BandOutOfRange,
     DegenerateBand,
     LargeStepWarning,
+    OscillatorSpec,
     Psd,
     RecordTooShort,
     SimConfig,
+    SystemModel,
     Trajectory,
     UnresolvedSplitting,
     compile,
@@ -294,6 +297,44 @@ def test_splitting_psd_route_on_simulated_doublet():
     g_true = coupling_g(model, ("A", "B")).value
     assert est.value == pytest.approx(g_true, rel=0.05)
     assert est.se > 0.0
+
+
+def _uncoupled_doublet(split_hz=100.0, gamma=25.0):
+    """Two detuned, uncoupled oscillators and a noiseless PSD of their doublet."""
+    f0 = OMEGA_SPEC / (2 * math.pi)
+    lo, hi = f0 - 0.5 * split_hz, f0 + 0.5 * split_hz
+    model = SystemModel(
+        oscillators=(
+            OscillatorSpec("A", 1e-12, 2 * math.pi * lo, gamma, 300.0),
+            OscillatorSpec("B", 1e-12, 2 * math.pi * hi, gamma, 300.0),
+        )
+    )
+    df = 2.0
+    f = df * np.arange(12000)
+    fwhm = 2 * gamma / (2 * math.pi)
+    values = _lorentz(f, lo, fwhm, 2e-19) + _lorentz(f, hi, fwhm, 1.5e-19, bg=1e-25)
+    psd = Psd(
+        frequencies=f, values=values, resolution_bandwidth=df, n_segments=256, window="hann"
+    )
+    return model, psd
+
+
+def test_splitting_psd_route_default_band_on_uncoupled_pair():
+    # no coupling spring: the default band falls back to center +- 20 gamma/pi
+    model, psd = _uncoupled_doublet(split_hz=100.0)
+    est = coupling_from_splitting(psd, model, ("A", "B"))
+    assert est.value == pytest.approx(math.pi * 100.0, rel=1e-6)
+
+
+def test_splitting_psd_route_does_not_hide_unexpected_errors(monkeypatch):
+    model, psd = _uncoupled_doublet()
+
+    def broken(model, pair):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(spectra, "coupling_g", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        coupling_from_splitting(psd, model, ("A", "B"))
 
 
 def test_splitting_psd_route_unresolved_when_peaks_overlap():
