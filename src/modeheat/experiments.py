@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .constants import (
-    BOLTZMANN,
     BULK_THERMAL_RESISTANCE_REFERENCE,
     MODE_DAMPING_RATE_REFERENCE,
     REFERENCE_BULK_DELTA_T,
@@ -98,9 +97,14 @@ def _check_within_se(name: str, value: float, target: float, se: float, n_se: fl
     )
 
 
-def _balance_check(ss) -> Check:
+def _energy_imbalance(ss) -> tuple[float, float]:
+    """|sum(P_bath) + sum(P_fb)| and the scale sum(|P_bath|) it is judged against."""
     total = abs(float(np.sum(ss.bath_flux) + np.sum(ss.feedback_flux)))
-    scale = float(np.sum(np.abs(ss.bath_flux)))
+    return total, float(np.sum(np.abs(ss.bath_flux)))
+
+
+def _balance_check(ss) -> Check:
+    total, scale = _energy_imbalance(ss)
     limit = 1e-8 * scale + 1e-30
     return Check(
         "energy_balance",
@@ -242,7 +246,9 @@ def run_cold_damping(
             _check_rel(
                 f"flux_gap_identity_{o.label}",
                 ss.bath_flux[i],
-                flux_from_gap(o.gamma, o.bath_temperature, ss.mode_temperature_kinetic[i]),
+                flux_from_gap(
+                    o.gamma, o.bath_temperature, ss.mode_temperature_kinetic[i], model.boltzmann
+                ),
                 1e-8,
             ),
             _check_rel(
@@ -293,8 +299,8 @@ def run_coupled_transfer(
     for i, o in enumerate(model.oscillators):
         flux_direct = direct_heat_flux_mc(trajs, model, o.label)
         direct.append(flux_direct)
-        p_gap = flux_from_gap(o.gamma, o.bath_temperature, mc.kinetic[i])
-        p_gap_se = 2.0 * o.gamma * BOLTZMANN * mc.kinetic_se[i]
+        p_gap = flux_from_gap(o.gamma, o.bath_temperature, mc.kinetic[i], model.boltzmann)
+        p_gap_se = 2.0 * o.gamma * model.boltzmann * mc.kinetic_se[i]
         rows.append(
             [
                 o.label,
@@ -558,16 +564,16 @@ def experiment_strong_coupling_sweep(
         ss = steady_state(model)
         t_lyap = ss.mode_temperature_positional[ia]
         p_lyap = ss.bath_flux[ia]
-        balance = abs(float(np.sum(ss.bath_flux) + np.sum(ss.feedback_flux))) / max(
-            float(np.sum(np.abs(ss.bath_flux))), np.finfo(float).tiny
-        )
+        balance = _rel(*_energy_imbalance(ss))
 
         trajs = simulate(model, sim, threads)
         stats = ensemble_stats(trajs)
         mc = mode_temperature_mc(stats, model)
         t_mc, t_mc_se = mc.positional[ia], mc.positional_se[ia]
-        p_gap = flux_from_gap(osc_a.gamma, osc_a.bath_temperature, mc.kinetic[ia])
-        p_gap_se = 2.0 * osc_a.gamma * BOLTZMANN * mc.kinetic_se[ia]
+        p_gap = flux_from_gap(
+            osc_a.gamma, osc_a.bath_temperature, mc.kinetic[ia], model.boltzmann
+        )
+        p_gap_se = 2.0 * osc_a.gamma * model.boltzmann * mc.kinetic_se[ia]
         direct = direct_heat_flux_mc(trajs, model, a_label)
 
         psd_trajs = simulate(model, psd_sim, threads)

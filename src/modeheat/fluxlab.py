@@ -76,25 +76,26 @@ class BulkComparison:
     degenerate: bool = False
 
 
-def flux_from_gap(gamma: float, T: float, T_mode: float) -> float:
+def flux_from_gap(gamma: float, T: float, T_mode: float, boltzmann: float = BOLTZMANN) -> float:
     """Heat flux P = 2 gamma k_B (T - T_mode), W; positive = bath heats mode.
 
     Holds for any linear coupling and feedback acting on the mode: whatever
     holds the mode temperature away from the bath temperature, the bath
-    responds only to the gap.
+    responds only to the gap.  ``boltzmann`` is the k_B of the model the
+    temperatures come from (``SystemModel.boltzmann``); SI by default.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    return 2.0 * gamma * BOLTZMANN * (T - T_mode)
+    return 2.0 * gamma * boltzmann * (T - T_mode)
 
 
-def gap_from_flux(gamma: float, P: float) -> float:
-    """Temperature gap T - T' = P / (2 gamma k_B), K."""
+def gap_from_flux(gamma: float, P: float, boltzmann: float = BOLTZMANN) -> float:
+    """Temperature gap T - T' = P / (2 gamma k_B), K; k_B as in ``flux_from_gap``."""
     if gamma <= 0:
         raise ZeroDamping(
             f"gamma must be > 0 to infer a gap from a flux, got {gamma}"
         )
-    return P / (2.0 * gamma * BOLTZMANN)
+    return P / (2.0 * gamma * boltzmann)
 
 
 def bulk_delta_T(P: float, R_th: float) -> float:

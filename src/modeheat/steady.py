@@ -78,32 +78,6 @@ class NormalModes:
     defective: bool = False
 
 
-def _symmetric_lyapunov_operator(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Matrix of C -> A C + C A^T restricted to symmetric C, on the
-    upper-triangle coordinate basis.  Returns (operator, row_idx, col_idx)."""
-    n = A.shape[0]
-    iu, ju = np.triu_indices(n)
-    m = iu.size
-    op = np.empty((m, m))
-    basis = np.zeros((n, n))
-    for q in range(m):
-        k, l = iu[q], ju[q]
-        basis[k, l] = 1.0
-        basis[l, k] = 1.0
-        image = A @ basis + basis @ A.T
-        op[:, q] = image[iu, ju]
-        basis[k, l] = 0.0
-        basis[l, k] = 0.0
-    return op, iu, ju
-
-
-def _unvec(x: np.ndarray, iu: np.ndarray, ju: np.ndarray, n: int) -> np.ndarray:
-    C = np.zeros((n, n))
-    C[iu, ju] = x
-    C[ju, iu] = x
-    return C
-
-
 def lyapunov_residual(matrices: StateMatrices, C: np.ndarray) -> float:
     """Relative residual ||MC + CM^T + D||_F / max(||D||_F, eps)."""
     M, D = matrices.drift, matrices.diffusion
@@ -111,15 +85,28 @@ def lyapunov_residual(matrices: StateMatrices, C: np.ndarray) -> float:
     return float(num / max(np.linalg.norm(D), np.finfo(float).tiny))
 
 
-def solve_stationary(matrices: StateMatrices) -> np.ndarray:
-    """Stationary covariance of dx = Mx dt + L dW via a dense symmetric solve.
+def _structural_zeros(M: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (k, j) at which the Lyapunov equation itself forces C = 0.
 
-    The n(n+1)/2 upper-triangle unknowns are solved directly (systems here
-    have 2N <= 20 states).  Positions are rescaled by the per-oscillator
-    stiffness frequency before factorization so that position and velocity
-    rows carry comparable magnitudes; a few rounds of iterative refinement
-    against the unscaled residual then push the solution to near machine
-    precision.
+    A state k without noise (D[k, k] = 0) whose drift row has a single nonzero
+    entry j turns the (k, k) entry of M C + C M^T + D = 0 into
+    2 M[k, j] C[j, k] = 0.  Every position row is of this kind (u_i' = v_i),
+    which makes <u_i v_i> = 0 exact rather than a rounding residue.
+    """
+    rows = np.flatnonzero((np.diag(D) == 0) & (np.count_nonzero(M, axis=1) == 1))
+    return rows, np.argmax(M[rows] != 0, axis=1)
+
+
+def solve_stationary(matrices: StateMatrices) -> np.ndarray:
+    """Stationary covariance of dx = Mx dt + L dW by a Schur-based solve.
+
+    scipy's Bartels-Stewart solver (``solve_continuous_lyapunov``) is applied
+    with positions rescaled by the per-oscillator stiffness frequency, so that
+    position and velocity rows carry comparable magnitudes; a few rounds of
+    iterative refinement against the unscaled residual, each reusing the same
+    solve, then push the solution to near machine precision.  Entries the
+    equation forces to zero (``_structural_zeros``) are set exactly after
+    every solve.  Cost is O(n^3) time and O(n^2) memory in the 2N states.
 
     Raises NotHurwitz when no stationary state exists, IllConditioned when
     the refined residual stays above 1e-10 relative.
@@ -143,22 +130,22 @@ def solve_stationary(matrices: StateMatrices) -> np.ndarray:
     S = np.diag(scale)
     S_inv = np.diag(1.0 / scale)
     M_s = S @ M @ S_inv
-    D_s = S @ D @ S
+    rows, cols = _structural_zeros(M, D)
 
-    op, iu, ju = _symmetric_lyapunov_operator(M_s)
-    lu_piv = scipy.linalg.lu_factor(op)
-    x = scipy.linalg.lu_solve(lu_piv, -D_s[iu, ju])
-    C = S_inv @ _unvec(x, iu, ju, dim) @ S_inv
+    def solve(Q: np.ndarray) -> np.ndarray:
+        """Symmetric X with M X + X M^T + Q = 0."""
+        X = S_inv @ scipy.linalg.solve_continuous_lyapunov(M_s, -(S @ Q @ S)) @ S_inv
+        X = 0.5 * (X + X.T)
+        X[rows, cols] = 0.0
+        X[cols, rows] = 0.0
+        return X
 
-    best_C, best_res = C, lyapunov_residual(matrices, C)
+    best_C = solve(D)
+    best_res = lyapunov_residual(matrices, best_C)
     for _ in range(_MAX_REFINEMENTS):
         if best_res <= _TARGET_RESIDUAL:
             break
-        R = M @ best_C + best_C @ M.T + D
-        R_s = S @ R @ S
-        dx = scipy.linalg.lu_solve(lu_piv, -R_s[iu, ju])
-        C_new = best_C + S_inv @ _unvec(dx, iu, ju, dim) @ S_inv
-        C_new = 0.5 * (C_new + C_new.T)
+        C_new = best_C + solve(M @ best_C + best_C @ M.T + D)
         res_new = lyapunov_residual(matrices, C_new)
         if not res_new < best_res:
             break
@@ -170,7 +157,7 @@ def solve_stationary(matrices: StateMatrices) -> np.ndarray:
             f"(required {REQUIRED_RESIDUAL:.0e})",
             residual=best_res,
         )
-    return 0.5 * (best_C + best_C.T)
+    return best_C
 
 
 def mode_temperatures(C: np.ndarray, model: SystemModel) -> tuple[np.ndarray, np.ndarray]:

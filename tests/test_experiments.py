@@ -1,5 +1,6 @@
 """Experiment plumbing: CSV writing, model rebuilds, sweep table layout."""
 
+import dataclasses
 import math
 import warnings
 
@@ -42,8 +43,6 @@ def test_with_coupling_replaces_existing_spring():
 
 def test_with_coupling_adds_spring_to_uncoupled_pair():
     model = oscillator_pair(g_over_gamma=10.0)
-    import dataclasses
-
     bare = dataclasses.replace(model, couplings=())
     rebuilt = _with_coupling(bare, ("A", "B"), 123.0)
     assert len(rebuilt.couplings) == 1
@@ -97,3 +96,22 @@ def test_sweep_requires_a_pair():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LargeStepWarning)
             experiment_strong_coupling_sweep(model, [1.0], sim)
+
+
+def test_sweep_gap_flux_uses_the_model_boltzmann():
+    # natural units (k_B = 1): the gap route must report its flux and SE in the
+    # units of the exact and direct routes, not in SI
+    model = dataclasses.replace(oscillator_pair(t_a=400.0, t_b=200.0), boltzmann=1.0)
+    sim = SimConfig(
+        dt=0.0200125, n_steps=200, seed=3, ensemble_size=8, allow_large_step=True
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LargeStepWarning)
+        header, rows, checks = experiment_strong_coupling_sweep(
+            model, [100.0], sim, psd_duration_s=4.0, psd_ensemble=2
+        )
+    row = dict(zip(header, rows[0]))
+    assert row["P_A_gap_se"] == pytest.approx(row["P_A_direct_se"], rel=0.1)
+    passed = {c.name: c.passed for c in checks}
+    assert passed["p_gap_vs_lyap_g10"]
+    assert passed["p_direct_vs_gap_g10"]

@@ -39,6 +39,13 @@ def test_gap_flux_round_trip():
     assert flux_from_gap(gamma, gap, 0.0) == pytest.approx(6.5e-21, rel=1e-12)
 
 
+def test_flux_gap_in_natural_units():
+    # k_B = 1: the relation carries the model's Boltzmann constant, not SI's
+    assert flux_from_gap(2.0, 5.0, 3.0, boltzmann=1.0) == 8.0
+    assert gap_from_flux(2.0, 8.0, boltzmann=1.0) == 2.0
+    assert flux_from_gap(2.0, 5.0, 3.0) == 2.0 * 2.0 * BOLTZMANN * 2.0
+
+
 def test_flux_sign_follows_gap_sign():
     assert flux_from_gap(10.0, 300.0, 200.0) > 0
     assert flux_from_gap(10.0, 200.0, 300.0) < 0

@@ -1,0 +1,138 @@
+"""Property tests of the exact route over random stable networks.
+
+Each drawn network has one to six oscillators near a common frequency, random
+springs between any pairs, and position, velocity and noise feedback on a
+random subset.  Oscillator 0 always has a warm bath and a noiseless cooling
+feedback, so every network draws net power from its baths and the relative
+energy balance has a nonzero scale.  The identities checked hold for any such network: the
+Lyapunov residual gate, the global energy balance, the flux-gap relation, the
+exact zero of <u_i v_i>, and linearity of C in the noise intensities.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from modeheat import (  # noqa: E402
+    BOLTZMANN,
+    CouplingSpec,
+    FeedbackSpec,
+    OscillatorSpec,
+    SystemModel,
+    compile,
+    flux_from_gap,
+    solve_stationary,
+    steady_state,
+)
+from modeheat.steady import REQUIRED_RESIDUAL, lyapunov_residual  # noqa: E402
+
+from conftest import OMEGA_FAST  # noqa: E402
+
+unit = st.floats(0.0, 1.0)
+# Noise sources are either off or at least 1% of a 300 K thermal drive, so
+# that D stays far from floating-point underflow.
+fraction = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+
+
+@st.composite
+def stable_networks(draw):
+    boltzmann = draw(st.sampled_from([BOLTZMANN, 1.0]))
+    n = draw(st.integers(1, 6))
+    oscillators = []
+    for i in range(n):
+        detuning = draw(st.sampled_from([0.0, 1e-4, 1e-2, 0.3])) * draw(unit)
+        oscillators.append(
+            OscillatorSpec(
+                f"o{i}",
+                1e-12 * (0.5 + 1.5 * draw(unit)),
+                OMEGA_FAST * (1.0 + detuning),
+                1.0 + 49.0 * draw(unit),
+                500.0 * draw(st.floats(0.1, 1.0) if i == 0 else fraction),
+            )
+        )
+    couplings = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                a = oscillators[i]
+                g = 10.0 * a.gamma * draw(unit)
+                k_c = 2.0 * a.mass * a.omega * g
+                couplings.append(CouplingSpec((a.label, oscillators[j].label), k_c))
+    feedbacks = {}
+    for i, o in enumerate(oscillators):
+        if i > 0 and not draw(st.booleans()):
+            continue
+        # gamma_fb from -gamma/2 (heating, short of undamping the mode) to 3 gamma;
+        # oscillator 0 always cools
+        low = 0.1 if i == 0 else -0.5
+        gamma_fb = o.gamma * (low + (3.0 - low) * draw(unit))
+        noise = 0.0 if i == 0 else draw(fraction)
+        feedbacks[o.label] = FeedbackSpec(
+            position_gain=1e-3 * o.mass * o.omega**2 * (2.0 * draw(unit) - 1.0),
+            velocity_gain=-2.0 * o.mass * gamma_fb,
+            noise_psd=4.0 * o.gamma * o.mass * boltzmann * 300.0 * noise,
+        )
+    return SystemModel(tuple(oscillators), tuple(couplings), feedbacks, boltzmann=boltzmann)
+
+
+def _doubled_noise(model: SystemModel) -> SystemModel:
+    """Every bath temperature and feedback noise intensity doubled."""
+    return dataclasses.replace(
+        model,
+        oscillators=tuple(
+            dataclasses.replace(o, bath_temperature=2.0 * o.bath_temperature)
+            for o in model.oscillators
+        ),
+        feedbacks={
+            lab: dataclasses.replace(fb, noise_psd=2.0 * fb.noise_psd)
+            for lab, fb in model.feedbacks.items()
+        },
+    )
+
+
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY
+@given(stable_networks())
+def test_residual_balance_and_flux_gap_identities(model):
+    mats = compile(model)
+    ss = steady_state(model)
+    assert lyapunov_residual(mats, ss.covariance) <= REQUIRED_RESIDUAL
+
+    balance = abs(np.sum(ss.bath_flux) + np.sum(ss.feedback_flux))
+    assert balance <= 1e-8 * np.sum(np.abs(ss.bath_flux))
+
+    # P_i = 2 gamma_i k_B (T_i - T'_kin,i), judged against the gross power
+    # 2 gamma_i k_B (|T_i| + |T'_kin,i|) that the two sides of the difference carry
+    for i, o in enumerate(model.oscillators):
+        t_kin = ss.mode_temperature_kinetic[i]
+        gap_flux = flux_from_gap(o.gamma, o.bath_temperature, t_kin, model.boltzmann)
+        gross = 2.0 * o.gamma * model.boltzmann * (o.bath_temperature + abs(t_kin))
+        assert abs(ss.bath_flux[i] - gap_flux) <= 1e-8 * gross
+
+
+@_PROPERTY
+@given(stable_networks())
+def test_exact_zeros_and_linearity_in_noise(model):
+    mats = compile(model)
+    C = solve_stationary(mats)
+    for i in range(len(model.oscillators)):
+        assert C[2 * i, 2 * i + 1] == 0.0
+        assert C[2 * i + 1, 2 * i] == 0.0
+    # Doubling every noise source doubles C, compared in balanced coordinates
+    # (positions times their stiffness frequency, so every diagonal entry is
+    # an energy per mass).  Entries far below the largest one, such as a mode
+    # that no noise reaches or a correlation that vanishes only by symmetry,
+    # are rounding residue of the solve; they are not rescaled bit for bit,
+    # because sqrt(2 S) != sqrt(2) sqrt(S) in the noise gain, and are held to
+    # 1e-12 of the largest entry instead.
+    C2 = solve_stationary(compile(_doubled_noise(model)))
+    s = np.ones(mats.drift.shape[0])
+    s[0::2] = np.sqrt(-mats.drift[1::2, 0::2].sum(axis=1))
+    B, B2 = np.outer(s, s) * C, np.outer(s, s) * C2
+    np.testing.assert_allclose(B2, 2.0 * B, rtol=1e-12, atol=1e-12 * np.max(np.abs(2.0 * B)))

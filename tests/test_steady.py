@@ -1,8 +1,9 @@
 """Exact stationary statistics against independent oracles.
 
-The package's Lyapunov solve is a hand-rolled symmetric-basis direct solve;
-tests check it against scipy's Bartels-Stewart solver and against closed
-forms, so a defect in either route cannot hide.
+The package's Lyapunov solve is scipy's Schur-based (Bartels-Stewart) solver
+with stiffness scaling and refinement; tests check it against a dense
+Kronecker-product solve and against closed forms, so a defect in either
+route cannot hide.
 """
 
 import math
@@ -10,7 +11,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from modeheat import (
     BOLTZMANN,
@@ -59,21 +59,56 @@ FIXTURES = [
 def test_solve_matches_scipy_lyapunov(model):
     mats = compile(model)
     C = solve_stationary(mats)
-    # Bartels-Stewart needs a balanced input here: on the raw first-order
-    # form the eigenvalue sums (~ -2 gamma) are ~1e-11 of the matrix norm
-    # (~ Omega^2) and scipy silently perturbs the coefficients.  Scaling
-    # positions by the local stiffness frequency fixes the conditioning
-    # without touching the solution.
+    # Independent reference: the vectorized equation
+    # (I (x) M_s + M_s (x) I) vec(C_s) = -vec(D_s), solved densely (at most
+    # 36 x 36 here).  Positions are scaled by the local stiffness frequency
+    # first: on the raw first-order form the eigenvalue sums (~ -2 gamma) are
+    # ~1e-11 of the matrix norm (~ Omega^2) and any direct solve loses digits.
     s = np.ones(mats.drift.shape[0])
     for i in range(mats.n_oscillators):
         s[2 * i] = math.sqrt(-mats.drift[2 * i + 1, 2 * i])
     S, Si = np.diag(s), np.diag(1.0 / s)
-    C_scaled = scipy.linalg.solve_continuous_lyapunov(
-        S @ mats.drift @ Si, -(S @ mats.diffusion @ S)
-    )
-    oracle = Si @ C_scaled @ Si
+    M_s, D_s = S @ mats.drift @ Si, S @ mats.diffusion @ S
+    eye = np.eye(len(s))
+    vec = np.linalg.solve(np.kron(eye, M_s) + np.kron(M_s, eye), -D_s.ravel())
+    oracle = Si @ vec.reshape(M_s.shape) @ Si
     np.testing.assert_allclose(C, oracle, rtol=1e-9, atol=1e-9 * np.max(np.abs(oracle)))
     assert lyapunov_residual(mats, C) <= REQUIRED_RESIDUAL
+
+
+def test_sixty_oscillator_chain_solves_with_exact_zeros():
+    # 120 states, twenty times the largest fixture: nearest-neighbour chain with
+    # hybridizing springs, baths from 100 to 500 K and every fourth
+    # oscillator under velocity or position feedback.
+    rng = np.random.default_rng(60)
+    n = 60
+    oscillators = tuple(
+        OscillatorSpec(
+            f"o{i}",
+            1e-12 * rng.uniform(0.5, 2.0),
+            OMEGA_FAST * (1.0 + 1e-4 * rng.uniform(-1.0, 1.0)),
+            rng.uniform(5.0, 50.0),
+            rng.uniform(100.0, 500.0),
+        )
+        for i in range(n)
+    )
+    couplings = tuple(
+        CouplingSpec((a.label, b.label), 2.0 * a.mass * a.omega * rng.uniform(0.5, 5.0) * a.gamma)
+        for a, b in zip(oscillators, oscillators[1:])
+    )
+    feedbacks = {
+        o.label: FeedbackSpec(velocity_gain=-2.0 * o.mass * o.gamma)
+        if i % 8 == 0
+        else FeedbackSpec(position_gain=1e-4 * o.mass * o.omega**2)
+        for i, o in enumerate(oscillators)
+        if i % 4 == 0
+    }
+    mats = compile(SystemModel(oscillators, couplings, feedbacks))
+    C = solve_stationary(mats)
+    assert lyapunov_residual(mats, C) <= REQUIRED_RESIDUAL
+    for i in range(n):
+        assert C[2 * i, 2 * i + 1] == 0.0
+        assert C[2 * i + 1, 2 * i] == 0.0
 
 
 def test_single_oscillator_closed_form():
