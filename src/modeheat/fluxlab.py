@@ -89,13 +89,13 @@ def flux_from_gap(gamma: float, T: float, T_mode: float, boltzmann: float = BOLT
     return 2.0 * gamma * boltzmann * (T - T_mode)
 
 
-def gap_from_flux(gamma: float, P: float, boltzmann: float = BOLTZMANN) -> float:
-    """Temperature gap T - T' = P / (2 gamma k_B), K; k_B as in ``flux_from_gap``."""
+def gap_from_flux(gamma: float, P: float) -> float:
+    """Temperature gap T - T' = P / (2 gamma k_B), K."""
     if gamma <= 0:
         raise ZeroDamping(
             f"gamma must be > 0 to infer a gap from a flux, got {gamma}"
         )
-    return P / (2.0 * gamma * boltzmann)
+    return P / (2.0 * gamma * BOLTZMANN)
 
 
 def bulk_delta_T(P: float, R_th: float) -> float:

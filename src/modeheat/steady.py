@@ -100,13 +100,15 @@ def _structural_zeros(M: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndar
 def solve_stationary(matrices: StateMatrices) -> np.ndarray:
     """Stationary covariance of dx = Mx dt + L dW by a Schur-based solve.
 
-    scipy's Bartels-Stewart solver (``solve_continuous_lyapunov``) is applied
-    with positions rescaled by the per-oscillator stiffness frequency, so that
-    position and velocity rows carry comparable magnitudes; a few rounds of
-    iterative refinement against the unscaled residual, each reusing the same
-    solve, then push the solution to near machine precision.  Entries the
-    equation forces to zero (``_structural_zeros``) are set exactly after
-    every solve.  Cost is O(n^3) time and O(n^2) memory in the 2N states.
+    The Bartels-Stewart method (the algorithm behind scipy's
+    ``solve_continuous_lyapunov``: a real Schur form, then LAPACK ``trsyl``)
+    is applied with positions rescaled by the per-oscillator stiffness
+    frequency, so that position and velocity rows carry comparable
+    magnitudes; a few rounds of iterative refinement against the unscaled
+    residual, each reusing the same Schur form, then push the solution to
+    near machine precision.  Entries the equation forces to zero
+    (``_structural_zeros``) are set exactly after every solve.  Cost is
+    O(n^3) time and O(n^2) memory in the 2N states.
 
     Raises NotHurwitz when no stationary state exists, IllConditioned when
     the refined residual stays above 1e-10 relative.
@@ -129,12 +131,17 @@ def solve_stationary(matrices: StateMatrices) -> np.ndarray:
             scale[2 * i] = np.sqrt(w2)
     S = np.diag(scale)
     S_inv = np.diag(1.0 / scale)
-    M_s = S @ M @ S_inv
+    # Bartels-Stewart: one real Schur form M_s = U T U^T serves every solve.
+    T, U = scipy.linalg.schur(S @ M @ S_inv, output="real")
+    (trsyl,) = scipy.linalg.get_lapack_funcs(("trsyl",), (T,))
     rows, cols = _structural_zeros(M, D)
 
     def solve(Q: np.ndarray) -> np.ndarray:
         """Symmetric X with M X + X M^T + Q = 0."""
-        X = S_inv @ scipy.linalg.solve_continuous_lyapunov(M_s, -(S @ Q @ S)) @ S_inv
+        # trsyl's info = 1 (near-singular, coefficients perturbed) is left to
+        # the residual gate below.
+        Y, y_scale, _ = trsyl(T, T, U.T @ (-(S @ Q @ S) @ U), tranb="T")
+        X = S_inv @ (U @ (Y / y_scale) @ U.T) @ S_inv
         X = 0.5 * (X + X.T)
         X[rows, cols] = 0.0
         X[cols, rows] = 0.0

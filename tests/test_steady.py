@@ -1,9 +1,9 @@
 """Exact stationary statistics against independent oracles.
 
-The package's Lyapunov solve is scipy's Schur-based (Bartels-Stewart) solver
-with stiffness scaling and refinement; tests check it against a dense
-Kronecker-product solve and against closed forms, so a defect in either
-route cannot hide.
+The package's Lyapunov solve is a Schur-based (Bartels-Stewart) solve with
+stiffness scaling, refinement and exact structural zeros; tests check it
+against a dense Kronecker-product solve and against closed forms, so a defect
+in either route cannot hide.
 """
 
 import math
@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from modeheat import (
     BOLTZMANN,
@@ -73,6 +74,10 @@ def test_solve_matches_scipy_lyapunov(model):
     vec = np.linalg.solve(np.kron(eye, M_s) + np.kron(M_s, eye), -D_s.ravel())
     oracle = Si @ vec.reshape(M_s.shape) @ Si
     np.testing.assert_allclose(C, oracle, rtol=1e-9, atol=1e-9 * np.max(np.abs(oracle)))
+    # scipy's own solver shares the algorithm, not the code: it catches a
+    # defect in the package's scaling, refinement or structural zeros.
+    plain = Si @ scipy.linalg.solve_continuous_lyapunov(M_s, -D_s) @ Si
+    np.testing.assert_allclose(C, plain, rtol=1e-9, atol=1e-9 * np.max(np.abs(plain)))
     assert lyapunov_residual(mats, C) <= REQUIRED_RESIDUAL
 
 
