@@ -8,10 +8,12 @@ sets the sampling grid; a naive Euler-Maruyama path is kept behind a config
 switch for cross-checking.
 
 Both schemes share one numpy kernel.  The recurrence is an associative
-prefix scan (Blelloch 1990), so each chunk of up to 65536 steps is advanced
-by a Hillis-Steele doubling scan: ceil(log2 m) products of (m, 2N) blocks
-with the squared propagators E, E^2, E^4, ... instead of m tiny
-matrix-vector steps.  It equals the step-by-step loop up to summation order.
+prefix scan (Blelloch 1990), advanced per chunk of up to 65536 steps by a
+two-level block scan, the chunked form also used for state-space models
+(Dao & Gu 2024): the steps are cut into blocks of 8, one block-Toeplitz
+product of E^0..E^7 scans inside every block, the block ends are scanned
+the same way with E^8 (recursively), and one product adds each block's
+incoming state back.  It equals the step-by-step loop up to summation order.
 
 Noise comes from counter-based per-member streams (Philox keyed by
 (seed, ensemble_index)), so every trajectory is bit-reproducible on a given
@@ -20,6 +22,9 @@ install regardless of how members are scheduled across threads.
 Standard errors account for sample autocorrelation via the integrated
 autocorrelation time (windowed sum of the ensemble-averaged autocorrelation
 function), so the MC-vs-exact comparisons downstream use honest error bars.
+The ensemble sum of the member autocovariances is one inverse FFT of the
+summed member power spectra (Wiener-Khinchin), so a series set costs one
+forward FFT per member and one inverse FFT in all.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +66,11 @@ MAX_STEP_PRODUCT = 0.05
 # summation order of the scan, so it is part of the bit-reproducibility
 # contract: the same install gives the same bits at any thread count and stride.
 _CHUNK = 1 << 16
+# Block length of the two-level scan; like the chunk length it fixes the
+# summation order, so it is a constant too.
+_BLOCK = 8
+# Members per stacked FFT in the reductions; one block is copied at a time.
+_MEMBER_BLOCK = 16
 # No compiled kernel exists; perfbench/worker.py reads this to record which kernel ran.
 HAVE_NUMBA = False
 # Sokal window constant: stop summing the ACF at the first lag k >= c * tau(k).
@@ -98,6 +109,11 @@ class SimConfig:
             raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
         if self.record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
+        if self.record_stride > self.n_steps:
+            raise ValueError(
+                f"record_stride {self.record_stride} exceeds n_steps {self.n_steps}; "
+                "nothing would be recorded"
+            )
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.scheme not in ("exact", "euler"):
@@ -185,22 +201,60 @@ class EnsembleStats:
 # -- integration kernel ---------------------------------------------------------
 
 
-def _advance_chunk(E, Lq, Z, x):
+def _scan_operators(E: np.ndarray, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Block-scan operators (T, F) per level for chunks of up to m steps.
+
+    Level j steps with P = E^(_BLOCK^j).  In the row layout of the states,
+    T is the (L n, L n) block-Toeplitz map with block (k, l) = (P^(l-k))^T
+    for k <= l, and F the (n, L n) carry map with block l = (P^(l+1))^T.
+    """
+    n = E.shape[0]
+    L = _BLOCK
+    ops = []
+    P = E
+    span = 1
+    while span < m:
+        powers = [np.eye(n)]
+        for _ in range(L):
+            powers.append(P @ powers[-1])
+        zero = np.zeros((n, n))
+        T = np.block([[powers[l - k].T if l >= k else zero for l in range(L)] for k in range(L)])
+        F = np.hstack([p.T for p in powers[1:]])
+        ops.append((T, F))
+        P = powers[L]
+        span *= L
+    return ops
+
+
+def _block_scan(W: np.ndarray, ops, level: int = 0) -> np.ndarray:
+    """Inclusive scan s_k = sum_{j<=k} P^(k-j) w_j of the rows of W, with P
+    the propagator of ``ops[level]``."""
+    m, n = W.shape
+    if m == 1:
+        return W
+    T, F = ops[level]
+    L = T.shape[0] // n
+    B = -(-m // L)
+    if B * L != m:
+        W = np.concatenate([W, np.zeros((B * L - m, n))])
+    S = W.reshape(B, L * n) @ T
+    carries = _block_scan(S[:, -n:], ops, level + 1)
+    S[1:] += carries[:-1] @ F
+    return S.reshape(B * L, n)[:m]
+
+
+def _advance_chunk(E, ops, Lq, Z, x):
     """States after each of the len(Z) steps x_{k+1} = E x_k + Lq z_k from x.
 
-    Hillis-Steele doubling scan over w_k = Lq z_k (with E x folded into w_0):
-    after the pass with offset d, row k holds sum_{j<2d, j<=k} E^j w_{k-j},
-    so ceil(log2 m) passes of (m, 2N) matrix products replace m tiny ones.
+    Two-level block scan over w_k = Lq z_k (with E x folded into w_0): one
+    (m/L, L n) @ (L n, L n) block-Toeplitz product scans within blocks of L
+    steps, the L-times-coarser series of block ends is scanned the same way
+    with E^L, and one (m/L, n) @ (n, L n) product adds each block's incoming
+    state back.  ``ops`` comes from ``_scan_operators(E, ...)``.
     """
     W = Z @ Lq.T
     W[0] += E @ x
-    P = E
-    d = 1
-    while d < W.shape[0]:
-        W[d:] += W[:-d] @ P.T
-        P = P @ P
-        d *= 2
-    return W
+    return _block_scan(W, ops)
 
 
 def _noise_factor_matrix(Q: np.ndarray) -> np.ndarray:
@@ -255,7 +309,7 @@ def _resolve_burn_in(model: SystemModel, config: SimConfig) -> int:
     return burn_in
 
 
-def _integrate_member(E, Lq, config: SimConfig, burn_in: int, index: int) -> np.ndarray:
+def _integrate_member(E, ops, Lq, config: SimConfig, burn_in: int, index: int) -> np.ndarray:
     rng = np.random.Generator(
         np.random.Philox(key=np.array([config.seed, index], dtype=np.uint64))
     )
@@ -269,7 +323,7 @@ def _integrate_member(E, Lq, config: SimConfig, burn_in: int, index: int) -> np.
     while k0 < total:
         m = min(_CHUNK, total - k0)
         Z = rng.standard_normal(size=(m, nchan))
-        states = _advance_chunk(E, Lq, Z, x)
+        states = _advance_chunk(E, ops, Lq, Z, x)
         # record j is step burn_in + stride*(j+1); this chunk holds steps k0+1..k0+m
         j0 = max(0, (k0 - burn_in) // stride)
         j1 = max(0, (k0 + m - burn_in) // stride)
@@ -307,12 +361,13 @@ def simulate(model: SystemModel, config: SimConfig, threads: int = 1) -> list[Tr
 
     E, Lq = _one_step_operators(model, config)
     burn_in = _resolve_burn_in(model, config)
+    ops = _scan_operators(E, min(_CHUNK, burn_in + config.n_steps))
     fingerprint = model.fingerprint()
     n_rec = config.n_steps // config.record_stride
     times = config.dt * (burn_in + config.record_stride * (1.0 + np.arange(n_rec)))
 
     def build(index: int) -> Trajectory:
-        rec = _integrate_member(E, Lq, config, burn_in, index)
+        rec = _integrate_member(E, ops, Lq, config, burn_in, index)
         return Trajectory(
             times=times,
             states=rec,
@@ -333,15 +388,6 @@ def simulate(model: SystemModel, config: SimConfig, threads: int = 1) -> list[Tr
 # -- autocorrelation-aware reductions -------------------------------------------
 
 
-def _unbiased_acov(x: np.ndarray) -> np.ndarray:
-    """Autocovariance of a centered series, unbiased normalization, via FFT."""
-    n = x.size
-    nfft = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(x, nfft)
-    acov = np.fft.irfft(f * f.conj(), nfft)[:n]
-    return acov / np.arange(n, 0, -1)
-
-
 def _tau_from_acov(acov: np.ndarray) -> float:
     """Integrated autocorrelation time with a self-consistent (Sokal) window,
     floored at 1 so error bars never claim better than independent samples."""
@@ -356,18 +402,41 @@ def _tau_from_acov(acov: np.ndarray) -> float:
     return max(tau, 1.0)
 
 
-def _pooled_mean_se(series: list[np.ndarray]) -> tuple[float, float, float]:
-    """Pooled mean of equal-length member series, SE inflated by the
-    ensemble-averaged integrated autocorrelation time.  Returns (mean, se, tau)."""
+def _pooled_mean_se(
+    series: list[np.ndarray], f: Callable[[np.ndarray], np.ndarray] | None = None
+) -> tuple[float, float, float]:
+    """Pooled mean of the equal-length member series f(s) (default s), SE
+    inflated by the ensemble-averaged integrated autocorrelation time.
+    Returns (mean, se, tau).
+
+    Members are stacked _MEMBER_BLOCK at a time, so f applies to one block
+    and no transformed copy of the whole ensemble is held.  The member
+    autocovariances are summed in the frequency domain: the centred blocks
+    are transformed, their |F|^2 accumulated, and one inverse FFT gives the
+    summed autocorrelation, divided by the unbiased lag counts n - k and the
+    member count afterwards.
+    """
     n = series[0].size
     n_total = n * len(series)
-    mean = sum(float(np.sum(s)) for s in series) / n_total
-    acov = np.zeros(n)
-    for s in series:
-        acov += _unbiased_acov(s - mean)
-    acov /= len(series)
+
+    def blocks():
+        for b in range(0, len(series), _MEMBER_BLOCK):
+            block = np.stack(series[b : b + _MEMBER_BLOCK])
+            yield block if f is None else f(block)
+
+    mean = sum(float(np.sum(block)) for block in blocks()) / n_total
+    nfft = 1 << (2 * n - 1).bit_length()
+    power = np.zeros(nfft // 2 + 1)
+    sum_sq = 0.0
+    for block in blocks():
+        block -= mean
+        sum_sq += float(np.vdot(block, block))
+        spec = np.fft.rfft(block, nfft)
+        power += np.einsum("ij,ij->j", spec.real, spec.real)
+        power += np.einsum("ij,ij->j", spec.imag, spec.imag)
+    acov = np.fft.irfft(power, nfft)[:n] / np.arange(n, 0, -1) / len(series)
     tau = _tau_from_acov(acov)
-    var = sum(float(np.sum((s - mean) ** 2)) for s in series) / max(n_total - 1, 1)
+    var = sum_sq / max(n_total - 1, 1)
     se = math.sqrt(max(var, 0.0) * tau / n_total)
     return mean, se, tau
 
@@ -414,8 +483,7 @@ def ensemble_stats(trajectories: list[Trajectory]) -> EnsembleStats:
     for d in range(dim):
         series = [t.states[:, d] for t in trajs]
         mean[d], mean_se[d], tau_int[d] = _pooled_mean_se(series)
-        centered_sq = [(s - mean[d]) ** 2 for s in series]
-        m2, se2, _ = _pooled_mean_se(centered_sq)
+        m2, se2, _ = _pooled_mean_se(series, lambda block, c=mean[d]: (block - c) ** 2)
         variance[d] = m2 * n_total / max(n_total - 1, 1)
         variance_se[d] = se2 * n_total / max(n_total - 1, 1)
 
@@ -489,8 +557,7 @@ def direct_heat_flux_mc(
     i = model.index(oscillator) if isinstance(oscillator, str) else oscillator
     o = model.oscillators[i]
 
-    vsq = [t.states[:, 2 * i + 1] ** 2 for t in trajs]
-    mean_vsq, se_vsq, _ = _pooled_mean_se(vsq)
+    mean_vsq, se_vsq, _ = _pooled_mean_se([t.states[:, 2 * i + 1] for t in trajs], np.square)
     injected = model.thermal_noise_intensity(i) / (2 * o.mass)
     return Estimate(
         value=injected - 2.0 * o.gamma * o.mass * mean_vsq,

@@ -135,6 +135,19 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert not (out_dir / "verdict.json").exists()
 
 
+def test_cli_config_that_records_nothing_exits_2(tmp_path, capsys):
+    # a stride longer than the run would leave 0-row trajectories for the reductions
+    doc = copy.deepcopy(GOOD_DOC)
+    doc["experiment"] = "equipartition"
+    doc["sim"].update(n_steps=2, record_stride=3, ensemble_size=2)
+    path = _write(tmp_path, doc)
+    out_dir = tmp_path / "out"
+    assert cli.run(path, out=out_dir) == 2
+    err = capsys.readouterr().err
+    assert "code=2" in err and "record_stride" in err
+    assert not (out_dir / "verdict.json").exists()
+
+
 def test_cli_failed_solve_exits_3(tmp_path, capsys):
     doc = copy.deepcopy(GOOD_DOC)
     doc["experiment"] = "equipartition"

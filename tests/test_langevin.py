@@ -245,6 +245,61 @@ def test_direct_flux_vanishes_at_equilibrium(fast_model):
     assert single == listed
 
 
+def _reference_pooled_mean_se(series):
+    """Per-member reduction: one rfft/irfft pair per member series."""
+
+    def unbiased_acov(x):
+        n = x.size
+        nfft = 1 << (2 * n - 1).bit_length()
+        f = np.fft.rfft(x, nfft)
+        acov = np.fft.irfft(f * f.conj(), nfft)[:n]
+        return acov / np.arange(n, 0, -1)
+
+    n = series[0].size
+    n_total = n * len(series)
+    mean = sum(float(np.sum(s)) for s in series) / n_total
+    acov = np.zeros(n)
+    for s in series:
+        acov += unbiased_acov(s - mean)
+    acov /= len(series)
+    tau = langevin._tau_from_acov(acov)
+    var = sum(float(np.sum((s - mean) ** 2)) for s in series) / max(n_total - 1, 1)
+    return mean, math.sqrt(max(var, 0.0) * tau / n_total), tau
+
+
+@pytest.mark.parametrize("members", [1, 15, 16, 17, 33])
+def test_reductions_match_per_member_reference(members):
+    # member counts on both sides of the stacked-FFT block edges, and an odd
+    # record count
+    cfg = SimConfig(dt=5e-4, n_steps=301, seed=21, ensemble_size=members)
+    trajs = simulate(_SLOW_PAIR, cfg)
+    stats = ensemble_stats(trajs)
+    n_total = 301 * members
+    unbias = n_total / (n_total - 1)
+    for d in range(4):
+        series = [t.states[:, d] for t in trajs]
+        mean, mean_se, tau = _reference_pooled_mean_se(series)
+        m2, se2, _ = _reference_pooled_mean_se([(s - mean) ** 2 for s in series])
+        got = (stats.mean[d], stats.mean_se[d], stats.tau_int[d],
+               stats.variance[d], stats.variance_se[d])
+        want = (mean, mean_se, tau, m2 * unbias, se2 * unbias)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    centred = np.concatenate([t.states for t in trajs]) - stats.mean
+    np.testing.assert_allclose(
+        stats.second_moments, centred.T @ centred / n_total,
+        rtol=1e-13, atol=1e-13 * np.max(np.abs(stats.second_moments)),
+    )
+    o = _SLOW_PAIR.oscillators[0]
+    mean_vsq, se_vsq, _ = _reference_pooled_mean_se([t.states[:, 1] ** 2 for t in trajs])
+    est = direct_heat_flux_mc(trajs, _SLOW_PAIR, "A")
+    injected = _SLOW_PAIR.thermal_noise_intensity(0) / (2 * o.mass)
+    np.testing.assert_allclose(
+        (est.value, est.se),
+        (injected - 2.0 * o.gamma * o.mass * mean_vsq, 2.0 * o.gamma * o.mass * se_vsq),
+        rtol=1e-13, atol=0,
+    )
+
+
 # -- guard rails ----------------------------------------------------------------
 
 
@@ -295,6 +350,7 @@ def test_sim_config_validation():
         dict(good, burn_in=-1),
         dict(good, ensemble_size=0),
         dict(good, record_stride=0),
+        dict(good, n_steps=2, record_stride=3),
         dict(good, seed=-1),
         dict(good, seed=2**64),
         dict(good, scheme="heun"),

@@ -1,4 +1,4 @@
-"""Property tests of the exact route over random stable networks.
+"""Property tests over random stable networks.
 
 Each drawn network has one to six oscillators near a common frequency, random
 springs between any pairs, and position, velocity and noise feedback on a
@@ -6,10 +6,13 @@ random subset.  Oscillator 0 always has a warm bath and a noiseless cooling
 feedback, so every network draws net power from its baths and the relative
 energy balance has a nonzero scale.  The identities checked hold for any such network: the
 Lyapunov residual gate, the global energy balance, the flux-gap relation, the
-exact zero of <u_i v_i>, and linearity of C in the noise intensities.
+exact zero of <u_i v_i>, and linearity of C in the noise intensities.  On the
+Monte Carlo side, the integrator's block scan equals a step-by-step loop for
+any scheme, burn-in, stride, chunk length and block length.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -17,20 +20,24 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import modeheat.langevin as langevin  # noqa: E402
 from modeheat import (  # noqa: E402
     BOLTZMANN,
     CouplingSpec,
     FeedbackSpec,
     OscillatorSpec,
+    SimConfig,
     SystemModel,
     compile,
     flux_from_gap,
+    simulate,
     solve_stationary,
     steady_state,
 )
 from modeheat.steady import REQUIRED_RESIDUAL, lyapunov_residual  # noqa: E402
 
 from conftest import OMEGA_FAST  # noqa: E402
+from test_langevin import _reference_loop  # noqa: E402
 
 unit = st.floats(0.0, 1.0)
 # Noise sources are either off or at least 1% of a 300 K thermal drive, so
@@ -39,9 +46,9 @@ fraction = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
 
 
 @st.composite
-def stable_networks(draw):
+def stable_networks(draw, max_oscillators=6):
     boltzmann = draw(st.sampled_from([BOLTZMANN, 1.0]))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_oscillators))
     oscillators = []
     for i in range(n):
         detuning = draw(st.sampled_from([0.0, 1e-4, 1e-2, 0.3])) * draw(unit)
@@ -136,3 +143,31 @@ def test_exact_zeros_and_linearity_in_noise(model):
     s[0::2] = np.sqrt(-mats.drift[1::2, 0::2].sum(axis=1))
     B, B2 = np.outer(s, s) * C, np.outer(s, s) * C2
     np.testing.assert_allclose(B2, 2.0 * B, rtol=1e-12, atol=1e-12 * np.max(np.abs(2.0 * B)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    stable_networks(max_oscillators=4),
+    st.sampled_from(["exact", "euler"]),
+    st.floats(1e-3, 0.05),
+    st.integers(0, 40),
+    st.integers(1, 5),
+    st.integers(1, 60),
+    st.integers(1, 40),
+    st.integers(2, 5),
+)
+def test_scan_equals_reference_loop(model, scheme, step, burn_in, stride, records, chunk, block):
+    # short chunks and blocks put their edges inside the burn-in and the stride
+    cfg = SimConfig(
+        dt=step / OMEGA_FAST, n_steps=stride * records, seed=3, burn_in=burn_in,
+        record_stride=stride, scheme=scheme, allow_large_step=True,
+    )
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mp.setattr(langevin, "_CHUNK", chunk)
+        mp.setattr(langevin, "_BLOCK", block)
+        scan = simulate(model, cfg)[0].states
+        loop = _reference_loop(model, cfg)
+    assert scan.shape == loop.shape == (records, 2 * len(model.oscillators))
+    scale = np.max(np.abs(loop), axis=0)
+    assert np.all(np.abs(scan - loop) <= 1e-12 * scale)

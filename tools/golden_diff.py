@@ -1,0 +1,124 @@
+"""Compare two trees of `modeheat run` outputs: verdicts exactly, CSV tables
+cell by cell.
+
+    python tools/golden_diff.py BEFORE AFTER [--bound 1e-12]
+
+BEFORE and AFTER are directories holding run directories, found at any
+depth by their `verdict.json`.  For each run the verdict and the pass/fail
+of every check must be equal.  Each CSV file is reported as byte-identical
+or by its worst cell: |after - before| over the largest magnitude in that
+column of BEFORE.  Text cells must match exactly.  The exit status is 1
+when a run or file is missing on one side, a verdict or check differs, or
+a cell exceeds --bound (default 0: every differing number fails), else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import math
+import sys
+from pathlib import Path
+
+
+def _runs(root: Path) -> set[Path]:
+    return {p.parent.relative_to(root) for p in root.rglob("verdict.json")}
+
+
+def _csv_files(root: Path) -> set[Path]:
+    return {p.relative_to(root) for p in root.rglob("*.csv")}
+
+
+def _checks(path: Path) -> tuple[str, dict[str, bool]]:
+    doc = json.loads(path.read_text())
+    return doc["verdict"], {c["name"]: c["passed"] for c in doc["checks"]}
+
+
+def _rows(path: Path) -> list[list[str]]:
+    with open(path, newline="") as f:
+        return [row for row in csv.reader(f) if row and not row[0].startswith("#")]
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def compare_verdicts(before: Path, after: Path) -> list[str]:
+    """Differences between two verdict.json files, one line each."""
+    v0, c0 = _checks(before)
+    v1, c1 = _checks(after)
+    diffs = [f"verdict {v0} -> {v1}"] if v0 != v1 else []
+    for name in sorted(c0.keys() | c1.keys()):
+        if c0.get(name) != c1.get(name):
+            diffs.append(f"check {name}: {c0.get(name)} -> {c1.get(name)}")
+    return diffs
+
+
+def worst_cell(before: Path, after: Path) -> tuple[float, str]:
+    """Largest cell difference relative to its column's max magnitude in
+    `before`, and where it sits.  A text or shape mismatch is infinite."""
+    rows0, rows1 = _rows(before), _rows(after)
+    if len(rows0) != len(rows1) or any(len(a) != len(b) for a, b in zip(rows0, rows1)):
+        return math.inf, "table shape"
+    header = rows0[0] if rows0 else []
+    scale = [0.0] * max(map(len, rows0), default=0)
+    for row in rows0[1:]:
+        for j, cell in enumerate(row):
+            x = _number(cell)
+            if x is not None and math.isfinite(x):
+                scale[j] = max(scale[j], abs(x))
+    worst, where = 0.0, "nowhere (numbers equal, text differs)"
+    for i, (r0, r1) in enumerate(zip(rows0, rows1)):
+        for j, (a, b) in enumerate(zip(r0, r1)):
+            x, y = _number(a), _number(b)
+            if a == b or (i > 0 and x is not None and y is not None and (x == y or x != x and y != y)):
+                continue
+            if i == 0 or x is None or y is None or not math.isfinite(x - y) or scale[j] == 0:
+                rel = math.inf
+            else:
+                rel = abs(y - x) / scale[j]
+            if rel >= worst:
+                worst, where = rel, f"row {i} column {header[j] if j < len(header) else j}"
+    return worst, where
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("before", type=Path)
+    parser.add_argument("after", type=Path)
+    parser.add_argument("--bound", type=float, default=0.0,
+                        help="largest allowed cell difference over its column max")
+    args = parser.parse_args(argv)
+    failed = False
+
+    runs0, runs1 = _runs(args.before), _runs(args.after)
+    for run in sorted(runs0 ^ runs1):
+        print(f"MISSING run {run} in {'after' if run in runs0 else 'before'}")
+        failed = True
+    for run in sorted(runs0 & runs1):
+        diffs = compare_verdicts(args.before / run / "verdict.json", args.after / run / "verdict.json")
+        print(f"{'DIFF' if diffs else 'same'} verdict {run}" + "".join(f"\n  {d}" for d in diffs))
+        failed |= bool(diffs)
+
+    files0, files1 = _csv_files(args.before), _csv_files(args.after)
+    for name in sorted(files0 ^ files1):
+        print(f"MISSING {name} in {'after' if name in files0 else 'before'}")
+        failed = True
+    for name in sorted(files0 & files1):
+        a, b = args.before / name, args.after / name
+        if a.read_bytes() == b.read_bytes():
+            print(f"identical {name}")
+            continue
+        rel, where = worst_cell(a, b)
+        over = rel > args.bound
+        print(f"{'OVER' if over else 'within'} {name}: worst {rel:.3g} x column max at {where}")
+        failed |= over
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
