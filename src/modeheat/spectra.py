@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.signal
 
 from .errors import (
     BandOutOfRange,
@@ -31,7 +29,7 @@ from .errors import (
     UnknownPair,
     UnresolvedSplitting,
 )
-from .langevin import Estimate, Trajectory
+from .langevin import Estimate, Trajectory, write_rows
 from .model import SystemModel, compile, coupling_g
 from .steady import NormalModes, normal_modes
 
@@ -46,7 +44,10 @@ __all__ = [
     "psd_to_csv",
 ]
 
-_WINDOWS = {"hann": "hann", "rectangular": "boxcar"}
+_WINDOWS = ("hann", "rectangular")
+# Segments transformed per rfft call, so the windowed copy stays small however
+# long the record.
+_SEGMENT_BLOCK = 16
 # Fraction of total variance below which a band temperature is flagged.
 _LOW_CAPTURE = 0.5
 
@@ -116,6 +117,11 @@ def welch_psd(
 ) -> Psd:
     """One-sided Welch PSD of an oscillator's displacement record.
 
+    Welch's averaged periodogram: segments of segment_length samples, started
+    every segment_length - int(overlap_fraction * segment_length) samples (a
+    trailing partial segment is dropped), times a periodic Hann or a boxcar
+    window, with the mean |rfft|^2 scaled by 1/(fs * sum(window^2)).
+
     Default segmentation targets >= 16 averaged segments while keeping the
     resolution bandwidth well under a linewidth; passing the model sharpens
     the latter to segment_length >= 32/(gamma*dt) samples for the target
@@ -123,7 +129,7 @@ def welch_psd(
     applied and the full-grid area equals the record's mean square (Parseval).
     """
     if window not in _WINDOWS:
-        raise ValueError(f"window must be one of {sorted(_WINDOWS)}, got {window!r}")
+        raise ValueError(f"window must be one of {_WINDOWS}, got {window!r}")
     if not 0.0 <= overlap_fraction <= 0.9:
         raise ValueError(f"overlap_fraction must be in [0, 0.9], got {overlap_fraction}")
 
@@ -150,18 +156,23 @@ def welch_psd(
     if segment_length < 2:
         raise RecordTooShort("segments need at least 2 samples")
 
-    noverlap = int(overlap_fraction * segment_length)
-    freqs, values = scipy.signal.welch(
-        u,
-        fs=fs,
-        window=_WINDOWS[window],
-        nperseg=segment_length,
-        noverlap=noverlap,
-        detrend=False,
-        return_onesided=True,
-        scaling="density",
-    )
-    n_segments = (n - segment_length) // (segment_length - noverlap) + 1
+    L = segment_length
+    step = L - int(overlap_fraction * L)
+    segments = np.lib.stride_tricks.sliding_window_view(u, L)[::step]
+    n_segments = segments.shape[0]
+    if window == "hann":  # periodic Hann, as used for spectral analysis
+        w = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(L) / L)
+    else:
+        w = np.ones(L)
+    power = np.zeros(L // 2 + 1)
+    for start in range(0, n_segments, _SEGMENT_BLOCK):
+        spec = np.fft.rfft(segments[start : start + _SEGMENT_BLOCK] * w, axis=1)
+        power += np.sum(spec.real**2 + spec.imag**2, axis=0)
+    values = power / (fs * float(np.sum(w * w)) * n_segments)
+    # One-sided density: fold the negative frequencies onto every bin except
+    # DC and, for even L, Nyquist.
+    values[1 : (L + 1) // 2] *= 2.0
+    freqs = np.fft.rfftfreq(L, dt)
     return Psd(
         frequencies=freqs,
         values=values,
@@ -257,6 +268,8 @@ def fit_lorentzian(
     stops at relative parameter step < 1e-8 or 200 evaluations; running out
     of budget is reported through ``converged``, not an exception.
     """
+    import scipy.optimize  # deferred: a slow import, and most runs fit no peak
+
     if band is None:
         band = (float(psd.frequencies[0]), float(psd.frequencies[-1]))
     mask = psd.band_slice(band)
@@ -405,6 +418,8 @@ def coupling_from_splitting(
             )
         return Estimate(value=0.5 * splitting, se=0.0)
 
+    import scipy.optimize  # deferred, as in fit_lorentzian
+
     psd = psd_or_modes
     if band is None:
         oi, oj = model.oscillators[i], model.oscillators[j]
@@ -503,4 +518,4 @@ def psd_to_csv(psd: Psd, path) -> None:
             f"n_segments={psd.n_segments}, window={psd.window}\n"
         )
         f.write("frequency_hz,psd_m2_per_hz\n")
-        np.savetxt(f, np.column_stack([psd.frequencies, psd.values]), fmt="%.17g", delimiter=",")
+        write_rows(f, np.column_stack([psd.frequencies, psd.values]))

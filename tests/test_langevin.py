@@ -1,5 +1,6 @@
 """Integrator determinism, distributional correctness, and estimator honesty."""
 
+import io
 import math
 import warnings
 
@@ -101,15 +102,7 @@ _SLOW_PAIR = SystemModel(
 )
 
 
-@pytest.mark.parametrize(
-    "model", [SystemModel(oscillators=(_SLOW,)), _SLOW_PAIR], ids=["single", "pair"]
-)
-@pytest.mark.parametrize("scheme", ["exact", "euler"])
-@pytest.mark.parametrize("burn_in", [0, 7, None])
-@pytest.mark.parametrize("stride", [1, 3])
-def test_scan_matches_reference_loop(model, scheme, burn_in, stride, monkeypatch):
-    # 7-step chunks put chunk edges inside the burn-in and inside a stride
-    monkeypatch.setattr(langevin, "_CHUNK", 7)
+def _assert_scan_matches_loop(model, scheme, burn_in, stride):
     cfg = SimConfig(
         dt=1e-3, n_steps=50, seed=9, burn_in=burn_in, record_stride=stride,
         scheme=scheme, allow_large_step=True,
@@ -122,6 +115,35 @@ def test_scan_matches_reference_loop(model, scheme, burn_in, stride, monkeypatch
     scale = np.max(np.abs(loop), axis=0)
     assert np.all(scale > 0)
     assert np.all(np.abs(scan - loop) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize(
+    "model", [SystemModel(oscillators=(_SLOW,)), _SLOW_PAIR], ids=["single", "pair"]
+)
+@pytest.mark.parametrize("scheme", ["exact", "euler"])
+@pytest.mark.parametrize("burn_in", [0, 7, None])
+@pytest.mark.parametrize("stride", [1, 3])
+def test_scan_matches_reference_loop(model, scheme, burn_in, stride, monkeypatch):
+    # 7-step chunks put chunk edges inside the burn-in and inside a stride
+    monkeypatch.setattr(langevin, "_CHUNK", 7)
+    _assert_scan_matches_loop(model, scheme, burn_in, stride)
+
+
+@pytest.mark.parametrize("chunk", [17, 64])
+@pytest.mark.parametrize(
+    "model", [SystemModel(oscillators=(_SLOW,)), _SLOW_PAIR], ids=["single", "pair"]
+)
+@pytest.mark.parametrize("scheme", ["exact", "euler"])
+@pytest.mark.parametrize("burn_in", [0, 7, None])
+@pytest.mark.parametrize("stride", [1, 3])
+def test_scan_carry_path_matches_reference_loop(
+    model, scheme, burn_in, stride, chunk, monkeypatch
+):
+    # chunks of at least two blocks of _BLOCK steps add carries back into
+    # later blocks; 17 also leaves a partial last block
+    assert chunk >= 2 * langevin._BLOCK
+    monkeypatch.setattr(langevin, "_CHUNK", chunk)
+    _assert_scan_matches_loop(model, scheme, burn_in, stride)
 
 
 def test_record_stride_subsamples_the_stride_one_stream(fast_model):
@@ -411,6 +433,28 @@ def test_csv_round_trip(fast_model, tmp_path):
     # %.17g preserves float64 exactly
     assert np.array_equal(data[:, 0], traj.times)
     assert np.array_equal(data[:, 1:], traj.states)
+
+
+_SPECIAL = [0.0, -0.0, -1.5, 5e-324, -2.5e-310, 1e300, -1e-300, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize(
+    "rows, block",
+    [
+        (np.array(_SPECIAL).reshape(5, 2), langevin._WRITE_BLOCK),
+        (np.array(_SPECIAL).reshape(2, 5), langevin._WRITE_BLOCK),
+        (np.zeros((0, 2)), langevin._WRITE_BLOCK),
+        # seven rows written three at a time: the last block is partial
+        (np.random.default_rng(0).standard_normal((7, 3)) * 10.0 ** np.arange(-1, 2), 3),
+    ],
+    ids=["special", "five_columns", "no_rows", "partial_block"],
+)
+def test_write_rows_matches_savetxt(rows, block, monkeypatch):
+    monkeypatch.setattr(langevin, "_WRITE_BLOCK", block)
+    ours, reference = io.StringIO(), io.StringIO()
+    langevin.write_rows(ours, rows)
+    np.savetxt(reference, rows, fmt="%.17g", delimiter=",")
+    assert ours.getvalue() == reference.getvalue()
 
 
 def test_binary_round_trip(fast_model, tmp_path):

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -73,6 +76,68 @@ def test_white_noise_area_equals_mean_square():
     for window in ("hann", "rectangular"):
         psd = welch_psd(traj, 0, segment_length=1024, window=window)
         assert psd.area() == pytest.approx(float(np.mean(u**2)), rel=0.01)
+
+
+@pytest.mark.parametrize("n_segments", [1, 16, 17, 33])
+@pytest.mark.parametrize("overlap_fraction", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("segment_length", [64, 65])
+@pytest.mark.parametrize("window", ["hann", "rectangular"])
+def test_welch_matches_scipy(window, segment_length, overlap_fraction, n_segments):
+    import scipy.signal  # the oracle; the package itself does not import it
+
+    step = segment_length - int(overlap_fraction * segment_length)
+    n = segment_length + (n_segments - 1) * step
+    rng = np.random.default_rng(n)
+    # AR(1) noise: a coloured spectrum without the huge dynamic range of a
+    # random walk, whose smallest bins are pure rounding
+    u = scipy.signal.lfilter([1.0], [1.0, -0.8], rng.standard_normal(n)) * 1e-9
+    psd = welch_psd(
+        _synthetic_trajectory(u, dt=2e-5), 0, segment_length=segment_length,
+        overlap_fraction=overlap_fraction, window=window,
+    )
+    kwargs = dict(
+        fs=5e4, window={"hann": "hann", "rectangular": "boxcar"}[window],
+        nperseg=segment_length, noverlap=segment_length - step, detrend=False,
+    )
+    freqs, values = scipy.signal.welch(u, **kwargs)
+    _, times, _ = scipy.signal.spectrogram(u, **kwargs)
+    assert np.array_equal(psd.frequencies, freqs)
+    np.testing.assert_allclose(psd.values, values, rtol=1e-12, atol=0.0)
+    assert psd.n_segments == times.size == n_segments
+
+
+@pytest.mark.parametrize("segment_length", [64, 65])
+def test_rectangular_welch_without_overlap_is_parseval_exact(segment_length):
+    u = np.random.default_rng(5).standard_normal(17 * segment_length + 3)
+    psd = welch_psd(
+        _synthetic_trajectory(u, dt=1e-3), 0, segment_length=segment_length,
+        overlap_fraction=0.0, window="rectangular",
+    )
+    covered = u[: psd.n_segments * segment_length]
+    assert psd.n_segments == 17
+    assert psd.area() == pytest.approx(float(np.mean(covered**2)), rel=1e-12)
+
+
+def test_package_import_defers_optional_scipy_modules():
+    src = os.path.dirname(os.path.dirname(spectra.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = """
+import sys
+import numpy as np
+import modeheat, modeheat.cli
+loaded = [m for m in ("scipy.signal", "scipy.stats", "scipy.optimize") if m in sys.modules]
+assert not loaded, loaded
+f = 0.5 * np.arange(512)
+values = 1e-20 / (1.0 + ((f - 100.0) / 5.0) ** 2)
+psd = modeheat.Psd(f, values, resolution_bandwidth=0.5, n_segments=16, window="hann")
+assert modeheat.fit_lorentzian(psd).converged
+assert "scipy.optimize" in sys.modules
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_bin_centered_sinusoid_recovers_exact_power():
