@@ -5,12 +5,12 @@ failure, 4 oracle FAIL (the run completed but a built-in tolerance check
 did not pass).  Error messages go to stderr with a machine-parsable
 `code=` prefix.  Every run directory gets a manifest (config hash, seed,
 versions, RNG algorithm) sufficient to bit-reproduce the data rows.
+Experiments return data; `run` alone writes it, tables via `modeheat.tables`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import hashlib
 import json
@@ -22,26 +22,10 @@ from . import __version__
 from .config import CONFIG_SCHEMA, load_config
 from .constants import DEFAULT_SEED, RNG_ALGORITHM
 from .errors import ConfigError, ModeheatError
-from .experiments import experiment_strong_coupling_sweep, run_experiment
+from .experiments import run_experiment
+from .tables import write_csv, write_json
 
-__all__ = ["main", "run", "experiment_strong_coupling_sweep"]
-
-
-def _csv_to_json(csv_path: Path) -> None:
-    """Mirror a result table as JSON (list of row objects)."""
-    with open(csv_path, newline="") as f:
-        lines = [ln for ln in f if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    rows = []
-    for row in reader:
-        parsed = {}
-        for k, v in row.items():
-            try:
-                parsed[k] = float(v)
-            except (TypeError, ValueError):
-                parsed[k] = v
-        rows.append(parsed)
-    csv_path.with_suffix(".json").write_text(json.dumps(rows, indent=2) + "\n")
+__all__ = ["main", "run"]
 
 
 def run(
@@ -65,7 +49,7 @@ def run(
     resolved_seed = seed if seed is not None else cfg.sim.get("seed", DEFAULT_SEED)
 
     try:
-        checks = run_experiment(cfg, outdir, resolved_seed, threads)
+        outcome = run_experiment(cfg, resolved_seed, threads)
     except ConfigError as exc:
         print(f"code=2 {exc}", file=sys.stderr)
         return 2
@@ -73,10 +57,15 @@ def run(
         print(f"code=3 {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
-    if "json" in cfg.output.get("formats", []):
-        for table in sorted(outdir.glob("*.csv")):
-            _csv_to_json(table)
+    mirror = "json" in cfg.output.get("formats", [])
+    for stem, table in outcome.tables.items():
+        write_csv(table, outdir / f"{stem}.csv")
+        if mirror:
+            write_json(table, outdir / f"{stem}.json")
+    for name, text in outcome.texts.items():
+        (outdir / name).write_text(text)
 
+    checks = outcome.checks
     verdict = "PASS" if all(c.passed for c in checks) else "FAIL"
     (outdir / "verdict.json").write_text(
         json.dumps(

@@ -1,9 +1,10 @@
 """Experiment implementations behind the command-line runner.
 
 Each experiment builds its models, runs the exact and/or stochastic
-solvers, writes diffable CSV tables into the output directory, and returns
-a list of named tolerance checks.  The runner turns those checks into the
-verdict file; a PASS verdict means every single check passed.
+solvers, and returns an `Outcome`: its result tables, its named tolerance
+checks and any verbatim text files.  Experiments write nothing; the runner
+turns the tables into files and the checks into the verdict file.  A PASS
+verdict means every single check passed.
 
 All randomness is rooted in the config seed; data rows never contain
 timestamps or environment-dependent values, so reruns are bit-identical.
@@ -13,8 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,10 +44,11 @@ from .langevin import (
     simulate,
 )
 from .model import CouplingSpec, SystemModel
-from .spectra import fit_lorentzian, psd_to_csv, temperature_from_area, welch_psd
+from .spectra import fit_lorentzian, psd_table, temperature_from_area, welch_psd
 from .steady import steady_state
+from .tables import Table
 
-__all__ = ["Check", "run_experiment", "experiment_strong_coupling_sweep"]
+__all__ = ["Check", "Outcome", "run_experiment", "experiment_strong_coupling_sweep"]
 
 
 @dataclass(frozen=True)
@@ -59,19 +60,14 @@ class Check:
     detail: str
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+@dataclass(frozen=True)
+class Outcome:
+    """What an experiment returns: result tables by file stem, tolerance
+    checks in verdict order, and verbatim text files by file name."""
 
-
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+    tables: dict[str, Table]
+    checks: list[Check]
+    texts: dict[str, str] = field(default_factory=dict)
 
 
 def _rel(err: float, scale: float) -> float:
@@ -123,45 +119,43 @@ def _sim_from_config(sim_block: dict, seed: int) -> SimConfig:
         raise ConfigError(f"invalid sim block: {exc}") from exc
 
 
-# -- equipartition ---------------------------------------------------------------
+def _table(records: list[dict]) -> Table:
+    """The table whose columns are the keys of its row records, in order."""
+    return Table(list(records[0]), [list(r.values()) for r in records])
 
 
-def run_equipartition(
-    cfg: ExperimentConfig, outdir: Path, seed: int, threads: int
-) -> list[Check]:
+def _ensemble(cfg: ExperimentConfig, seed: int, threads: int):
+    """The exact steady state, the simulated ensemble and its MC mode
+    temperatures, with the two checks every ensemble experiment opens with."""
     model = cfg.model
     ss = steady_state(model)
-    sim = _sim_from_config(cfg.sim, seed)
-    stats = ensemble_stats(simulate(model, sim, threads))
-    mc = mode_temperature_mc(stats, model)
-
-    header = [
-        "oscillator",
-        "bath_temperature_k",
-        "t_lyap_pos_k",
-        "t_lyap_kin_k",
-        "t_mc_pos_k",
-        "t_mc_pos_se_k",
-        "t_mc_kin_k",
-        "t_mc_kin_se_k",
-    ]
-    rows = []
+    trajs = simulate(model, _sim_from_config(cfg.sim, seed), threads)
+    mc = mode_temperature_mc(ensemble_stats(trajs), model)
     checks = [
         Check("lyapunov_residual", ss.residual <= 1e-10, f"residual={ss.residual:.3e}"),
         _balance_check(ss),
     ]
+    return model, ss, trajs, mc, checks
+
+
+# -- equipartition ---------------------------------------------------------------
+
+
+def run_equipartition(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
+    model, ss, _, mc, checks = _ensemble(cfg, seed, threads)
+    rows = []
     for i, o in enumerate(model.oscillators):
         rows.append(
-            [
-                o.label,
-                o.bath_temperature,
-                ss.mode_temperature_positional[i],
-                ss.mode_temperature_kinetic[i],
-                mc.positional[i],
-                mc.positional_se[i],
-                mc.kinetic[i],
-                mc.kinetic_se[i],
-            ]
+            {
+                "oscillator": o.label,
+                "bath_temperature_k": o.bath_temperature,
+                "t_lyap_pos_k": ss.mode_temperature_positional[i],
+                "t_lyap_kin_k": ss.mode_temperature_kinetic[i],
+                "t_mc_pos_k": mc.positional[i],
+                "t_mc_pos_se_k": mc.positional_se[i],
+                "t_mc_kin_k": mc.kinetic[i],
+                "t_mc_kin_se_k": mc.kinetic_se[i],
+            }
         )
         T = o.bath_temperature
         if T <= 0:
@@ -178,62 +172,35 @@ def run_equipartition(
             ),
             _check_rel(f"mc_rel_err_{o.label}", mc.positional[i], T, 0.03),
         ]
-    write_csv(outdir / "equipartition.csv", header, rows)
-    return checks
+    return Outcome({"equipartition": _table(rows)}, checks)
 
 
 # -- cold damping ----------------------------------------------------------------
 
 
-def run_cold_damping(
-    cfg: ExperimentConfig, outdir: Path, seed: int, threads: int
-) -> list[Check]:
-    model = cfg.model
-    ss = steady_state(model)
-    sim = _sim_from_config(cfg.sim, seed)
-    trajs = simulate(model, sim, threads)
-    stats = ensemble_stats(trajs)
-    mc = mode_temperature_mc(stats, model)
-
-    header = [
-        "oscillator",
-        "bath_temperature_k",
-        "gamma_per_s",
-        "gamma_fb_per_s",
-        "t_kin_lyap_k",
-        "t_kin_predicted_k",
-        "t_kin_mc_k",
-        "t_kin_mc_se_k",
-        "p_bath_lyap_w",
-        "p_fb_lyap_w",
-        "p_direct_mc_w",
-        "p_direct_mc_se_w",
-    ]
+def run_cold_damping(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
+    model, ss, trajs, mc, checks = _ensemble(cfg, seed, threads)
     rows = []
-    checks = [
-        Check("lyapunov_residual", ss.residual <= 1e-10, f"residual={ss.residual:.3e}"),
-        _balance_check(ss),
-    ]
     for i, o in enumerate(model.oscillators):
         fb = model.feedback(o.label)
         gamma_fb = -fb.velocity_gain / (2.0 * o.mass)
         predicted = o.bath_temperature * o.gamma / (o.gamma + gamma_fb)
         flux = direct_heat_flux_mc(trajs, model, o.label)
         rows.append(
-            [
-                o.label,
-                o.bath_temperature,
-                o.gamma,
-                gamma_fb,
-                ss.mode_temperature_kinetic[i],
-                predicted,
-                mc.kinetic[i],
-                mc.kinetic_se[i],
-                ss.bath_flux[i],
-                ss.feedback_flux[i],
-                flux.value,
-                flux.se,
-            ]
+            {
+                "oscillator": o.label,
+                "bath_temperature_k": o.bath_temperature,
+                "gamma_per_s": o.gamma,
+                "gamma_fb_per_s": gamma_fb,
+                "t_kin_lyap_k": ss.mode_temperature_kinetic[i],
+                "t_kin_predicted_k": predicted,
+                "t_kin_mc_k": mc.kinetic[i],
+                "t_kin_mc_se_k": mc.kinetic_se[i],
+                "p_bath_lyap_w": ss.bath_flux[i],
+                "p_fb_lyap_w": ss.feedback_flux[i],
+                "p_direct_mc_w": flux.value,
+                "p_direct_mc_se_w": flux.se,
+            }
         )
         checks += [
             _check_rel(
@@ -258,43 +225,18 @@ def run_cold_damping(
                 f"p_direct_mc_4se_{o.label}", flux.value, ss.bath_flux[i], flux.se
             ),
         ]
-    write_csv(outdir / "cold_damping.csv", header, rows)
-    return checks
+    return Outcome({"cold_damping": _table(rows)}, checks)
 
 
 # -- coupled transfer ------------------------------------------------------------
 
 
-def run_coupled_transfer(
-    cfg: ExperimentConfig, outdir: Path, seed: int, threads: int
-) -> list[Check]:
-    model = cfg.model
-    if len(model.oscillators) != 2:
+def run_coupled_transfer(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
+    if len(cfg.model.oscillators) != 2:
         raise ConfigError("coupled_transfer expects exactly two oscillators")
-    ss = steady_state(model)
-    sim = _sim_from_config(cfg.sim, seed)
-    trajs = simulate(model, sim, threads)
-    stats = ensemble_stats(trajs)
-    mc = mode_temperature_mc(stats, model)
-
-    header = [
-        "oscillator",
-        "bath_temperature_k",
-        "t_kin_lyap_k",
-        "t_kin_mc_k",
-        "t_kin_mc_se_k",
-        "p_lyap_w",
-        "p_gap_mc_w",
-        "p_gap_mc_se_w",
-        "p_direct_mc_w",
-        "p_direct_mc_se_w",
-    ]
+    model, ss, trajs, mc, checks = _ensemble(cfg, seed, threads)
+    checks.append(_check_rel("antisymmetry_lyap", ss.bath_flux[0], -ss.bath_flux[1], 1e-10))
     rows = []
-    checks = [
-        Check("lyapunov_residual", ss.residual <= 1e-10, f"residual={ss.residual:.3e}"),
-        _balance_check(ss),
-        _check_rel("antisymmetry_lyap", ss.bath_flux[0], -ss.bath_flux[1], 1e-10),
-    ]
     direct = []
     for i, o in enumerate(model.oscillators):
         flux_direct = direct_heat_flux_mc(trajs, model, o.label)
@@ -302,18 +244,18 @@ def run_coupled_transfer(
         p_gap = flux_from_gap(o.gamma, o.bath_temperature, mc.kinetic[i], model.boltzmann)
         p_gap_se = 2.0 * o.gamma * model.boltzmann * mc.kinetic_se[i]
         rows.append(
-            [
-                o.label,
-                o.bath_temperature,
-                ss.mode_temperature_kinetic[i],
-                mc.kinetic[i],
-                mc.kinetic_se[i],
-                ss.bath_flux[i],
-                p_gap,
-                p_gap_se,
-                flux_direct.value,
-                flux_direct.se,
-            ]
+            {
+                "oscillator": o.label,
+                "bath_temperature_k": o.bath_temperature,
+                "t_kin_lyap_k": ss.mode_temperature_kinetic[i],
+                "t_kin_mc_k": mc.kinetic[i],
+                "t_kin_mc_se_k": mc.kinetic_se[i],
+                "p_lyap_w": ss.bath_flux[i],
+                "p_gap_mc_w": p_gap,
+                "p_gap_mc_se_w": p_gap_se,
+                "p_direct_mc_w": flux_direct.value,
+                "p_direct_mc_se_w": flux_direct.se,
+            }
         )
         checks += [
             _check_within_se(f"p_gap_vs_lyap_{o.label}", p_gap, ss.bath_flux[i], p_gap_se),
@@ -335,14 +277,13 @@ def run_coupled_transfer(
             math.hypot(direct[0].se, direct[1].se),
         )
     )
-    write_csv(outdir / "coupled_transfer.csv", header, rows)
-    return checks
+    return Outcome({"coupled_transfer": _table(rows)}, checks)
 
 
 # -- spectrum --------------------------------------------------------------------
 
 
-def run_spectrum(cfg: ExperimentConfig, outdir: Path, seed: int, threads: int) -> list[Check]:
+def run_spectrum(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
     model = cfg.model
     o = model.oscillators[0]
     T = o.bath_temperature
@@ -386,49 +327,28 @@ def run_spectrum(cfg: ExperimentConfig, outdir: Path, seed: int, threads: int) -
         ),
     ]
 
-    psd_to_csv(psd, outdir / "spectrum_psd.csv")
-    write_csv(
-        outdir / "spectrum_summary.csv",
-        [
-            "oscillator",
-            "bath_temperature_k",
-            "band_lo_hz",
-            "band_hi_hz",
-            "t_psd_k",
-            "t_psd_se_k",
-            "variance_fraction",
-            "fit_center_hz",
-            "fit_gamma_per_s",
-            "fit_area_m2",
-            "fit_background",
-            "fit_goodness",
-        ],
-        [
-            [
-                o.label,
-                T,
-                temp.band[0],
-                temp.band[1],
-                temp.value,
-                temp.se,
-                temp.variance_fraction,
-                fit.center,
-                fit.fwhm_gamma,
-                fit.area,
-                fit.background,
-                fit.goodness,
-            ]
-        ],
-    )
-    return checks
+    summary = {
+        "oscillator": o.label,
+        "bath_temperature_k": T,
+        "band_lo_hz": temp.band[0],
+        "band_hi_hz": temp.band[1],
+        "t_psd_k": temp.value,
+        "t_psd_se_k": temp.se,
+        "variance_fraction": temp.variance_fraction,
+        "fit_center_hz": fit.center,
+        "fit_gamma_per_s": fit.fwhm_gamma,
+        "fit_area_m2": fit.area,
+        "fit_background": fit.background,
+        "fit_goodness": fit.goodness,
+    }
+    tables = {"spectrum_psd": psd_table(psd), "spectrum_summary": _table([summary])}
+    return Outcome(tables, checks)
 
 
 # -- paper-number closure ---------------------------------------------------------
 
 
-def run_paper_numbers(
-    cfg: ExperimentConfig, outdir: Path, seed: int, threads: int
-) -> list[Check]:
+def run_paper_numbers(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
     ref = cfg.analysis.get("reference", {})
     mode_flux = ref.get("mode_flux_w", REFERENCE_MODE_FLUX)
     mode_gap = ref.get("mode_gap_k", REFERENCE_MODE_GAP)
@@ -455,8 +375,7 @@ def run_paper_numbers(
         ),
     ]
 
-    write_csv(
-        outdir / "paper_numbers.csv",
+    table = Table(
         ["quantity", "computed", "quoted", "rel_err"],
         [
             ["mode_flux_w", flux_computed, mode_flux, _rel(flux_computed - mode_flux, mode_flux)],
@@ -471,9 +390,11 @@ def run_paper_numbers(
             ["delta_t_ratio_mode_over_bulk", cmp.delta_T_ratio, cmp.mode_delta_T / cmp.bulk_delta_T, 0.0],
         ],
     )
-    (outdir / "comparison.json").write_text(comparison_to_json(cmp) + "\n")
-    (outdir / "comparison.txt").write_text(comparison_to_text(cmp) + "\n")
-    return checks
+    texts = {
+        "comparison.json": comparison_to_json(cmp) + "\n",
+        "comparison.txt": comparison_to_text(cmp) + "\n",
+    }
+    return Outcome({"paper_numbers": table}, checks, texts)
 
 
 # -- strong-coupling sweep ---------------------------------------------------------
@@ -505,7 +426,7 @@ def experiment_strong_coupling_sweep(
     psd_sample_rate_hz: float | None = None,
     psd_ensemble: int = 8,
     threads: int = 1,
-) -> tuple[list[str], list[list[float]], list[Check]]:
+) -> tuple[Table, list[Check]]:
     """Sweep the coupling rate on a two-oscillator template; at each point
     estimate the first oscillator's mode temperature three ways (exact,
     time-domain MC, spectral) and its bath flux three ways (gap formula on
@@ -515,7 +436,7 @@ def experiment_strong_coupling_sweep(
     ``g_values`` are coupling rates in rad/s.  The spectral estimate averages
     ``psd_ensemble`` independent records of ``psd_duration_s`` each; its SE is
     the scatter across members, which stays honest where the per-bin model
-    would undercount correlated segments.  Returns (header, rows, checks);
+    would undercount correlated segments.  Returns (table, checks);
     the built-in verdict demands pairwise 4-SE agreement of all estimator
     pairs and balance residual < 1e-8 at every point.
     """
@@ -623,12 +544,10 @@ def experiment_strong_coupling_sweep(
             Check(f"balance_{tag}", balance < 1e-8, f"balance_residual={balance:.3e}"),
             _check_within_se(f"equal_bath_control_{tag}", equal_direct.value, 0.0, equal_direct.se),
         ]
-    return header, rows, checks
+    return Table(header, rows), checks
 
 
-def run_strong_coupling_sweep(
-    cfg: ExperimentConfig, outdir: Path, seed: int, threads: int
-) -> list[Check]:
+def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
     model = cfg.model
     if len(model.oscillators) != 2:
         raise ConfigError("strong_coupling_sweep expects exactly two oscillators")
@@ -641,7 +560,7 @@ def run_strong_coupling_sweep(
     g_values = [r * gamma_a for r in ratios]
     sim = _sim_from_config(cfg.sim, seed)
 
-    header, rows, checks = experiment_strong_coupling_sweep(
+    table, checks = experiment_strong_coupling_sweep(
         model,
         g_values,
         sim,
@@ -651,8 +570,7 @@ def run_strong_coupling_sweep(
         psd_ensemble=analysis.get("psd_ensemble", 8),
         threads=threads,
     )
-    write_csv(outdir / "strong_coupling_sweep.csv", header, rows)
-    return checks
+    return Outcome({"strong_coupling_sweep": table}, checks)
 
 
 _RUNNERS = {
@@ -665,9 +583,6 @@ _RUNNERS = {
 }
 
 
-def run_experiment(
-    cfg: ExperimentConfig, outdir: Path, seed: int, threads: int
-) -> list[Check]:
-    """Dispatch to the named experiment; returns its tolerance checks."""
-    runner = _RUNNERS[cfg.experiment]
-    return runner(cfg, outdir, seed, threads)
+def run_experiment(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
+    """Dispatch to the named experiment; returns its tables and checks."""
+    return _RUNNERS[cfg.experiment](cfg, seed, threads)

@@ -46,15 +46,6 @@ class FluxReport:
     mode_temperature: float
     direction: str
 
-    def to_json(self) -> dict:
-        return {
-            "flux_w": self.flux,
-            "gamma_per_s": self.gamma,
-            "bath_temperature_k": self.bath_temperature,
-            "mode_temperature_k": self.mode_temperature,
-            "direction": self.direction,
-        }
-
 
 @dataclass(frozen=True)
 class BulkComparison:

@@ -46,6 +46,7 @@ from .errors import (
     StepTooLarge,
 )
 from .model import SystemModel, compile
+from .tables import Table, write_csv
 
 __all__ = [
     "SimConfig",
@@ -567,21 +568,6 @@ def direct_heat_flux_mc(
 
 # -- export ---------------------------------------------------------------------
 
-# Rows formatted per write: bounds the formatted text of a long record.
-_WRITE_BLOCK = 1 << 14
-
-
-def write_rows(f, rows: np.ndarray) -> None:
-    """Write a 2-D float table as comma-separated '%.17g' rows.
-
-    The bytes equal ``np.savetxt(f, rows, fmt="%.17g", delimiter=",")``, but
-    each block of rows is formatted by one %-operation instead of one per row.
-    """
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    for start in range(0, rows.shape[0], _WRITE_BLOCK):
-        block = rows[start : start + _WRITE_BLOCK]
-        f.write(line * block.shape[0] % tuple(block.ravel().tolist()))
-
 
 def trajectory_to_csv(trajectory: Trajectory, path) -> None:
     """Write `time,u_1,v_1,...` rows at full float64 precision ('%.17g'),
@@ -590,14 +576,12 @@ def trajectory_to_csv(trajectory: Trajectory, path) -> None:
     cols = ["time"]
     for i in range(n_osc):
         cols += [f"u_{i + 1}", f"v_{i + 1}"]
+    provenance = (
+        f"model_fingerprint={trajectory.fingerprint}, "
+        f"seed={trajectory.seed}, dt={trajectory.dt!r}"
+    )
     data = np.column_stack([trajectory.times, trajectory.states])
-    with open(path, "w", newline="") as f:
-        f.write(
-            f"# model_fingerprint={trajectory.fingerprint}, "
-            f"seed={trajectory.seed}, dt={trajectory.dt!r}\n"
-        )
-        f.write(",".join(cols) + "\n")
-        write_rows(f, data)
+    write_csv(Table(cols, data, provenance), path)
 
 
 def trajectory_to_binary(trajectory: Trajectory, path) -> None:

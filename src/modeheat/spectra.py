@@ -29,9 +29,10 @@ from .errors import (
     UnknownPair,
     UnresolvedSplitting,
 )
-from .langevin import Estimate, Trajectory, write_rows
+from .langevin import Estimate, Trajectory
 from .model import SystemModel, compile, coupling_g
 from .steady import NormalModes, normal_modes
+from .tables import Table, write_csv
 
 __all__ = [
     "Psd",
@@ -41,6 +42,7 @@ __all__ = [
     "temperature_from_area",
     "fit_lorentzian",
     "coupling_from_splitting",
+    "psd_table",
     "psd_to_csv",
 ]
 
@@ -510,12 +512,16 @@ def coupling_from_splitting(
     return Estimate(value=math.pi * separation, se=se)
 
 
+def psd_table(psd: Psd) -> Table:
+    """`frequency_hz,psd_m2_per_hz` rows with the acquisition settings as provenance."""
+    return Table(
+        ["frequency_hz", "psd_m2_per_hz"],
+        np.column_stack([psd.frequencies, psd.values]),
+        f"resolution_bandwidth={psd.resolution_bandwidth!r}, "
+        f"n_segments={psd.n_segments}, window={psd.window}",
+    )
+
+
 def psd_to_csv(psd: Psd, path) -> None:
-    """Write `frequency_hz,psd_m2_per_hz` rows with an acquisition header."""
-    with open(path, "w", newline="") as f:
-        f.write(
-            f"# resolution_bandwidth={psd.resolution_bandwidth!r}, "
-            f"n_segments={psd.n_segments}, window={psd.window}\n"
-        )
-        f.write("frequency_hz,psd_m2_per_hz\n")
-        write_rows(f, np.column_stack([psd.frequencies, psd.values]))
+    """Write `psd_table(psd)` as CSV."""
+    write_csv(psd_table(psd), path)

@@ -1,9 +1,11 @@
 """Config validation and the command-line entry point, including exit codes."""
 
 import copy
+import csv
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -212,6 +214,26 @@ def test_cli_json_mirroring(tmp_path):
         mirror = out_dir / (Path(name).stem + ".json")
         assert mirror.exists()
         json.loads(mirror.read_text())  # parses
+
+
+def test_cli_text_cells_are_quoted_and_mirrored_as_text(tmp_path):
+    # a label holding a comma must not shift the later columns of its row, and
+    # one that reads as a number must stay text in the JSON mirror
+    doc = json.loads((CONFIG_DIR / "equipartition.json").read_text())
+    doc["model"]["oscillators"][0]["label"] = "1"
+    doc["model"]["oscillators"][1]["label"] = "B,2"
+    doc["sim"].update(n_steps=200, ensemble_size=8)
+    doc["output"]["formats"] = ["csv", "json"]
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", modeheat.LargeStepWarning)
+        assert cli.run(_write(tmp_path, doc), out=out_dir) in (0, 4)
+    with open(out_dir / "equipartition.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert [len(row) for row in rows] == [8, 8, 8]
+    assert [rows[1][0], rows[2][0]] == ["1", "B,2"]
+    mirror = json.loads((out_dir / "equipartition.json").read_text())
+    assert [row["oscillator"] for row in mirror] == ["1", "B,2"]
 
 
 def test_cli_main_run_subcommand(tmp_path):

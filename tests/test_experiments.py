@@ -8,20 +8,23 @@ import numpy as np
 import pytest
 
 from modeheat import LargeStepWarning, SimConfig, coupling_g
+from modeheat import cli
+from modeheat.config import load_config
 from modeheat.experiments import (
     _with_coupling,
     _with_equal_baths,
     experiment_strong_coupling_sweep,
-    write_csv,
+    run_experiment,
 )
+from modeheat.tables import Table, write_csv
 
-from conftest import oscillator_pair, single_oscillator
+from conftest import REPO, oscillator_pair, single_oscillator
 
 
 def test_write_csv_round_trip(tmp_path):
     path = tmp_path / "table.csv"
     rows = [[1.0, math.pi, 6.5e-21], [2.0, -1.2345678901234567e-9, 0.0]]
-    write_csv(path, ["a", "b", "c"], rows)
+    write_csv(Table(["a", "b", "c"], rows), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "a,b,c"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -66,9 +69,10 @@ def test_sweep_table_layout():
     gamma = model.oscillators[0].gamma
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LargeStepWarning)
-        header, rows, checks = experiment_strong_coupling_sweep(
+        table, checks = experiment_strong_coupling_sweep(
             model, [10.0 * gamma], sim, psd_duration_s=4.0, psd_ensemble=2, threads=4
         )
+    header, rows = table.columns, table.rows
     for column in (
         "g_over_gamma",
         "T_prime_A_lyap",
@@ -107,11 +111,24 @@ def test_sweep_gap_flux_uses_the_model_boltzmann():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LargeStepWarning)
-        header, rows, checks = experiment_strong_coupling_sweep(
+        table, checks = experiment_strong_coupling_sweep(
             model, [100.0], sim, psd_duration_s=4.0, psd_ensemble=2
         )
-    row = dict(zip(header, rows[0]))
+    row = dict(zip(table.columns, table.rows[0]))
     assert row["P_A_gap_se"] == pytest.approx(row["P_A_direct_se"], rel=0.1)
     passed = {c.name: c.passed for c in checks}
     assert passed["p_gap_vs_lyap_g10"]
     assert passed["p_direct_vs_gap_g10"]
+
+
+def test_run_experiment_writes_nothing(tmp_path, monkeypatch):
+    # the experiment returns data; only the command-line runner writes files
+    monkeypatch.chdir(tmp_path)
+    config = REPO / "configs" / "paper_numbers.json"
+    outcome = run_experiment(load_config(config), seed=1, threads=1)
+    assert list(tmp_path.iterdir()) == []
+    assert all(c.passed for c in outcome.checks)
+    out_dir = tmp_path / "out"
+    assert cli.run(config, out=out_dir) == 0
+    written = {p.name for p in out_dir.iterdir()} - {"verdict.json", "manifest.json"}
+    assert written == {f"{stem}.csv" for stem in outcome.tables} | set(outcome.texts)

@@ -1,4 +1,5 @@
-"""The golden-comparison tool: verdict and check equality, CSV cell bounds."""
+"""The golden-comparison tool: verdict, check and outputs-list equality, cell
+bounds for CSV tables and their JSON mirrors, byte equality for other files."""
 
 import importlib.util
 import json
@@ -12,13 +13,39 @@ golden_diff = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden_diff)
 
 
-def _run_dir(root, verdict="PASS", passed=True, table="x,label\n1.0,a\n-4.0,b\n"):
+_MIRROR = [{"x": 1.0, "label": "a"}, {"x": -4.0, "label": "b"}]
+
+
+def _run_dir(
+    root,
+    verdict="PASS",
+    passed=True,
+    table="x,label\n1.0,a\n-4.0,b\n",
+    mirror=None,
+    text=None,
+    outputs=None,
+):
     run = root / "demo"
     run.mkdir(parents=True)
     checks = [{"name": "c1", "passed": True, "detail": ""}, {"name": "c2", "passed": passed}]
     (run / "verdict.json").write_text(json.dumps({"verdict": verdict, "checks": checks}))
     (run / "demo.csv").write_text(table)
+    if mirror is not None:
+        (run / "demo.json").write_text(json.dumps(mirror, indent=2) + "\n")
+    if text is not None:
+        (run / "comparison.txt").write_text(text)
+    if outputs is not None:
+        (run / "manifest.json").write_text(json.dumps({"outputs": outputs}))
     return root
+
+
+def _full_run_dir(root, **changes):
+    kwargs = dict(
+        mirror=_MIRROR,
+        text="ratio 1.0\n",
+        outputs=["comparison.txt", "demo.csv", "demo.json", "verdict.json"],
+    )
+    return _run_dir(root, **{**kwargs, **changes})
 
 
 def test_identical_trees_pass(tmp_path, capsys):
@@ -52,3 +79,51 @@ def test_text_and_shape_changes_fail(tmp_path):
         assert golden_diff.main([str(a), str(other), "--bound", "1"]) == 1
     (tmp_path / "a" / "demo" / "demo.csv").unlink()
     assert golden_diff.main([str(a), str(text), "--bound", "1"]) == 1
+
+
+def test_identical_trees_with_every_output_pass(tmp_path, capsys):
+    a, b = _full_run_dir(tmp_path / "a"), _full_run_dir(tmp_path / "b")
+    assert golden_diff.main([str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    for name in ("comparison.txt", "demo.csv", "demo.json"):
+        assert f"identical demo/{name}" in out
+    assert "same verdict demo" in out
+
+
+def test_json_mirror_cell_bound(tmp_path, capsys):
+    a = _full_run_dir(tmp_path / "a")
+    # the mirror's 1.0 -> 1.0 + 4e-13 is 1e-13 of the column max |-4.0|
+    mirror = [{"x": 1.0000000000004, "label": "a"}, {"x": -4.0, "label": "b"}]
+    b = _full_run_dir(tmp_path / "b", mirror=mirror)
+    assert golden_diff.main([str(a), str(b), "--bound", "1e-12"]) == 0
+    assert "within demo/demo.json: worst 1e-13 x column max at row 1 column x" in (
+        capsys.readouterr().out
+    )
+    assert golden_diff.main([str(a), str(b), "--bound", "1e-14"]) == 1
+
+
+def test_json_mirror_text_stays_text(tmp_path):
+    a = _full_run_dir(tmp_path / "a", mirror=[{"x": 1.0, "label": "1"}])
+    b = _full_run_dir(tmp_path / "b", mirror=[{"x": 1.0, "label": 1.0}])
+    assert golden_diff.main([str(a), str(b), "--bound", "1"]) == 1
+
+
+def test_edited_text_output_fails(tmp_path, capsys):
+    a = _full_run_dir(tmp_path / "a")
+    b = _full_run_dir(tmp_path / "b", text="ratio 1.00\n")
+    assert golden_diff.main([str(a), str(b), "--bound", "1"]) == 1
+    assert "DIFF demo/comparison.txt" in capsys.readouterr().out
+
+
+def test_missing_mirror_fails(tmp_path, capsys):
+    a = _full_run_dir(tmp_path / "a")
+    b = _full_run_dir(tmp_path / "b", mirror=None)
+    assert golden_diff.main([str(a), str(b), "--bound", "1"]) == 1
+    assert "MISSING demo/demo.json in after" in capsys.readouterr().out
+
+
+def test_manifest_outputs_must_match(tmp_path, capsys):
+    a = _full_run_dir(tmp_path / "a")
+    b = _full_run_dir(tmp_path / "b", outputs=["demo.csv", "verdict.json"])
+    assert golden_diff.main([str(a), str(b), "--bound", "1"]) == 1
+    assert "manifest outputs" in capsys.readouterr().out

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import modeheat.langevin as langevin
+import modeheat.tables as tables
 from modeheat import (
     CouplingSpec,
     FeedbackSpec,
@@ -441,20 +442,22 @@ _SPECIAL = [0.0, -0.0, -1.5, 5e-324, -2.5e-310, 1e300, -1e-300, math.nan, math.i
 @pytest.mark.parametrize(
     "rows, block",
     [
-        (np.array(_SPECIAL).reshape(5, 2), langevin._WRITE_BLOCK),
-        (np.array(_SPECIAL).reshape(2, 5), langevin._WRITE_BLOCK),
-        (np.zeros((0, 2)), langevin._WRITE_BLOCK),
+        (np.array(_SPECIAL).reshape(5, 2), tables._WRITE_BLOCK),
+        (np.array(_SPECIAL).reshape(2, 5), tables._WRITE_BLOCK),
+        (np.zeros((0, 2)), tables._WRITE_BLOCK),
         # seven rows written three at a time: the last block is partial
         (np.random.default_rng(0).standard_normal((7, 3)) * 10.0 ** np.arange(-1, 2), 3),
     ],
     ids=["special", "five_columns", "no_rows", "partial_block"],
 )
-def test_write_rows_matches_savetxt(rows, block, monkeypatch):
-    monkeypatch.setattr(langevin, "_WRITE_BLOCK", block)
-    ours, reference = io.StringIO(), io.StringIO()
-    langevin.write_rows(ours, rows)
+def test_write_rows_matches_savetxt(rows, block, monkeypatch, tmp_path):
+    monkeypatch.setattr(tables, "_WRITE_BLOCK", block)
+    path = tmp_path / "rows.csv"
+    tables.write_csv(tables.Table([f"c{j}" for j in range(rows.shape[1])], rows), path)
+    ours = path.read_text().split("\n", 1)[1]
+    reference = io.StringIO()
     np.savetxt(reference, rows, fmt="%.17g", delimiter=",")
-    assert ours.getvalue() == reference.getvalue()
+    assert ours == reference.getvalue()
 
 
 def test_binary_round_trip(fast_model, tmp_path):

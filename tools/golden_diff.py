@@ -1,15 +1,19 @@
-"""Compare two trees of `modeheat run` outputs: verdicts exactly, CSV tables
-cell by cell.
+"""Compare two trees of `modeheat run` outputs: verdicts exactly, tables cell
+by cell, every other output byte for byte.
 
     python tools/golden_diff.py BEFORE AFTER [--bound 1e-12]
 
 BEFORE and AFTER are directories holding run directories, found at any
 depth by their `verdict.json`.  For each run the verdict and the pass/fail
-of every check must be equal.  Each CSV file is reported as byte-identical
-or by its worst cell: |after - before| over the largest magnitude in that
-column of BEFORE.  Text cells must match exactly.  The exit status is 1
-when a run or file is missing on one side, a verdict or check differs, or
-a cell exceeds --bound (default 0: every differing number fails), else 0.
+of every check must be equal, and so must the `outputs` list of its
+`manifest.json`.  Each table, a CSV file or a JSON mirror (a list of row
+objects), is reported as byte-identical or by its worst cell: |after -
+before| over the largest magnitude in that column of BEFORE.  Text cells
+must match exactly.  Any other output (`comparison.json`, `comparison.txt`)
+must be byte-identical.  The exit status is 1 when a run or file is missing
+on one side, a verdict, check or outputs list differs, a non-table file
+differs, or a cell exceeds --bound (default 0: every differing number
+fails), else 0.
 """
 
 from __future__ import annotations
@@ -21,13 +25,18 @@ import math
 import sys
 from pathlib import Path
 
+# Compared per run, not file by file: the manifest carries a timestamp.
+_RUN_FILES = {"verdict.json", "manifest.json"}
+
 
 def _runs(root: Path) -> set[Path]:
     return {p.parent.relative_to(root) for p in root.rglob("verdict.json")}
 
 
-def _csv_files(root: Path) -> set[Path]:
-    return {p.relative_to(root) for p in root.rglob("*.csv")}
+def _files(root: Path) -> set[Path]:
+    return {
+        p.relative_to(root) for p in root.rglob("*") if p.is_file() and p.name not in _RUN_FILES
+    }
 
 
 def _checks(path: Path) -> tuple[str, dict[str, bool]]:
@@ -35,9 +44,8 @@ def _checks(path: Path) -> tuple[str, dict[str, bool]]:
     return doc["verdict"], {c["name"]: c["passed"] for c in doc["checks"]}
 
 
-def _rows(path: Path) -> list[list[str]]:
-    with open(path, newline="") as f:
-        return [row for row in csv.reader(f) if row and not row[0].startswith("#")]
+def _outputs(path: Path) -> list[str] | None:
+    return json.loads(path.read_text())["outputs"] if path.is_file() else None
 
 
 def _number(cell: str) -> float | None:
@@ -45,6 +53,26 @@ def _number(cell: str) -> float | None:
         return float(cell)
     except ValueError:
         return None
+
+
+def _json_cell(v):
+    return float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else v
+
+
+def _rows(path: Path) -> list[list] | None:
+    """A table as its header row followed by data rows whose cells are float
+    (numbers) or str (text); None for a file that is no table."""
+    if path.suffix == ".csv":
+        with open(path, newline="") as f:
+            rows = [row for row in csv.reader(f) if row and not row[0].startswith("#")]
+        parse = [[c if (x := _number(c)) is None else x for c in row] for row in rows[1:]]
+        return rows[:1] + parse
+    if path.suffix == ".json":
+        doc = json.loads(path.read_text())
+        if not isinstance(doc, list) or not all(isinstance(r, dict) for r in doc):
+            return None
+        return [list(doc[0]) if doc else []] + [[_json_cell(v) for v in r.values()] for r in doc]
+    return None
 
 
 def compare_verdicts(before: Path, after: Path) -> list[str]:
@@ -58,26 +86,24 @@ def compare_verdicts(before: Path, after: Path) -> list[str]:
     return diffs
 
 
-def worst_cell(before: Path, after: Path) -> tuple[float, str]:
+def worst_cell(rows0: list[list], rows1: list[list]) -> tuple[float, str]:
     """Largest cell difference relative to its column's max magnitude in
-    `before`, and where it sits.  A text or shape mismatch is infinite."""
-    rows0, rows1 = _rows(before), _rows(after)
+    `rows0`, and where it sits.  A text or shape mismatch is infinite."""
     if len(rows0) != len(rows1) or any(len(a) != len(b) for a, b in zip(rows0, rows1)):
         return math.inf, "table shape"
     header = rows0[0] if rows0 else []
     scale = [0.0] * max(map(len, rows0), default=0)
     for row in rows0[1:]:
-        for j, cell in enumerate(row):
-            x = _number(cell)
-            if x is not None and math.isfinite(x):
+        for j, x in enumerate(row):
+            if isinstance(x, float) and math.isfinite(x):
                 scale[j] = max(scale[j], abs(x))
     worst, where = 0.0, "nowhere (numbers equal, text differs)"
     for i, (r0, r1) in enumerate(zip(rows0, rows1)):
-        for j, (a, b) in enumerate(zip(r0, r1)):
-            x, y = _number(a), _number(b)
-            if a == b or (i > 0 and x is not None and y is not None and (x == y or x != x and y != y)):
+        for j, (x, y) in enumerate(zip(r0, r1)):
+            numbers = i > 0 and isinstance(x, float) and isinstance(y, float)
+            if x == y or (numbers and x != x and y != y):
                 continue
-            if i == 0 or x is None or y is None or not math.isfinite(x - y) or scale[j] == 0:
+            if not numbers or not math.isfinite(x - y) or scale[j] == 0:
                 rel = math.inf
             else:
                 rel = abs(y - x) / scale[j]
@@ -100,11 +126,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"MISSING run {run} in {'after' if run in runs0 else 'before'}")
         failed = True
     for run in sorted(runs0 & runs1):
-        diffs = compare_verdicts(args.before / run / "verdict.json", args.after / run / "verdict.json")
+        a, b = args.before / run, args.after / run
+        diffs = compare_verdicts(a / "verdict.json", b / "verdict.json")
+        out0, out1 = _outputs(a / "manifest.json"), _outputs(b / "manifest.json")
+        if out0 != out1:
+            diffs.append(f"manifest outputs {out0} -> {out1}")
         print(f"{'DIFF' if diffs else 'same'} verdict {run}" + "".join(f"\n  {d}" for d in diffs))
         failed |= bool(diffs)
 
-    files0, files1 = _csv_files(args.before), _csv_files(args.after)
+    files0, files1 = _files(args.before), _files(args.after)
     for name in sorted(files0 ^ files1):
         print(f"MISSING {name} in {'after' if name in files0 else 'before'}")
         failed = True
@@ -113,7 +143,12 @@ def main(argv: list[str] | None = None) -> int:
         if a.read_bytes() == b.read_bytes():
             print(f"identical {name}")
             continue
-        rel, where = worst_cell(a, b)
+        rows0, rows1 = _rows(a), _rows(b)
+        if rows0 is None or rows1 is None:
+            print(f"DIFF {name}: not byte-identical")
+            failed = True
+            continue
+        rel, where = worst_cell(rows0, rows1)
         over = rel > args.bound
         print(f"{'OVER' if over else 'within'} {name}: worst {rel:.3g} x column max at {where}")
         failed |= over
