@@ -58,12 +58,16 @@ def run(
         return 3
 
     mirror = "json" in cfg.output.get("formats", [])
+    written = ["verdict.json"]
     for stem, table in outcome.tables.items():
         write_csv(table, outdir / f"{stem}.csv")
+        written.append(f"{stem}.csv")
         if mirror:
             write_json(table, outdir / f"{stem}.json")
+            written.append(f"{stem}.json")
     for name, text in outcome.texts.items():
         (outdir / name).write_text(text)
+        written.append(name)
 
     checks = outcome.checks
     verdict = "PASS" if all(c.passed for c in checks) else "FAIL"
@@ -101,7 +105,8 @@ def run(
         },
         "rng": RNG_ALGORITHM,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": sorted(p.name for p in outdir.iterdir() if p.name != "manifest.json"),
+        # what this run wrote, not whatever an earlier run left in the directory
+        "outputs": sorted(written),
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 

@@ -85,7 +85,6 @@ _SIM_SCHEMA = {
         "burn_in": {"type": "integer", "minimum": 0},
         "ensemble_size": {"type": "integer", "minimum": 1},
         "record_stride": {"type": "integer", "minimum": 1},
-        "scheme": {"enum": ["exact", "euler"]},
         "allow_large_step": {"type": "boolean"},
     },
 }

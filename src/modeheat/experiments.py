@@ -48,7 +48,7 @@ from .spectra import fit_lorentzian, psd_table, temperature_from_area, welch_psd
 from .steady import steady_state
 from .tables import Table
 
-__all__ = ["Check", "Outcome", "run_experiment", "experiment_strong_coupling_sweep"]
+__all__ = ["Check", "Outcome", "run_experiment"]
 
 
 @dataclass(frozen=True)
@@ -417,38 +417,43 @@ def _with_equal_baths(model: SystemModel, temperature: float) -> SystemModel:
     return dataclasses.replace(model, oscillators=oscillators)
 
 
-def experiment_strong_coupling_sweep(
-    template: SystemModel,
-    g_values,
-    sim: SimConfig,
-    pair: tuple[str, str] | None = None,
-    psd_duration_s: float = 16.0,
-    psd_sample_rate_hz: float | None = None,
-    psd_ensemble: int = 8,
-    threads: int = 1,
-) -> tuple[Table, list[Check]]:
-    """Sweep the coupling rate on a two-oscillator template; at each point
-    estimate the first oscillator's mode temperature three ways (exact,
+def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
+    """Sweep the coupling rate on a two-oscillator model; at each point
+    estimate the mode temperature of the pair's first oscillator three ways (exact,
     time-domain MC, spectral) and its bath flux three ways (gap formula on
     MC data, direct work-based MC, exact), plus the exact energy-balance
     residual and an equal-bath control flux.
 
-    ``g_values`` are coupling rates in rad/s.  The spectral estimate averages
-    ``psd_ensemble`` independent records of ``psd_duration_s`` each; its SE is
-    the scatter across members, which stays honest where the per-bin model
-    would undercount correlated segments.  Returns (table, checks);
-    the built-in verdict demands pairwise 4-SE agreement of all estimator
-    pairs and balance residual < 1e-8 at every point.
+    ``analysis.g_over_gamma`` sets the coupling rates in units of that
+    oscillator's gamma.  The spectral estimate averages ``psd_ensemble``
+    independent records of ``psd_duration_s`` each; its SE is the scatter
+    across members, which stays honest where the per-bin model would
+    undercount correlated segments.  The verdict demands pairwise 4-SE
+    agreement of all estimator pairs and balance residual < 1e-8 at every
+    point.
     """
-    if len(template.oscillators) < 2:
-        raise ValueError("the sweep needs two oscillators to couple")
-    if pair is None:
-        pair = (template.oscillators[0].label, template.oscillators[1].label)
+    template = cfg.model
+    if len(template.oscillators) != 2:
+        raise ConfigError("strong_coupling_sweep expects exactly two oscillators")
+    analysis = cfg.analysis
+    pair = tuple(analysis.get("pair", template.labels))
     a_label = pair[0]
     ia = template.index(a_label)
     osc_a = template.oscillators[ia]
-    if psd_sample_rate_hz is None:
-        psd_sample_rate_hz = 2.5 * max(o.omega for o in template.oscillators) / (2.0 * math.pi)
+    if osc_a.gamma <= 0:
+        raise ConfigError("the swept oscillator needs gamma > 0 to define g/gamma")
+    ratios = analysis.get("g_over_gamma", [0.1, 1.0, 10.0, 100.0])
+    sim = _sim_from_config(cfg.sim, seed)
+    psd_rate = analysis.get(
+        "psd_sample_rate_hz", 2.5 * max(o.omega for o in template.oscillators) / (2.0 * math.pi)
+    )
+    psd_block = {
+        "dt": 1.0 / psd_rate,
+        "n_steps": int(round(analysis.get("psd_duration_s", 16.0) * psd_rate)),
+        "ensemble_size": analysis.get("psd_ensemble", 8),
+        "allow_large_step": True,
+    }
+    psd_sim = _sim_from_config(psd_block, (seed + 1) % 2**64)
 
     header = [
         "g_over_gamma",
@@ -469,17 +474,8 @@ def experiment_strong_coupling_sweep(
     rows: list[list[float]] = []
     checks: list[Check] = []
 
-    psd_dt = 1.0 / psd_sample_rate_hz
-    psd_sim = SimConfig(
-        dt=psd_dt,
-        n_steps=int(round(psd_duration_s * psd_sample_rate_hz)),
-        seed=sim.seed + 1,
-        ensemble_size=psd_ensemble,
-        scheme=sim.scheme,
-        allow_large_step=True,
-    )
-
-    for g in g_values:
+    for r in ratios:
+        g = r * osc_a.gamma
         tag = f"g{g / osc_a.gamma:g}"
         model = _with_coupling(template, pair, g)
         ss = steady_state(model)
@@ -544,33 +540,7 @@ def experiment_strong_coupling_sweep(
             Check(f"balance_{tag}", balance < 1e-8, f"balance_residual={balance:.3e}"),
             _check_within_se(f"equal_bath_control_{tag}", equal_direct.value, 0.0, equal_direct.se),
         ]
-    return Table(header, rows), checks
-
-
-def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
-    model = cfg.model
-    if len(model.oscillators) != 2:
-        raise ConfigError("strong_coupling_sweep expects exactly two oscillators")
-    analysis = cfg.analysis
-    pair = tuple(analysis.get("pair", (model.oscillators[0].label, model.oscillators[1].label)))
-    gamma_a = model.oscillators[model.index(pair[0])].gamma
-    if gamma_a <= 0:
-        raise ConfigError("the swept oscillator needs gamma > 0 to define g/gamma")
-    ratios = analysis.get("g_over_gamma", [0.1, 1.0, 10.0, 100.0])
-    g_values = [r * gamma_a for r in ratios]
-    sim = _sim_from_config(cfg.sim, seed)
-
-    table, checks = experiment_strong_coupling_sweep(
-        model,
-        g_values,
-        sim,
-        pair=pair,
-        psd_duration_s=analysis.get("psd_duration_s", 16.0),
-        psd_sample_rate_hz=analysis.get("psd_sample_rate_hz"),
-        psd_ensemble=analysis.get("psd_ensemble", 8),
-        threads=threads,
-    )
-    return Outcome({"strong_coupling_sweep": table}, checks)
+    return Outcome({"strong_coupling_sweep": Table(header, rows)}, checks)
 
 
 _RUNNERS = {

@@ -1,13 +1,12 @@
 """Seeded stochastic trajectories of the compiled system plus MC estimators.
 
-The default integrator is exact in distribution for a linear system: it
-advances the state by x_{k+1} = E x_k + w_k with E = expm(M*dt) and w_k
-drawn with the exact one-step covariance Q = int_0^dt e^{Ms} D e^{M^T s} ds,
-both precomputed once.  The step size therefore carries no bias and only
-sets the sampling grid; a naive Euler-Maruyama path is kept behind a config
-switch for cross-checking.
+The integrator is exact in distribution for a linear system: it advances
+the state by x_{k+1} = E x_k + w_k with E = expm(M*dt) and w_k drawn with
+the exact one-step covariance Q = int_0^dt e^{Ms} D e^{M^T s} ds, both
+precomputed once (Gillespie 1996).  The step size therefore carries no bias
+and only sets the sampling grid.
 
-Both schemes share one numpy kernel.  The recurrence is an associative
+One numpy kernel advances it.  The recurrence is an associative
 prefix scan (Blelloch 1990), advanced per chunk of up to 65536 steps by a
 two-level block scan, the chunked form also used for state-space models
 (Dao & Gu 2024): the steps are cut into blocks of 8, one block-Toeplitz
@@ -83,11 +82,9 @@ class SimConfig:
     """Integration settings.
 
     ``burn_in=None`` resolves to 10 damping times of the slowest mode at
-    ``simulate`` time.  ``scheme`` is "exact" (default, unbiased at any dt)
-    or "euler" (naive Euler-Maruyama, requires a small step for stability).
-    ``allow_large_step=True`` downgrades the dt*omega_max <= 0.05 guard from
-    an error to a warning; safe with the exact scheme when only stationary
-    moments are wanted, wrong for spectra (the resonance aliases).
+    ``simulate`` time.  ``allow_large_step=True`` downgrades the
+    dt*omega_max <= 0.05 guard from an error to a warning; safe when only
+    stationary moments are wanted, wrong for spectra (the resonance aliases).
     """
 
     dt: float
@@ -96,7 +93,6 @@ class SimConfig:
     burn_in: int | None = None
     ensemble_size: int = 1
     record_stride: int = 1
-    scheme: str = "exact"
     allow_large_step: bool = False
 
     def __post_init__(self):
@@ -117,8 +113,6 @@ class SimConfig:
             )
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.scheme not in ("exact", "euler"):
-            raise ValueError(f"scheme must be 'exact' or 'euler', got {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -268,28 +262,23 @@ def _noise_factor_matrix(Q: np.ndarray) -> np.ndarray:
 
 
 def _one_step_operators(model: SystemModel, config: SimConfig):
-    """Propagator E and noise factor Lq for the chosen scheme.
+    """Propagator E and noise factor Lq of one step.
 
-    Exact scheme: E = expm(M dt) and Q = int_0^dt e^{Ms} D e^{M^T s} ds via
-    the block-matrix exponential of [[-M, D], [0, M^T]] * dt, whose
-    upper-right block yields Q = E @ F12.  Valid for any dt and for gamma=0.
+    E = expm(M dt) and Q = int_0^dt e^{Ms} D e^{M^T s} ds via the
+    block-matrix exponential of [[-M, D], [0, M^T]] * dt, whose upper-right
+    block yields Q = E @ F12.  Valid for any dt and for gamma=0.
     """
     mats = compile(model)
     M, D = mats.drift, mats.diffusion
     n = M.shape[0]
-    if config.scheme == "exact":
-        H = np.zeros((2 * n, 2 * n))
-        H[:n, :n] = -M
-        H[:n, n:] = D
-        H[n:, n:] = M.T
-        F = scipy.linalg.expm(H * config.dt)
-        E = F[n:, n:].T
-        Q = E @ F[:n, n:]
-        Lq = _noise_factor_matrix(0.5 * (Q + Q.T))
-    else:
-        E = np.eye(n) + config.dt * M
-        Lq = math.sqrt(config.dt) * mats.noise_gain
-    return E, Lq
+    H = np.zeros((2 * n, 2 * n))
+    H[:n, :n] = -M
+    H[:n, n:] = D
+    H[n:, n:] = M.T
+    F = scipy.linalg.expm(H * config.dt)
+    E = F[n:, n:].T
+    Q = E @ F[:n, n:]
+    return E, _noise_factor_matrix(0.5 * (Q + Q.T))
 
 
 def _resolve_burn_in(model: SystemModel, config: SimConfig) -> int:
@@ -333,8 +322,9 @@ def _integrate_member(E, ops, Lq, config: SimConfig, burn_in: int, index: int) -
         k0 += m
         if not np.all(np.isfinite(x)):
             raise NonFiniteState(
-                f"state diverged near step {k0} of member {index}; reduce dt "
-                "(Euler-Maruyama needs dt*omega^2 < 4*gamma) or check feedback gains"
+                f"state diverged near step {k0} of member {index}; reduce dt (the one-step "
+                "block exponential overflows at hundreds of damping times per step) or "
+                "check feedback gains"
             )
     return rec
 

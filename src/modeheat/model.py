@@ -179,12 +179,6 @@ class StateMatrices:
     def n_oscillators(self) -> int:
         return self.drift.shape[0] // 2
 
-    def position_index(self, i: int) -> int:
-        return 2 * i
-
-    def velocity_index(self, i: int) -> int:
-        return 2 * i + 1
-
 
 @dataclass(frozen=True)
 class CouplingEstimate:
@@ -357,17 +351,3 @@ def model_from_dict(doc: dict) -> SystemModel:
         feedbacks=feedbacks,
         noise_factor=float(doc.get("noise_factor", 4.0)),
     )
-
-
-def feedback_smallness_warning(model: SystemModel) -> list[str]:
-    """Labels whose position gain exceeds 10% of the mechanical stiffness.
-
-    The linear-response treatment of feedback assumes small gains; stability
-    is still enforced at compile time, this is only an advisory flag.
-    """
-    flagged = []
-    for osc in model.oscillators:
-        fb = model.feedback(osc.label)
-        if abs(fb.position_gain) / (osc.mass * osc.omega**2) > 0.1:
-            flagged.append(osc.label)
-    return flagged

@@ -252,9 +252,112 @@ def temperature_from_area(
     )
 
 
-def _lorentzian(f: np.ndarray, center: float, width: float, area: float, bg: float):
-    hw = 0.5 * width
-    return bg + (area / math.pi) * hw / ((f - center) ** 2 + hw**2)
+def _moment_seed(f: np.ndarray, s: np.ndarray, df: float, n_peaks: int) -> list[float]:
+    """Deterministic fit seed: the band minimum as background and spectral
+    moments of the excess above it, split at its centroid for two peaks.
+    A peak whose excess is all zero gets the middle and a quarter of its span."""
+    bg0 = float(np.min(s))
+    w = np.clip(s - bg0, 0.0, None)
+    edges = [0, f.size]
+    if n_peaks == 2:
+        total = float(np.sum(w))
+        centroid = float(np.sum(f * w) / total) if total > 0 else 0.5 * (f[0] + f[-1])
+        edges.insert(1, int(np.clip(np.searchsorted(f, centroid, "right"), 1, f.size - 1)))
+    guess = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        fk, wk = f[lo:hi], w[lo:hi]
+        total = float(np.sum(wk))
+        if total > 0:
+            center = float(np.sum(fk * wk) / total)
+            spread = math.sqrt(float(np.sum((fk - center) ** 2 * wk) / total))
+        else:
+            center = float(0.5 * (fk[0] + fk[-1]))
+            spread = 0.25 * (fk[-1] - fk[0])
+        guess += [center, max(2.0 * spread, 2.0 * df), max(total * df, np.finfo(float).tiny)]
+    return guess + [bg0]
+
+
+def _fit_peaks(psd: Psd, band: tuple[float, float], n_peaks: int, guess=None) -> tuple:
+    """Weighted least-squares fit of a flat background plus n_peaks
+    Lorentzians over the band, with an analytic Jacobian.
+
+    Parameters are (center_hz, fwhm_hz, area) per peak, then the background;
+    ``guess`` defaults to ``_moment_seed``.  The band needs 8 points per peak.
+    The solver works in O(1) coordinates (frequencies from the lower band
+    edge in band widths, densities in units of the band maximum) with per-bin
+    sigma = value/sqrt(n_segments), centers bounded to the band, and stops at
+    relative parameter step < 1e-8 or 200 evaluations.  Returns (parameters,
+    reduced chi-square, parameter covariance, converged).
+    """
+    import scipy.optimize  # deferred: a slow import, and most runs fit no peak
+
+    mask = psd.band_slice(band)
+    f = psd.frequencies[mask]
+    s = psd.values[mask]
+    need = 8 * n_peaks
+    if f.size < need:
+        raise DegenerateBand(f"band {band} holds {f.size} points; at least {need} required")
+    df = psd.resolution_bandwidth
+    guess = _moment_seed(f, s, df, n_peaks) if guess is None else list(guess)
+    for c in guess[0:-1:3]:
+        if not band[0] <= c <= band[1]:
+            raise ValueError(f"initial center {c} lies outside the band {band}")
+
+    f0 = band[0]
+    f_scale = max(band[1] - band[0], df)
+    s_scale = float(np.max(s)) or 1.0
+    sigma = np.maximum(s, 1e-12 * s_scale) / math.sqrt(psd.n_segments)
+    # d(physical parameter)/d(solver parameter)
+    scale = np.array([f_scale, f_scale, s_scale * f_scale] * n_peaks + [s_scale])
+
+    def unpack(p):
+        q = p[:-1].reshape(n_peaks, 3)
+        bg = p[-1] * s_scale
+        return f0 + q[:, 0] * f_scale, q[:, 1] * f_scale, q[:, 2] * s_scale * f_scale, bg
+
+    def residuals(p):
+        centers, widths, areas, bg = unpack(p)
+        model = bg
+        for center, width, area in zip(centers, widths, areas):
+            hw = 0.5 * width
+            model = model + (area / math.pi) * hw / ((f - center) ** 2 + hw**2)
+        return (model - s) / sigma
+
+    def jacobian(p):
+        J = np.empty((f.size, p.size))
+        for k, (center, width, area) in enumerate(zip(*unpack(p)[:3])):
+            hw = 0.5 * width
+            d = (f - center) ** 2 + hw**2
+            dc = (area / math.pi) * hw * 2.0 * (f - center) / d**2
+            dw = (area / (2.0 * math.pi)) * ((f - center) ** 2 - hw**2) / d**2
+            da = (hw / math.pi) / d
+            J[:, 3 * k] = dc * f_scale / sigma
+            J[:, 3 * k + 1] = dw * f_scale / sigma
+            J[:, 3 * k + 2] = da * s_scale * f_scale / sigma
+        J[:, -1] = s_scale / sigma
+        return J
+
+    p0 = (np.array(guess) - np.array([f0, 0.0, 0.0] * n_peaks + [0.0])) / scale
+    tiny = np.finfo(float).tiny
+    lower = [0.0, tiny, 0.0] * n_peaks + [0.0]
+    upper = [(band[1] - f0) / f_scale, np.inf, np.inf] * n_peaks + [np.inf]
+    result = scipy.optimize.least_squares(
+        residuals,
+        np.clip(p0, lower, upper),
+        jac=jacobian,
+        bounds=(lower, upper),
+        method="trf",
+        xtol=1e-8,
+        ftol=None,
+        gtol=None,
+        max_nfev=200,
+    )
+    centers, widths, areas, bg = unpack(result.x)
+    params = np.append(np.column_stack([centers, widths, areas]).ravel(), bg)
+    goodness = float(2.0 * result.cost / max(f.size - p0.size, 1))
+    J = result.jac
+    cov = goodness * np.linalg.pinv(J.T @ J) * np.outer(scale, scale)
+    return params, goodness, cov, result.status > 0
 
 
 def fit_lorentzian(
@@ -270,119 +373,19 @@ def fit_lorentzian(
     stops at relative parameter step < 1e-8 or 200 evaluations; running out
     of budget is reported through ``converged``, not an exception.
     """
-    import scipy.optimize  # deferred: a slow import, and most runs fit no peak
-
     if band is None:
         band = (float(psd.frequencies[0]), float(psd.frequencies[-1]))
-    mask = psd.band_slice(band)
-    f = psd.frequencies[mask]
-    s = psd.values[mask]
-    if f.size < 8:
-        raise DegenerateBand(f"band {band} holds {f.size} points; at least 8 required")
-
-    df = psd.resolution_bandwidth
-    if initial_guess is None:
-        bg0 = float(np.min(s))
-        w = np.clip(s - bg0, 0.0, None)
-        total = float(np.sum(w))
-        if total > 0:
-            c0 = float(np.sum(f * w) / total)
-            spread = math.sqrt(float(np.sum((f - c0) ** 2 * w) / total))
-        else:
-            c0 = float(0.5 * (f[0] + f[-1]))
-            spread = 0.25 * (f[-1] - f[0])
-        width0 = max(2.0 * spread, 2.0 * df)
-        area0 = max(total * df, np.finfo(float).tiny)
-        initial_guess = (c0, width0, area0, bg0)
-    c0, width0, area0, bg0 = initial_guess
-    if not band[0] <= c0 <= band[1]:
-        raise ValueError(f"initial center {c0} lies outside the band {band}")
-
-    # Normalize so every parameter is O(1) for the trust-region solver.
-    f0 = band[0]
-    f_scale = max(band[1] - band[0], df)
-    s_scale = float(np.max(s)) or 1.0
-    sigma = np.maximum(s, 1e-12 * s_scale) / math.sqrt(psd.n_segments)
-
-    def unpack(p):
-        return (
-            f0 + p[0] * f_scale,
-            p[1] * f_scale,
-            p[2] * s_scale * f_scale,
-            p[3] * s_scale,
-        )
-
-    def residuals(p):
-        return (_lorentzian(f, *unpack(p)) - s) / sigma
-
-    def jacobian(p):
-        center, width, area, _ = unpack(p)
-        hw = 0.5 * width
-        d = (f - center) ** 2 + hw**2
-        dc = (area / math.pi) * hw * 2.0 * (f - center) / d**2
-        dw = (area / (2.0 * math.pi)) * ((f - center) ** 2 - hw**2) / d**2
-        da = (hw / math.pi) / d
-        J = np.empty((f.size, 4))
-        J[:, 0] = dc * f_scale / sigma
-        J[:, 1] = dw * f_scale / sigma
-        J[:, 2] = da * s_scale * f_scale / sigma
-        J[:, 3] = s_scale / sigma
-        return J
-
-    p0 = np.array(
-        [(c0 - f0) / f_scale, width0 / f_scale, area0 / (s_scale * f_scale), bg0 / s_scale]
+    (center, width, area, bg), goodness, _, converged = _fit_peaks(
+        psd, band, 1, initial_guess
     )
-    tiny = np.finfo(float).tiny
-    lower = [0.0, tiny, 0.0, 0.0]
-    upper = [(band[1] - f0) / f_scale, np.inf, np.inf, np.inf]
-    p0 = np.clip(p0, lower, upper)
-    result = scipy.optimize.least_squares(
-        residuals,
-        p0,
-        jac=jacobian,
-        bounds=(lower, upper),
-        method="trf",
-        xtol=1e-8,
-        ftol=None,
-        gtol=None,
-        max_nfev=200,
-    )
-    center, width, area, bg = unpack(result.x)
-    dof = max(f.size - 4, 1)
-    goodness = float(2.0 * result.cost / dof)
     return PeakFit(
         center=center,
         fwhm_gamma=math.pi * width,
         area=area,
         background=bg,
         goodness=goodness,
-        converged=result.status > 0,
+        converged=converged,
     )
-
-
-def _two_lorentzian_initial(f, s, df):
-    """Deterministic doublet seed: split the band at the background-subtracted
-    centroid, then take per-side moments."""
-    bg0 = float(np.min(s))
-    w = np.clip(s - bg0, 0.0, None)
-    total = float(np.sum(w))
-    if total <= 0:
-        mid = 0.5 * (f[0] + f[-1])
-        quarter = 0.25 * (f[-1] - f[0])
-        return [mid - quarter, 4 * df, df, mid + quarter, 4 * df, df, 0.0]
-    centroid = float(np.sum(f * w) / total)
-    params = []
-    for side in ((f <= centroid), (f > centroid)):
-        if np.sum(w[side]) > 0:
-            c = float(np.sum(f[side] * w[side]) / np.sum(w[side]))
-            spread = math.sqrt(float(np.sum((f[side] - c) ** 2 * w[side]) / np.sum(w[side])))
-            area = float(np.sum(w[side]) * df)
-        else:
-            c = centroid
-            spread = df
-            area = df * float(np.max(w))
-        params += [c, max(2.0 * spread, 2.0 * df), max(area, np.finfo(float).tiny)]
-    return params + [bg0]
 
 
 def coupling_from_splitting(
@@ -397,7 +400,7 @@ def coupling_from_splitting(
     exceed the modes' linewidths to count as resolved (otherwise the g <~ gamma
     regime is signalled via UnresolvedSplitting, se is 0).  Measurement route:
     pass a Psd; the two peak centers come from a two-Lorentzian fit seeded by
-    valley-split spectral moments, the SE from the fit covariance, and the
+    centroid-split spectral moments, the SE from the fit covariance, and the
     peaks must be separated by more than twice the resolution bandwidth and
     more than either fitted width.
     """
@@ -420,8 +423,6 @@ def coupling_from_splitting(
             )
         return Estimate(value=0.5 * splitting, se=0.0)
 
-    import scipy.optimize  # deferred, as in fit_lorentzian
-
     psd = psd_or_modes
     if band is None:
         oi, oj = model.oscillators[i], model.oscillators[j]
@@ -435,60 +436,10 @@ def coupling_from_splitting(
             max(center - half, float(psd.frequencies[0])),
             min(center + half, float(psd.frequencies[-1])),
         )
-    mask = psd.band_slice(band)
-    f = psd.frequencies[mask]
-    s = psd.values[mask]
-    if f.size < 16:
-        raise DegenerateBand(f"band {band} holds {f.size} points; at least 16 required")
-
+    params, _, cov, _ = _fit_peaks(psd, band, 2)
+    c1, w1, _, c2, w2 = params[:5]
+    separation = abs(c2 - c1)
     df = psd.resolution_bandwidth
-    # Fit in normalized coordinates; the raw parameters span ~20 decades and
-    # wreck the trust-region scaling otherwise.
-    f0 = float(f[0])
-    f_scale = max(float(f[-1]) - f0, df)
-    s_scale = float(np.max(s)) or 1.0
-    sigma = np.maximum(s, 1e-12 * s_scale) / math.sqrt(psd.n_segments)
-
-    raw0 = _two_lorentzian_initial(f, s, df)
-    p0 = np.array(
-        [
-            (raw0[0] - f0) / f_scale,
-            raw0[1] / f_scale,
-            raw0[2] / (s_scale * f_scale),
-            (raw0[3] - f0) / f_scale,
-            raw0[4] / f_scale,
-            raw0[5] / (s_scale * f_scale),
-            raw0[6] / s_scale,
-        ]
-    )
-
-    def doublet(p):
-        a = s_scale * f_scale
-        return (
-            _lorentzian(f, f0 + p[0] * f_scale, p[1] * f_scale, p[2] * a, 0.0)
-            + _lorentzian(f, f0 + p[3] * f_scale, p[4] * f_scale, p[5] * a, 0.0)
-            + p[6] * s_scale
-        )
-
-    def residuals(p):
-        return (doublet(p) - s) / sigma
-
-    tiny = np.finfo(float).tiny
-    span = (float(f[-1]) - f0) / f_scale
-    lower = [0.0, tiny, 0.0, 0.0, tiny, 0.0, 0.0]
-    upper = [span, np.inf, np.inf, span, np.inf, np.inf, np.inf]
-    result = scipy.optimize.least_squares(
-        residuals,
-        np.clip(p0, lower, upper),
-        bounds=(lower, upper),
-        method="trf",
-        xtol=1e-10,
-        max_nfev=2000,
-    )
-    c1, w1 = f0 + result.x[0] * f_scale, result.x[1] * f_scale
-    c2, w2 = f0 + result.x[3] * f_scale, result.x[4] * f_scale
-    f_lo, f_hi = (c1, c2) if c1 <= c2 else (c2, c1)
-    separation = f_hi - f_lo
 
     if separation <= 2.0 * df:
         raise UnresolvedSplitting(
@@ -501,15 +452,9 @@ def coupling_from_splitting(
             f"fitted linewidths ({w1:.3g}, {w2:.3g} Hz)"
         )
 
-    # SE of (f_hi - f_lo) from the local quadratic model of the fit,
-    # rescaled back to Hz.
-    J = result.jac
-    dof = max(f.size - result.x.size, 1)
-    s2 = 2.0 * result.cost / dof
-    cov = s2 * np.linalg.pinv(J.T @ J)
+    # SE of c2 - c1 from the local quadratic model of the fit
     var = cov[0, 0] + cov[3, 3] - 2.0 * cov[0, 3]
-    se = math.pi * f_scale * math.sqrt(max(var, 0.0))
-    return Estimate(value=math.pi * separation, se=se)
+    return Estimate(value=math.pi * separation, se=math.pi * math.sqrt(max(var, 0.0)))
 
 
 def psd_table(psd: Psd) -> Table:

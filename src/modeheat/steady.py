@@ -73,7 +73,6 @@ class NormalModes:
 
     frequencies: np.ndarray
     linewidths: np.ndarray
-    eigenvectors: np.ndarray
     splittings: dict[tuple[int, int], float]
     defective: bool = False
 
@@ -262,9 +261,8 @@ def normal_modes(matrices: StateMatrices) -> NormalModes:
 
     # One representative per conjugate pair: keep Im >= 0.
     keep = lam.imag >= 0
-    lam_k, vecs_k = lam[keep], vecs[:, keep]
-    order = np.argsort(lam_k.imag, kind="stable")
-    lam_k, vecs_k = lam_k[order], vecs_k[:, order]
+    lam_k = lam[keep]
+    lam_k = lam_k[np.argsort(lam_k.imag, kind="stable")]
 
     frequencies = np.abs(lam_k.imag)
     linewidths = -2.0 * lam_k.real
@@ -285,7 +283,6 @@ def normal_modes(matrices: StateMatrices) -> NormalModes:
     return NormalModes(
         frequencies=frequencies,
         linewidths=linewidths,
-        eigenvectors=vecs_k,
         splittings=splittings,
         defective=defective,
     )

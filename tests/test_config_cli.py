@@ -243,3 +243,48 @@ def test_cli_main_run_subcommand(tmp_path):
     assert code == 0
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["seed"] == 5
+
+
+def test_cli_manifest_lists_only_this_runs_outputs(tmp_path):
+    # a csv-only rerun into a directory that holds JSON mirrors from an earlier
+    # run must not list those mirrors as its own
+    doc = copy.deepcopy(GOOD_DOC)
+    doc["output"]["formats"] = ["csv", "json"]
+    out_dir = tmp_path / "out"
+    assert cli.run(_write(tmp_path, doc, "mirrored.json"), out=out_dir) == 0
+    first = json.loads((out_dir / "manifest.json").read_text())["outputs"]
+    assert "paper_numbers.json" in first
+    doc["output"]["formats"] = ["csv"]
+    assert cli.run(_write(tmp_path, doc, "plain.json"), out=out_dir) == 0
+    second = json.loads((out_dir / "manifest.json").read_text())["outputs"]
+    assert second == ["comparison.json", "comparison.txt", "paper_numbers.csv", "verdict.json"]
+
+
+def _short_sweep_doc():
+    doc = json.loads((CONFIG_DIR / "strong_coupling_sweep.json").read_text())
+    doc["sim"].update(n_steps=200, ensemble_size=8)
+    doc["analysis"].update(g_over_gamma=[10.0], psd_duration_s=4.0, psd_ensemble=2)
+    return doc
+
+
+def test_cli_sweep_psd_record_of_no_steps_exits_2(tmp_path, capsys):
+    # schema-valid, but 1 ns at the PSD sample rate rounds to zero steps
+    doc = _short_sweep_doc()
+    doc["analysis"]["psd_duration_s"] = 1e-9
+    out_dir = tmp_path / "out"
+    assert cli.run(_write(tmp_path, doc), out=out_dir) == 2
+    err = capsys.readouterr().err
+    assert "code=2" in err and "n_steps" in err
+    assert not (out_dir / "verdict.json").exists()
+
+
+def test_cli_sweep_runs_at_the_largest_seed(tmp_path):
+    # the PSD ensemble is seeded one past the run seed, wrapping at 2**64
+    out_dir = tmp_path / "out"
+    path = _write(tmp_path, _short_sweep_doc())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", modeheat.LargeStepWarning)
+        code = cli.main(["run", str(path), "--out", str(out_dir), "--seed", str(2**64 - 1)])
+    assert code in (0, 4)
+    assert json.loads((out_dir / "manifest.json").read_text())["seed"] == 2**64 - 1
+    assert (out_dir / "strong_coupling_sweep.csv").exists()

@@ -7,14 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
-from modeheat import LargeStepWarning, SimConfig, coupling_g
+from modeheat import ConfigError, LargeStepWarning, coupling_g
 from modeheat import cli
-from modeheat.config import load_config
+from modeheat.config import ExperimentConfig, load_config
 from modeheat.experiments import (
     _with_coupling,
     _with_equal_baths,
-    experiment_strong_coupling_sweep,
     run_experiment,
+    run_strong_coupling_sweep,
 )
 from modeheat.tables import Table, write_csv
 
@@ -61,17 +61,26 @@ def test_with_equal_baths():
     assert [o.label for o in equal.oscillators] == ["A", "B"]
 
 
-def test_sweep_table_layout():
-    model = oscillator_pair(t_a=400.0, t_b=200.0)
-    sim = SimConfig(
-        dt=0.0200125, n_steps=200, seed=3, ensemble_size=8, allow_large_step=True
+def _short_sweep(model, n_steps=200, **analysis):
+    """A one-point sweep config with short records."""
+    return ExperimentConfig(
+        experiment="strong_coupling_sweep",
+        model=model,
+        sim={"dt": 0.0200125, "n_steps": n_steps, "ensemble_size": 8, "allow_large_step": True},
+        analysis={"g_over_gamma": [10.0], "psd_duration_s": 4.0, "psd_ensemble": 2, **analysis},
     )
-    gamma = model.oscillators[0].gamma
+
+
+def _run_sweep(cfg, threads=1):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LargeStepWarning)
-        table, checks = experiment_strong_coupling_sweep(
-            model, [10.0 * gamma], sim, psd_duration_s=4.0, psd_ensemble=2, threads=4
-        )
+        outcome = run_strong_coupling_sweep(cfg, seed=3, threads=threads)
+    return outcome.tables["strong_coupling_sweep"], outcome.checks
+
+
+def test_sweep_table_layout():
+    model = oscillator_pair(t_a=400.0, t_b=200.0)
+    table, checks = _run_sweep(_short_sweep(model), threads=4)
     header, rows = table.columns, table.rows
     for column in (
         "g_over_gamma",
@@ -94,26 +103,15 @@ def test_sweep_table_layout():
 
 
 def test_sweep_requires_a_pair():
-    model = single_oscillator()
-    sim = SimConfig(dt=0.0200125, n_steps=100, seed=3, allow_large_step=True)
-    with pytest.raises(ValueError):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LargeStepWarning)
-            experiment_strong_coupling_sweep(model, [1.0], sim)
+    with pytest.raises(ConfigError):
+        _run_sweep(_short_sweep(single_oscillator(), n_steps=100))
 
 
 def test_sweep_gap_flux_uses_the_model_boltzmann():
     # natural units (k_B = 1): the gap route must report its flux and SE in the
     # units of the exact and direct routes, not in SI
     model = dataclasses.replace(oscillator_pair(t_a=400.0, t_b=200.0), boltzmann=1.0)
-    sim = SimConfig(
-        dt=0.0200125, n_steps=200, seed=3, ensemble_size=8, allow_large_step=True
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LargeStepWarning)
-        table, checks = experiment_strong_coupling_sweep(
-            model, [100.0], sim, psd_duration_s=4.0, psd_ensemble=2
-        )
+    table, checks = _run_sweep(_short_sweep(model))
     row = dict(zip(table.columns, table.rows[0]))
     assert row["P_A_gap_se"] == pytest.approx(row["P_A_direct_se"], rel=0.1)
     passed = {c.name: c.passed for c in checks}

@@ -93,8 +93,8 @@ def _reference_loop(model, config, index=0):
     return np.array(rec)
 
 
-# low-Q, 10 Hz modes: dt = 1e-3 keeps Euler stable and the automatic burn-in
-# at a few hundred steps
+# low-Q, 10 Hz modes: dt = 1e-3 keeps the automatic burn-in at a few hundred
+# steps
 _SLOW = OscillatorSpec("A", 1e-9, 2 * math.pi * 10, 30.0, 400.0)
 _SLOW_PAIR = SystemModel(
     oscillators=(_SLOW, OscillatorSpec("B", 1e-9, 2 * math.pi * 12, 20.0, 200.0)),
@@ -103,10 +103,10 @@ _SLOW_PAIR = SystemModel(
 )
 
 
-def _assert_scan_matches_loop(model, scheme, burn_in, stride):
+def _assert_scan_matches_loop(model, burn_in, stride):
     cfg = SimConfig(
         dt=1e-3, n_steps=50, seed=9, burn_in=burn_in, record_stride=stride,
-        scheme=scheme, allow_large_step=True,
+        allow_large_step=True,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -121,30 +121,26 @@ def _assert_scan_matches_loop(model, scheme, burn_in, stride):
 @pytest.mark.parametrize(
     "model", [SystemModel(oscillators=(_SLOW,)), _SLOW_PAIR], ids=["single", "pair"]
 )
-@pytest.mark.parametrize("scheme", ["exact", "euler"])
 @pytest.mark.parametrize("burn_in", [0, 7, None])
 @pytest.mark.parametrize("stride", [1, 3])
-def test_scan_matches_reference_loop(model, scheme, burn_in, stride, monkeypatch):
+def test_scan_matches_reference_loop(model, burn_in, stride, monkeypatch):
     # 7-step chunks put chunk edges inside the burn-in and inside a stride
     monkeypatch.setattr(langevin, "_CHUNK", 7)
-    _assert_scan_matches_loop(model, scheme, burn_in, stride)
+    _assert_scan_matches_loop(model, burn_in, stride)
 
 
 @pytest.mark.parametrize("chunk", [17, 64])
 @pytest.mark.parametrize(
     "model", [SystemModel(oscillators=(_SLOW,)), _SLOW_PAIR], ids=["single", "pair"]
 )
-@pytest.mark.parametrize("scheme", ["exact", "euler"])
 @pytest.mark.parametrize("burn_in", [0, 7, None])
 @pytest.mark.parametrize("stride", [1, 3])
-def test_scan_carry_path_matches_reference_loop(
-    model, scheme, burn_in, stride, chunk, monkeypatch
-):
+def test_scan_carry_path_matches_reference_loop(model, burn_in, stride, chunk, monkeypatch):
     # chunks of at least two blocks of _BLOCK steps add carries back into
     # later blocks; 17 also leaves a partial last block
     assert chunk >= 2 * langevin._BLOCK
     monkeypatch.setattr(langevin, "_CHUNK", chunk)
-    _assert_scan_matches_loop(model, scheme, burn_in, stride)
+    _assert_scan_matches_loop(model, burn_in, stride)
 
 
 def test_record_stride_subsamples_the_stride_one_stream(fast_model):
@@ -203,23 +199,6 @@ def test_exact_scheme_coupled_pair_matches_covariance_solve():
     for i, o in enumerate(model.oscillators):
         t_kin_exact = o.mass * cov[2 * i + 1, 2 * i + 1] / kB
         assert abs(mt.kinetic[i] - t_kin_exact) < 4 * mt.kinetic_se[i]
-
-
-def test_euler_scheme_unbiased_at_small_step():
-    # low Q and dt*omega = 6.3e-3 keep the O(dt) discretization bias at ~1%,
-    # well inside the 4 sigma band of this run
-    model = SystemModel(
-        oscillators=(
-            OscillatorSpec(
-                label="S", mass=1e-9, omega=2 * math.pi * 10, gamma=30.0,
-                bath_temperature=300.0,
-            ),
-        )
-    )
-    cfg = SimConfig(dt=1e-4, n_steps=300_000, seed=21, ensemble_size=4, scheme="euler")
-    mt = mode_temperature_mc(ensemble_stats(simulate(model, cfg, threads=4)), model)
-    assert abs(mt.kinetic[0] - 300.0) < 4 * mt.kinetic_se[0]
-    assert abs(mt.positional[0] - 300.0) < 4 * mt.positional_se[0]
 
 
 def test_zero_temperature_gives_identically_zero_trajectory():
@@ -343,24 +322,23 @@ def test_short_burn_in_warns(fast_model):
             simulate(fast_model, cfg)
 
 
-def test_euler_instability_raises_non_finite():
-    # dt*omega ~ 6: each Euler step multiplies the amplitude by ~6, which
-    # overflows float64 within one integration chunk
+def test_block_exponential_overflow_raises_non_finite():
+    # at gamma*dt = 1000 the one-step block exponential overflows float64;
+    # at gamma*dt = 400 the same model stays finite
     model = SystemModel(
         oscillators=(
             OscillatorSpec(
-                label="S", mass=1e-9, omega=2 * math.pi * 100, gamma=1.0,
+                label="S", mass=1e-9, omega=2 * math.pi * 100, gamma=10.0,
                 bath_temperature=300.0,
             ),
         )
     )
-    cfg = SimConfig(
-        dt=1e-2, n_steps=2000, seed=1, burn_in=0, scheme="euler", allow_large_step=True
-    )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        finite = simulate(model, SimConfig(dt=40.0, n_steps=200, seed=1, allow_large_step=True))
+        assert np.all(np.isfinite(finite[0].states))
         with pytest.raises(NonFiniteState):
-            simulate(model, cfg)
+            simulate(model, SimConfig(dt=100.0, n_steps=200, seed=1, allow_large_step=True))
 
 
 def test_sim_config_validation():
@@ -376,7 +354,6 @@ def test_sim_config_validation():
         dict(good, n_steps=2, record_stride=3),
         dict(good, seed=-1),
         dict(good, seed=2**64),
-        dict(good, scheme="heun"),
     ):
         with pytest.raises(ValueError):
             SimConfig(**bad)

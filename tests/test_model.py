@@ -20,7 +20,6 @@ from modeheat import (
     model_from_dict,
     model_to_dict,
 )
-from modeheat.model import feedback_smallness_warning
 
 from conftest import OMEGA_FAST, oscillator_pair, single_oscillator
 
@@ -71,8 +70,6 @@ def test_thermal_noise_intensity_scales_with_noise_factor():
 def test_state_index_helpers():
     mats = compile(oscillator_pair())
     assert mats.n_oscillators == 2
-    assert mats.position_index(1) == 2
-    assert mats.velocity_index(1) == 3
 
 
 def test_oscillator_validation():
@@ -183,10 +180,3 @@ def test_dict_round_trip_omits_defaults():
     assert "noise_factor" not in doc
     assert model_from_dict(doc) == single_oscillator()
 
-
-def test_feedback_smallness_advisory():
-    k = 1e-12 * OMEGA_FAST**2
-    soft = single_oscillator(feedbacks={"A": FeedbackSpec(position_gain=0.2 * k)})
-    hard = single_oscillator(feedbacks={"A": FeedbackSpec(position_gain=0.01 * k)})
-    assert feedback_smallness_warning(soft) == ["A"]
-    assert feedback_smallness_warning(hard) == []

@@ -8,7 +8,7 @@ energy balance has a nonzero scale.  The identities checked hold for any such ne
 Lyapunov residual gate, the global energy balance, the flux-gap relation, the
 exact zero of <u_i v_i>, and linearity of C in the noise intensities.  On the
 Monte Carlo side, the integrator's block scan equals a step-by-step loop for
-any scheme, burn-in, stride, chunk length and block length.
+any burn-in, stride, chunk length and block length.
 """
 
 import dataclasses
@@ -148,7 +148,6 @@ def test_exact_zeros_and_linearity_in_noise(model):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(
     stable_networks(max_oscillators=4),
-    st.sampled_from(["exact", "euler"]),
     st.floats(1e-3, 0.05),
     st.integers(0, 40),
     st.integers(1, 5),
@@ -156,11 +155,11 @@ def test_exact_zeros_and_linearity_in_noise(model):
     st.integers(1, 40),
     st.integers(2, 5),
 )
-def test_scan_equals_reference_loop(model, scheme, step, burn_in, stride, records, chunk, block):
+def test_scan_equals_reference_loop(model, step, burn_in, stride, records, chunk, block):
     # short chunks and blocks put their edges inside the burn-in and the stride
     cfg = SimConfig(
         dt=step / OMEGA_FAST, n_steps=stride * records, seed=3, burn_in=burn_in,
-        record_stride=stride, scheme=scheme, allow_large_step=True,
+        record_stride=stride, allow_large_step=True,
     )
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -351,6 +351,37 @@ def test_splitting_psd_route_noiseless_doublet():
     assert est.se >= 0.0
 
 
+def test_doublet_jacobian_matches_central_differences(monkeypatch):
+    # every column of the analytic Jacobian, the second peak's included, away
+    # from the seed: unequal peak areas and widths, nonzero background
+    import scipy.optimize
+
+    model, psd = _uncoupled_doublet()
+    calls = []
+    real = scipy.optimize.least_squares
+
+    def spy(fun, x0, jac, **kwargs):
+        calls.append((fun, jac, x0))
+        return real(fun, x0, jac=jac, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+    coupling_from_splitting(psd, model, ("A", "B"))
+    (fun, jac, x0), = calls
+    assert x0.size == 7
+    p = x0 * np.array([1.02, 1.3, 0.8, 0.97, 0.7, 1.25, 1.0])
+    p[-1] += 0.05
+    J = jac(p)
+    numeric = np.empty_like(J)
+    for k in range(p.size):
+        h = 1e-6 * max(abs(p[k]), 1e-3)
+        step = np.zeros_like(p)
+        step[k] = h
+        numeric[:, k] = (fun(p + step) - fun(p - step)) / (2.0 * h)
+    # entries near a column's zero crossing are held to 1e-6 of its largest entry
+    scale = np.max(np.abs(J), axis=0)
+    np.testing.assert_allclose(J / scale, numeric / scale, rtol=1e-6, atol=1e-6)
+
+
 def test_splitting_psd_route_on_simulated_doublet():
     model = oscillator_pair(g_over_gamma=40.0, omega=OMEGA_SPEC, gamma=25.0)
     cfg = SimConfig(dt=2e-5, n_steps=800_000, seed=43, allow_large_step=True)
