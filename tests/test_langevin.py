@@ -103,7 +103,22 @@ _SLOW_PAIR = SystemModel(
 )
 
 
-def _assert_scan_matches_loop(model, burn_in, stride):
+def _euler_maruyama_operators(model, config):
+    """First-order one-step pair E = I + M dt, Lq = sqrt(dt) G.
+
+    The scan kernel takes any (E, Lq); this pair gives it a non-contractive
+    propagator and a 2N x N noise factor, unlike the exact square one.
+    """
+    mats = compile(model)
+    E = np.eye(mats.drift.shape[0]) + config.dt * mats.drift
+    return E, math.sqrt(config.dt) * mats.noise_gain
+
+
+_OPERATORS = {"exact": langevin._one_step_operators, "euler": _euler_maruyama_operators}
+
+
+def _assert_scan_matches_loop(model, scheme, burn_in, stride, monkeypatch):
+    monkeypatch.setattr(langevin, "_one_step_operators", _OPERATORS[scheme])
     cfg = SimConfig(
         dt=1e-3, n_steps=50, seed=9, burn_in=burn_in, record_stride=stride,
         allow_large_step=True,
@@ -121,26 +136,30 @@ def _assert_scan_matches_loop(model, burn_in, stride):
 @pytest.mark.parametrize(
     "model", [SystemModel(oscillators=(_SLOW,)), _SLOW_PAIR], ids=["single", "pair"]
 )
+@pytest.mark.parametrize("scheme", ["exact", "euler"])
 @pytest.mark.parametrize("burn_in", [0, 7, None])
 @pytest.mark.parametrize("stride", [1, 3])
-def test_scan_matches_reference_loop(model, burn_in, stride, monkeypatch):
+def test_scan_matches_reference_loop(model, scheme, burn_in, stride, monkeypatch):
     # 7-step chunks put chunk edges inside the burn-in and inside a stride
     monkeypatch.setattr(langevin, "_CHUNK", 7)
-    _assert_scan_matches_loop(model, burn_in, stride)
+    _assert_scan_matches_loop(model, scheme, burn_in, stride, monkeypatch)
 
 
 @pytest.mark.parametrize("chunk", [17, 64])
 @pytest.mark.parametrize(
     "model", [SystemModel(oscillators=(_SLOW,)), _SLOW_PAIR], ids=["single", "pair"]
 )
+@pytest.mark.parametrize("scheme", ["exact", "euler"])
 @pytest.mark.parametrize("burn_in", [0, 7, None])
 @pytest.mark.parametrize("stride", [1, 3])
-def test_scan_carry_path_matches_reference_loop(model, burn_in, stride, chunk, monkeypatch):
+def test_scan_carry_path_matches_reference_loop(
+    model, scheme, burn_in, stride, chunk, monkeypatch
+):
     # chunks of at least two blocks of _BLOCK steps add carries back into
     # later blocks; 17 also leaves a partial last block
     assert chunk >= 2 * langevin._BLOCK
     monkeypatch.setattr(langevin, "_CHUNK", chunk)
-    _assert_scan_matches_loop(model, burn_in, stride)
+    _assert_scan_matches_loop(model, scheme, burn_in, stride, monkeypatch)
 
 
 def test_record_stride_subsamples_the_stride_one_stream(fast_model):
