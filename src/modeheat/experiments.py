@@ -109,14 +109,16 @@ def _balance_check(ss) -> Check:
     )
 
 
-def _sim_from_config(sim_block: dict, seed: int) -> SimConfig:
+def _sim_from_config(sim_block: dict, seed: int, source: str = "sim") -> SimConfig:
+    """The SimConfig of ``sim_block``; errors name the config block ``source``
+    it was built from."""
     if not sim_block:
         raise ConfigError("this experiment requires a 'sim' block in the config")
     kwargs = {k: v for k, v in sim_block.items() if k != "seed"}
     try:
         return SimConfig(seed=seed, **kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid sim block: {exc}") from exc
+        raise ConfigError(f"invalid {source} block: {exc}") from exc
 
 
 def _table(records: list[dict]) -> Table:
@@ -453,7 +455,7 @@ def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) ->
         "ensemble_size": analysis.get("psd_ensemble", 8),
         "allow_large_step": True,
     }
-    psd_sim = _sim_from_config(psd_block, (seed + 1) % 2**64)
+    psd_sim = _sim_from_config(psd_block, (seed + 1) % 2**64, "analysis")
 
     header = [
         "g_over_gamma",

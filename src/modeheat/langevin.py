@@ -168,26 +168,23 @@ class McTemperatures:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Pooled first/second moments over an ensemble, with autocorrelation-aware
-    standard errors.
+    """Pooled per-coordinate mean and variance over an ensemble, with an
+    autocorrelation-aware standard error of the variance.
 
-    ``variance`` is the unbiased pooled variance about the pooled mean;
-    ``variance_se`` is the standard error of that estimate (from the
-    integrated autocorrelation time of the centered-squared series);
-    ``second_moments`` is the full centered 2N x 2N moment matrix;
-    ``tau_int`` is the integrated autocorrelation time per state dimension,
-    in record units (1 = uncorrelated samples).  Standard errors are zero
-    only in the degenerate zero-variance case.
+    ``variance`` is the unbiased pooled variance about the pooled ``mean``;
+    ``variance_se`` is the standard error of that estimate; ``tau_int`` is
+    the integrated autocorrelation time, in record units (1 = uncorrelated
+    samples), of the centered-squared series (x - mean)^2 that yields
+    ``variance_se``.  Standard errors are zero only in the degenerate
+    zero-variance case.
     """
 
     labels: tuple[str, ...]
     n_members: int
     n_records: int
     mean: np.ndarray
-    mean_se: np.ndarray
     variance: np.ndarray
     variance_se: np.ndarray
-    second_moments: np.ndarray
     tau_int: np.ndarray
     fingerprint: str
     dt: float
@@ -253,31 +250,46 @@ def _advance_chunk(E, ops, Lq, Z, x):
 
 
 def _noise_factor_matrix(Q: np.ndarray) -> np.ndarray:
-    """Matrix square root factor of a PSD covariance, robust to rank deficiency."""
+    """Matrix square root factor of a PSD covariance, robust to rank deficiency.
+
+    When Cholesky fails, the correlation matrix Q_ij / sqrt(Q_ii Q_jj) of the
+    coordinates with Q_ii > 0 is factored by eigendecomposition and scaled
+    back, so coordinates that no noise reaches keep exactly zero rows (an
+    unscaled eigh mixes the round-off of the largest entries into them).
+    """
     try:
         return np.linalg.cholesky(Q)
     except np.linalg.LinAlgError:
-        w, V = np.linalg.eigh(Q)
-        return V * np.sqrt(np.clip(w, 0.0, None))
+        d = np.sqrt(np.clip(np.diag(Q), 0.0, None))
+        live = np.flatnonzero(d > 0)
+        w, V = np.linalg.eigh(Q[np.ix_(live, live)] / np.outer(d[live], d[live]))
+        Lq = np.zeros_like(Q)
+        Lq[np.ix_(live, live)] = d[live, None] * V * np.sqrt(np.clip(w, 0.0, None))
+        return Lq
 
 
 def _one_step_operators(model: SystemModel, config: SimConfig):
     """Propagator E and noise factor Lq of one step.
 
     E = expm(M dt) and Q = int_0^dt e^{Ms} D e^{M^T s} ds via the
-    block-matrix exponential of [[-M, D], [0, M^T]] * dt, whose upper-right
-    block yields Q = E @ F12.  Valid for any dt and for gamma=0.
+    block-matrix exponential of [[-M, D/s], [0, M^T]] * dt, whose upper-right
+    block yields Q = s E @ F12.  Q is linear in D; dividing D by the power
+    of two s >= 1 that brings ||D/s||_1 to at most 2^-10 ||M||_1 is exact,
+    and keeps a D much larger than M (as with k_B = 1) from setting expm's
+    scaling and spoiling both blocks.  Valid for any dt and for gamma=0.
     """
     mats = compile(model)
     M, D = mats.drift, mats.diffusion
     n = M.shape[0]
+    _, e = math.frexp(1024.0 * np.linalg.norm(D, 1) / np.linalg.norm(M, 1))
+    s = math.ldexp(1.0, max(e, 0))
     H = np.zeros((2 * n, 2 * n))
     H[:n, :n] = -M
-    H[:n, n:] = D
+    H[:n, n:] = D / s
     H[n:, n:] = M.T
     F = scipy.linalg.expm(H * config.dt)
     E = F[n:, n:].T
-    Q = E @ F[:n, n:]
+    Q = s * (E @ F[:n, n:])
     return E, _noise_factor_matrix(0.5 * (Q + Q.T))
 
 
@@ -393,33 +405,42 @@ def _tau_from_acov(acov: np.ndarray) -> float:
     return max(tau, 1.0)
 
 
-def _pooled_mean_se(
-    series: list[np.ndarray], f: Callable[[np.ndarray], np.ndarray] | None = None
-) -> tuple[float, float, float]:
-    """Pooled mean of the equal-length member series f(s) (default s), SE
-    inflated by the ensemble-averaged integrated autocorrelation time.
-    Returns (mean, se, tau).
+def _member_blocks(series: list[np.ndarray], f: Callable[[np.ndarray], np.ndarray] | None):
+    """The member series stacked _MEMBER_BLOCK at a time, each block mapped
+    by f (if given), so no transformed copy of the whole ensemble is held."""
+    for b in range(0, len(series), _MEMBER_BLOCK):
+        block = np.stack(series[b : b + _MEMBER_BLOCK])
+        yield block if f is None else f(block)
 
-    Members are stacked _MEMBER_BLOCK at a time, so f applies to one block
-    and no transformed copy of the whole ensemble is held.  The member
-    autocovariances are summed in the frequency domain: the centred blocks
-    are transformed, their |F|^2 accumulated, and one inverse FFT gives the
-    summed autocorrelation, divided by the unbiased lag counts n - k and the
-    member count afterwards.
+
+def _pooled_mean(
+    series: list[np.ndarray], f: Callable[[np.ndarray], np.ndarray] | None = None
+) -> float:
+    """Pooled mean of the equal-length member series f(s) (default s),
+    summed one member block at a time."""
+    n_total = series[0].size * len(series)
+    return sum(float(np.sum(block)) for block in _member_blocks(series, f)) / n_total
+
+
+def _pooled_mean_se(
+    series: list[np.ndarray], f: Callable[[np.ndarray], np.ndarray]
+) -> tuple[float, float, float]:
+    """Pooled mean of the equal-length member series f(s), SE inflated by
+    the ensemble-averaged integrated autocorrelation time.  Returns
+    (mean, se, tau).
+
+    The member autocovariances are summed in the frequency domain: the
+    centred blocks are transformed, their |F|^2 accumulated, and one inverse
+    FFT gives the summed autocorrelation, divided by the unbiased lag counts
+    n - k and the member count afterwards.
     """
     n = series[0].size
     n_total = n * len(series)
-
-    def blocks():
-        for b in range(0, len(series), _MEMBER_BLOCK):
-            block = np.stack(series[b : b + _MEMBER_BLOCK])
-            yield block if f is None else f(block)
-
-    mean = sum(float(np.sum(block)) for block in blocks()) / n_total
+    mean = _pooled_mean(series, f)
     nfft = 1 << (2 * n - 1).bit_length()
     power = np.zeros(nfft // 2 + 1)
     sum_sq = 0.0
-    for block in blocks():
+    for block in _member_blocks(series, f):
         block -= mean
         sum_sq += float(np.vdot(block, block))
         spec = np.fft.rfft(block, nfft)
@@ -432,7 +453,7 @@ def _pooled_mean_se(
     return mean, se, tau
 
 
-def _check_fingerprints(trajectories: list[Trajectory], expect: str | None = None) -> str:
+def _check_fingerprints(trajectories: list[Trajectory]) -> str:
     if not trajectories:
         raise ValueError("at least one trajectory is required")
     fp = trajectories[0].fingerprint
@@ -441,20 +462,16 @@ def _check_fingerprints(trajectories: list[Trajectory], expect: str | None = Non
             raise FingerprintMismatch(
                 f"trajectories come from different models ({t.fingerprint} != {fp})"
             )
-    if expect is not None and fp != expect:
-        raise FingerprintMismatch(
-            f"trajectory fingerprint {fp} does not match the model ({expect})"
-        )
     return fp
 
 
 def ensemble_stats(trajectories: list[Trajectory]) -> EnsembleStats:
     """Pooled moments over an ensemble, reduced in ensemble-index order.
 
-    Variances are unbiased and taken about the pooled mean; standard errors
-    use the integrated autocorrelation time per state dimension (and of the
-    centered-squared series for the variance SE), so correlated records do
-    not masquerade as extra information.
+    Variances are unbiased and taken about the pooled mean; their standard
+    errors use the integrated autocorrelation time of the centered-squared
+    series, so correlated records do not masquerade as extra information.
+    One autocovariance pass per state coordinate.
     """
     fp = _check_fingerprints(trajectories)
     trajs = sorted(trajectories, key=lambda t: t.ensemble_index)
@@ -465,7 +482,6 @@ def ensemble_stats(trajectories: list[Trajectory]) -> EnsembleStats:
             raise ValueError("all trajectories must have identical record shapes")
 
     mean = np.empty(dim)
-    mean_se = np.empty(dim)
     variance = np.empty(dim)
     variance_se = np.empty(dim)
     tau_int = np.empty(dim)
@@ -473,26 +489,18 @@ def ensemble_stats(trajectories: list[Trajectory]) -> EnsembleStats:
 
     for d in range(dim):
         series = [t.states[:, d] for t in trajs]
-        mean[d], mean_se[d], tau_int[d] = _pooled_mean_se(series)
-        m2, se2, _ = _pooled_mean_se(series, lambda block, c=mean[d]: (block - c) ** 2)
+        mean[d] = _pooled_mean(series)
+        m2, se2, tau_int[d] = _pooled_mean_se(series, lambda block, c=mean[d]: (block - c) ** 2)
         variance[d] = m2 * n_total / max(n_total - 1, 1)
         variance_se[d] = se2 * n_total / max(n_total - 1, 1)
-
-    second = np.zeros((dim, dim))
-    for t in trajs:
-        centered = t.states - mean
-        second += centered.T @ centered
-    second /= n_total
 
     return EnsembleStats(
         labels=trajs[0].labels,
         n_members=len(trajs),
         n_records=n_rec,
         mean=mean,
-        mean_se=mean_se,
         variance=variance,
         variance_se=variance_se,
-        second_moments=second,
         tau_int=tau_int,
         fingerprint=fp,
         dt=trajs[0].dt,
@@ -543,7 +551,7 @@ def direct_heat_flux_mc(
     """
     if isinstance(trajectories, Trajectory):
         trajectories = [trajectories]
-    _check_fingerprints(trajectories, expect=model.fingerprint())
+    _require_model_match(_check_fingerprints(trajectories), model)
     trajs = sorted(trajectories, key=lambda t: t.ensemble_index)
     i = model.index(oscillator) if isinstance(oscillator, str) else oscillator
     o = model.oscillators[i]

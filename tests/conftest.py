@@ -7,11 +7,16 @@ that a 50 kHz record resolves its resonance line.
 """
 
 import math
+import os
 from pathlib import Path
 
-import pytest
+# The integrator's small matrix products run fastest on one OpenBLAS thread;
+# OpenBLAS reads this once, when numpy first loads, which is after this line.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from modeheat import CouplingSpec, FeedbackSpec, OscillatorSpec, SystemModel
+import pytest  # noqa: E402
+
+from modeheat import CouplingSpec, FeedbackSpec, OscillatorSpec, SystemModel  # noqa: E402
 
 REPO = Path(__file__).resolve().parents[1]
 

@@ -275,6 +275,7 @@ def test_cli_sweep_psd_record_of_no_steps_exits_2(tmp_path, capsys):
     assert cli.run(_write(tmp_path, doc), out=out_dir) == 2
     err = capsys.readouterr().err
     assert "code=2" in err and "n_steps" in err
+    assert "invalid analysis block" in err
     assert not (out_dir / "verdict.json").exists()
 
 

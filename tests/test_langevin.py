@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import modeheat.langevin as langevin
 import modeheat.tables as tables
@@ -30,7 +31,7 @@ from modeheat import (
     trajectory_to_csv,
 )
 
-from conftest import DT_FAST, single_oscillator, oscillator_pair
+from conftest import DT_FAST, OMEGA_FAST, single_oscillator, oscillator_pair
 
 
 def _quiet_simulate(model, config, threads=1):
@@ -193,14 +194,17 @@ def test_exact_scheme_matches_covariance_solve(fast_model):
     cfg = SimConfig(
         dt=DT_FAST, n_steps=2000, seed=13, ensemble_size=16, allow_large_step=True
     )
-    stats = ensemble_stats(_quiet_simulate(fast_model, cfg, threads=4))
+    trajs = _quiet_simulate(fast_model, cfg, threads=4)
+    stats = ensemble_stats(trajs)
     mt = mode_temperature_mc(stats, fast_model)
     assert abs(mt.kinetic[0] - 300.0) < 4 * mt.kinetic_se[0]
     assert abs(mt.positional[0] - 300.0) < 4 * mt.positional_se[0]
     assert mt.kinetic_se[0] > 0
     # cross-covariance <u v> vanishes in steady state
+    centred = np.concatenate([t.states for t in trajs]) - stats.mean
+    uv = float(np.mean(centred[:, 0] * centred[:, 1]))
     cov = solve_stationary(compile(fast_model))
-    assert abs(stats.second_moments[0, 1]) < 4 * math.sqrt(
+    assert abs(uv) < 4 * math.sqrt(
         cov[0, 0] * cov[1, 1] / (stats.n_members * stats.n_records)
     ) + 1e-30
 
@@ -218,6 +222,53 @@ def test_exact_scheme_coupled_pair_matches_covariance_solve():
     for i, o in enumerate(model.oscillators):
         t_kin_exact = o.mass * cov[2 * i + 1, 2 * i + 1] / kB
         assert abs(mt.kinetic[i] - t_kin_exact) < 4 * mt.kinetic_se[i]
+
+
+# with k_B = 1, ||D||_1 is 5e5 times ||M||_1 (4e-19 to 3.5e-17 in the SI configs)
+_KB1_PAIR = SystemModel(
+    oscillators=(
+        OscillatorSpec("o0", 5e-13, OMEGA_FAST, 50.0, 500.0),
+        OscillatorSpec("o1", 5e-13, OMEGA_FAST, 1.0, 0.0),
+    ),
+    couplings=(CouplingSpec(("o0", "o1"), 3.1415926535897925e-4),),
+    feedbacks={
+        "o0": FeedbackSpec(position_gain=-1.9739208802178716e-4, velocity_gain=-5e-12)
+    },
+    boltzmann=1.0,
+)
+
+
+def test_one_step_operators_hold_when_diffusion_dwarfs_drift():
+    cfg = SimConfig(dt=DT_FAST, n_steps=1, seed=1, allow_large_step=True)
+    mats = compile(_KB1_PAIR)
+    E, Lq = langevin._one_step_operators(_KB1_PAIR, cfg)
+    E_ref = scipy.linalg.expm(mats.drift * DT_FAST)
+    np.testing.assert_allclose(E, E_ref, rtol=0, atol=1e-9 * np.max(np.abs(E_ref)))
+    C = solve_stationary(mats)
+    Q_ref = C - E_ref @ C @ E_ref.T
+    np.testing.assert_allclose(Lq @ Lq.T, Q_ref, rtol=0, atol=1e-8 * np.max(np.abs(Q_ref)))
+
+
+def test_noise_factor_leaves_noiseless_coordinates_at_zero():
+    # o1 and o3 have cold baths and no spring, so Q has zero rows for them;
+    # Cholesky of the singular Q fails and the fallback factor must keep
+    # those rows exactly zero
+    model = SystemModel(
+        oscillators=tuple(
+            OscillatorSpec(f"o{i}", 5e-13, OMEGA_FAST, 1.0, 187.5 if i == 0 else 0.0)
+            for i in range(4)
+        ),
+        couplings=(CouplingSpec(("o0", "o2"), 6.283185307179585e-6),),
+        feedbacks={
+            "o0": FeedbackSpec(position_gain=-1.9739208802178716e-4, velocity_gain=-1e-13)
+        },
+    )
+    cfg = SimConfig(dt=DT_FAST, n_steps=1, seed=1, allow_large_step=True)
+    E, Lq = langevin._one_step_operators(model, cfg)
+    assert np.all(Lq[[2, 3, 6, 7]] == 0.0)
+    C = solve_stationary(compile(model))
+    Q_ref = C - E @ C @ E.T
+    np.testing.assert_allclose(Lq @ Lq.T, Q_ref, rtol=0, atol=1e-8 * np.max(np.abs(Q_ref)))
 
 
 def test_zero_temperature_gives_identically_zero_trajectory():
@@ -245,12 +296,22 @@ def test_se_shrinks_with_ensemble_size(fast_model):
     assert 0.35 < se[32] / se[8] < 0.65
 
 
-def test_tau_int_floor_for_decorrelated_records(fast_model):
-    # records are ~50 damping times apart, hence effectively independent
+def test_tau_int_floor_for_decorrelated_records():
+    # gamma * dt = 5: records are five amplitude damping times apart, hence
+    # effectively independent
+    model = single_oscillator(gamma=1e3)
     cfg = SimConfig(dt=DT_FAST, n_steps=1000, seed=5, ensemble_size=4, allow_large_step=True)
-    stats = ensemble_stats(_quiet_simulate(fast_model, cfg))
+    stats = ensemble_stats(_quiet_simulate(model, cfg))
     assert np.all(stats.tau_int >= 1.0)
     assert np.all(stats.tau_int < 1.5)
+
+
+def test_tau_int_counts_correlated_records(fast_model):
+    # gamma * dt = 0.05: the squared deviations behind variance_se stay
+    # correlated over tens of records
+    cfg = SimConfig(dt=DT_FAST, n_steps=1000, seed=5, ensemble_size=4, allow_large_step=True)
+    stats = ensemble_stats(_quiet_simulate(fast_model, cfg))
+    assert np.all(stats.tau_int > 3.0)
 
 
 def test_direct_flux_vanishes_at_equilibrium(fast_model):
@@ -299,17 +360,11 @@ def test_reductions_match_per_member_reference(members):
     unbias = n_total / (n_total - 1)
     for d in range(4):
         series = [t.states[:, d] for t in trajs]
-        mean, mean_se, tau = _reference_pooled_mean_se(series)
-        m2, se2, _ = _reference_pooled_mean_se([(s - mean) ** 2 for s in series])
-        got = (stats.mean[d], stats.mean_se[d], stats.tau_int[d],
-               stats.variance[d], stats.variance_se[d])
-        want = (mean, mean_se, tau, m2 * unbias, se2 * unbias)
+        mean, _, _ = _reference_pooled_mean_se(series)
+        m2, se2, tau = _reference_pooled_mean_se([(s - mean) ** 2 for s in series])
+        got = (stats.mean[d], stats.tau_int[d], stats.variance[d], stats.variance_se[d])
+        want = (mean, tau, m2 * unbias, se2 * unbias)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
-    centred = np.concatenate([t.states for t in trajs]) - stats.mean
-    np.testing.assert_allclose(
-        stats.second_moments, centred.T @ centred / n_total,
-        rtol=1e-13, atol=1e-13 * np.max(np.abs(stats.second_moments)),
-    )
     o = _SLOW_PAIR.oscillators[0]
     mean_vsq, se_vsq, _ = _reference_pooled_mean_se([t.states[:, 1] ** 2 for t in trajs])
     est = direct_heat_flux_mc(trajs, _SLOW_PAIR, "A")

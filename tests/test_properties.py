@@ -8,7 +8,8 @@ energy balance has a nonzero scale.  The identities checked hold for any such ne
 Lyapunov residual gate, the global energy balance, the flux-gap relation, the
 exact zero of <u_i v_i>, and linearity of C in the noise intensities.  On the
 Monte Carlo side, the integrator's block scan equals a step-by-step loop for
-any burn-in, stride, chunk length and block length.
+any burn-in, stride, chunk length and block length, and the MC mode
+temperatures and direct bath fluxes lie within 5 SE of the exact ones.
 """
 
 import dataclasses
@@ -29,14 +30,17 @@ from modeheat import (  # noqa: E402
     SimConfig,
     SystemModel,
     compile,
+    direct_heat_flux_mc,
+    ensemble_stats,
     flux_from_gap,
+    mode_temperature_mc,
     simulate,
     solve_stationary,
     steady_state,
 )
 from modeheat.steady import REQUIRED_RESIDUAL, lyapunov_residual  # noqa: E402
 
-from conftest import OMEGA_FAST  # noqa: E402
+from conftest import DT_FAST, OMEGA_FAST  # noqa: E402
 from test_langevin import _reference_loop  # noqa: E402
 
 unit = st.floats(0.0, 1.0)
@@ -170,3 +174,26 @@ def test_scan_equals_reference_loop(model, step, burn_in, stride, records, chunk
     assert scan.shape == loop.shape == (records, 2 * len(model.oscillators))
     scale = np.max(np.abs(loop), axis=0)
     assert np.all(np.abs(scan - loop) <= 1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(stable_networks())
+def test_mc_estimates_within_five_se_of_exact(model):
+    # the floor of 1e-9 of the scale covers the exact solve's own residue
+    cfg = SimConfig(dt=DT_FAST, n_steps=4000, seed=5, ensemble_size=16, allow_large_step=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        trajs = simulate(model, cfg)
+    ss = steady_state(model)
+    mc = mode_temperature_mc(ensemble_stats(trajs), model)
+    t_scale = max(o.bath_temperature for o in model.oscillators)
+    p_scale = np.sum(np.abs(ss.bath_flux))
+    for i in range(len(model.oscillators)):
+        pairs = [
+            (mc.kinetic[i], mc.kinetic_se[i], ss.mode_temperature_kinetic[i], t_scale),
+            (mc.positional[i], mc.positional_se[i], ss.mode_temperature_positional[i], t_scale),
+        ]
+        flux = direct_heat_flux_mc(trajs, model, i)
+        pairs.append((flux.value, flux.se, ss.bath_flux[i], p_scale))
+        for value, se, exact, scale in pairs:
+            assert abs(value - exact) <= 5.0 * se + 1e-9 * scale
