@@ -449,9 +449,18 @@ def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) ->
     psd_rate = analysis.get(
         "psd_sample_rate_hz", 2.5 * max(o.omega for o in template.oscillators) / (2.0 * math.pi)
     )
+    psd_duration = analysis.get("psd_duration_s", 16.0)
+    psd_steps = int(round(psd_duration * psd_rate))
+    if psd_steps < 1:
+        # SimConfig would name its own n_steps, which the user never wrote
+        raise ConfigError(
+            f"invalid analysis block: psd_duration_s = {psd_duration:g} s at "
+            f"psd_sample_rate_hz = {psd_rate:g} Hz gives a PSD record of "
+            f"n_steps = {psd_steps}; it must be > 0"
+        )
     psd_block = {
         "dt": 1.0 / psd_rate,
-        "n_steps": int(round(analysis.get("psd_duration_s", 16.0) * psd_rate)),
+        "n_steps": psd_steps,
         "ensemble_size": analysis.get("psd_ensemble", 8),
         "allow_large_step": True,
     }

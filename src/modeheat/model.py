@@ -20,6 +20,7 @@ the ``2*gamma*u'`` damping term).  Strict SI units throughout.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -106,6 +107,10 @@ class SystemModel:
     equipartition (mode temperature = bath temperature without feedback);
     8.0 reproduces the alternative convention in which the equilibrium mode
     temperature comes out at twice the bath temperature.
+
+    ``labels``, the label index and ``fingerprint()`` are computed on first
+    use and kept, so the ``feedbacks`` dict must not be changed in place;
+    build a new model with ``dataclasses.replace`` instead.
     """
 
     oscillators: tuple[OscillatorSpec, ...]
@@ -118,29 +123,35 @@ class SystemModel:
         object.__setattr__(self, "oscillators", tuple(self.oscillators))
         object.__setattr__(self, "couplings", tuple(self.couplings))
         object.__setattr__(self, "feedbacks", dict(self.feedbacks))
-        labels = [o.label for o in self.oscillators]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate oscillator labels: {labels}")
+        known = set(self.labels)
+        if len(known) != len(self.labels):
+            raise ValueError(f"duplicate oscillator labels: {list(self.labels)}")
         if self.noise_factor <= 0:
             raise ValueError(f"noise_factor must be > 0, got {self.noise_factor}")
         for c in self.couplings:
             for lab in c.pair:
-                if lab not in labels:
+                if lab not in known:
                     raise UnknownLabel(f"coupling references unknown oscillator {lab!r}")
         for lab in self.feedbacks:
-            if lab not in labels:
+            if lab not in known:
                 raise UnknownLabel(f"feedback references unknown oscillator {lab!r}")
 
     # -- lookup helpers ------------------------------------------------
+    # functools.cached_property writes the instance __dict__ directly, which a
+    # frozen dataclass allows.
 
-    @property
+    @functools.cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(o.label for o in self.oscillators)
 
+    @functools.cached_property
+    def _label_index(self) -> dict[str, int]:
+        return {label: i for i, label in enumerate(self.labels)}
+
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._label_index[label]
+        except KeyError:
             raise UnknownLabel(f"no oscillator labelled {label!r}") from None
 
     def feedback(self, label: str) -> FeedbackSpec:
@@ -152,7 +163,14 @@ class SystemModel:
         return self.noise_factor * o.gamma * o.mass * self.boltzmann * o.bath_temperature
 
     def fingerprint(self) -> str:
-        """Short hash of the compiled system; used to guard estimator/model mixing."""
+        """Short hash of the compiled system; used to guard estimator/model mixing.
+
+        Computed on the first call and kept with the model.
+        """
+        return self._fingerprint
+
+    @functools.cached_property
+    def _fingerprint(self) -> str:
         mats = compile(self)
         h = hashlib.sha256()
         h.update(np.ascontiguousarray(mats.drift).tobytes())

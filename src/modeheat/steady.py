@@ -35,6 +35,11 @@ __all__ = [
 _TARGET_RESIDUAL = 1e-13
 REQUIRED_RESIDUAL = 1e-10
 _MAX_REFINEMENTS = 6
+# Multiple of eps * ||T||_1 below zero that the largest real part of the drift
+# eigenvalues must reach to count as stable.  Undamped chains, whose
+# eigenvalues are purely imaginary, come out of the Schur form between -5.1e-5
+# and +1.25 of that unit; damped ones lie below -3.8e10.
+_HURWITZ_ROUNDING = 1e3
 
 
 @dataclass(frozen=True)
@@ -79,9 +84,13 @@ class NormalModes:
 
 def lyapunov_residual(matrices: StateMatrices, C: np.ndarray) -> float:
     """Relative residual ||MC + CM^T + D||_F / max(||D||_F, eps)."""
-    M, D = matrices.drift, matrices.diffusion
-    num = np.linalg.norm(M @ C + C @ M.T + D)
-    return float(num / max(np.linalg.norm(D), np.finfo(float).tiny))
+    return _residual(matrices.drift, matrices.diffusion, C)[1]
+
+
+def _residual(M: np.ndarray, D: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, float]:
+    """The residual matrix M C + C M^T + D and its relative norm."""
+    R = M @ C + C @ M.T + D
+    return R, float(np.linalg.norm(R) / max(np.linalg.norm(D), np.finfo(float).tiny))
 
 
 def _structural_zeros(M: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,9 +114,19 @@ def solve_stationary(matrices: StateMatrices) -> np.ndarray:
     frequency, so that position and velocity rows carry comparable
     magnitudes; a few rounds of iterative refinement against the unscaled
     residual, each reusing the same Schur form, then push the solution to
-    near machine precision.  Entries the equation forces to zero
-    (``_structural_zeros``) are set exactly after every solve.  Cost is
+    near machine precision.  Each iterate's residual R = M C + C M^T + D is
+    formed once: its norm decides whether to refine, and R itself is the
+    right-hand side of the next correction.  Entries the equation forces to
+    zero (``_structural_zeros``) are set exactly after every solve.  Cost is
     O(n^3) time and O(n^2) memory in the 2N states.
+
+    The Hurwitz test reads the eigenvalues off the same Schur form T: each
+    1x1 block of T is a real eigenvalue and each standardized 2x2 block
+    carries Re(lambda) on both diagonal entries, so max diag(T) is the
+    largest real part.  Within _HURWITZ_ROUNDING * eps * ||T||_1 of zero it
+    counts as not negative: an undamped network's purely imaginary
+    eigenvalues come out of the Schur form with a real part of rounding
+    size and either sign.
 
     Raises NotHurwitz when no stationary state exists, IllConditioned when
     the refined residual stays above 1e-10 relative.
@@ -115,23 +134,21 @@ def solve_stationary(matrices: StateMatrices) -> np.ndarray:
     M, D = matrices.drift, matrices.diffusion
     dim = M.shape[0]
 
-    eigs = np.linalg.eigvals(M)
-    if np.max(eigs.real) >= 0:
-        raise NotHurwitz(
-            "drift matrix is not Hurwitz (max Re(lambda) = "
-            f"{np.max(eigs.real):.3e}); no stationary state exists"
-        )
-
     # Scale u_i by its local stiffness frequency so the solve is balanced.
     scale = np.ones(dim)
     for i in range(dim // 2):
         w2 = -M[2 * i + 1, 2 * i]
         if w2 > 0:
             scale[2 * i] = np.sqrt(w2)
-    S = np.diag(scale)
-    S_inv = np.diag(1.0 / scale)
+    inv = 1.0 / scale
     # Bartels-Stewart: one real Schur form M_s = U T U^T serves every solve.
-    T, U = scipy.linalg.schur(S @ M @ S_inv, output="real")
+    T, U = scipy.linalg.schur(scale[:, None] * M * inv, output="real")
+    growth = np.max(np.diag(T))
+    if growth >= -_HURWITZ_ROUNDING * np.finfo(float).eps * np.linalg.norm(T, 1):
+        raise NotHurwitz(
+            "drift matrix is not Hurwitz (max Re(lambda) = "
+            f"{growth:.3e}); no stationary state exists"
+        )
     (trsyl,) = scipy.linalg.get_lapack_funcs(("trsyl",), (T,))
     rows, cols = _structural_zeros(M, D)
 
@@ -139,23 +156,23 @@ def solve_stationary(matrices: StateMatrices) -> np.ndarray:
         """Symmetric X with M X + X M^T + Q = 0."""
         # trsyl's info = 1 (near-singular, coefficients perturbed) is left to
         # the residual gate below.
-        Y, y_scale, _ = trsyl(T, T, U.T @ (-(S @ Q @ S) @ U), tranb="T")
-        X = S_inv @ (U @ (Y / y_scale) @ U.T) @ S_inv
+        Y, y_scale, _ = trsyl(T, T, U.T @ (-(scale[:, None] * Q * scale) @ U), tranb="T")
+        X = inv[:, None] * (U @ (Y / y_scale) @ U.T) * inv
         X = 0.5 * (X + X.T)
         X[rows, cols] = 0.0
         X[cols, rows] = 0.0
         return X
 
     best_C = solve(D)
-    best_res = lyapunov_residual(matrices, best_C)
+    best_R, best_res = _residual(M, D, best_C)
     for _ in range(_MAX_REFINEMENTS):
         if best_res <= _TARGET_RESIDUAL:
             break
-        C_new = best_C + solve(M @ best_C + best_C @ M.T + D)
-        res_new = lyapunov_residual(matrices, C_new)
+        C_new = best_C + solve(best_R)
+        R_new, res_new = _residual(M, D, C_new)
         if not res_new < best_res:
             break
-        best_C, best_res = C_new, res_new
+        best_C, best_R, best_res = C_new, R_new, res_new
 
     if not best_res <= REQUIRED_RESIDUAL:
         raise IllConditioned(
@@ -242,8 +259,12 @@ def normal_modes(matrices: StateMatrices) -> NormalModes:
     Near-degenerate oscillator pairs (uncoupled frequencies within 1e-3
     relative) get a ``splittings`` entry: the difference of the two normal
     mode frequencies nearest their common frequency, which is how a coupling
-    rate is read off a measured spectrum.  A non-diagonalizable drift matrix
-    triggers DefectiveMatrixWarning; eigenvalues are still returned.
+    rate is read off a measured spectrum.  All pairs are tested at once, and
+    each pair's two nearest modes are searched only among the four around
+    the point where its centre falls in the ascending frequencies (ties go
+    to the lower mode index), not by sorting every mode for every pair.  A
+    non-diagonalizable drift matrix triggers DefectiveMatrixWarning;
+    eigenvalues are still returned.
     """
     lam, vecs = np.linalg.eig(matrices.drift)
     defective = False
@@ -267,18 +288,22 @@ def normal_modes(matrices: StateMatrices) -> NormalModes:
     frequencies = np.abs(lam_k.imag)
     linewidths = -2.0 * lam_k.real
 
-    splittings: dict[tuple[int, int], float] = {}
     w_unc = _uncoupled_frequencies(matrices)
-    for i in range(len(w_unc)):
-        for j in range(i + 1, len(w_unc)):
-            w_max = max(w_unc[i], w_unc[j])
-            if w_max > 0 and abs(w_unc[i] - w_unc[j]) <= 1e-3 * w_max:
-                center = 0.5 * (w_unc[i] + w_unc[j])
-                nearest = np.argsort(np.abs(frequencies - center), kind="stable")[:2]
-                if len(nearest) == 2:
-                    splittings[(i, j)] = float(
-                        abs(frequencies[nearest[0]] - frequencies[nearest[1]])
-                    )
+    k = np.arange(len(w_unc))
+    w_max = np.maximum.outer(w_unc, w_unc)
+    detuning = np.abs(np.subtract.outer(w_unc, w_unc))
+    i, j = np.nonzero((k[:, None] < k) & (w_max > 0) & (detuning <= 1e-3 * w_max))
+    center = 0.5 * (w_unc[i] + w_unc[j])
+    # |frequencies - center| falls and then rises along the ascending
+    # frequencies, so the two nearest modes lie within two places of the
+    # insertion point.  Two inf sentinels at each end of the spectrum keep a
+    # window slot past either end from ever being nearest.
+    padded = np.concatenate(([np.inf, np.inf], frequencies, [np.inf, np.inf]))
+    window = np.searchsorted(frequencies, center)[:, None] + np.arange(4)
+    order = np.argsort(np.abs(padded[window] - center[:, None]), axis=1, kind="stable")
+    nearest = padded[np.take_along_axis(window, order[:, :2], axis=1)]
+    gaps = np.abs(nearest[:, 0] - nearest[:, 1])
+    splittings = dict(zip(zip(i.tolist(), j.tolist()), gaps.tolist()))
 
     return NormalModes(
         frequencies=frequencies,

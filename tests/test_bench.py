@@ -1,0 +1,28 @@
+"""The timing harness: its exact-route section and the file it writes."""
+
+import importlib.util
+import json
+
+from conftest import REPO
+
+_spec = importlib.util.spec_from_file_location("bench", REPO / "tools" / "bench.py")
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+
+def test_exact_route_times_every_size_and_chain():
+    section = bench.exact_route(sizes=(2, 5), seeds=2, repeats=1)
+    assert list(section["by_n"]) == ["2", "5"]
+    for times in section["by_n"].values():
+        assert len(times["steady_state"]) == len(times["normal_modes"]) == 2
+        assert all(t >= 0 for t in times["steady_state"] + times["normal_modes"])
+
+
+def test_main_writes_machine_and_sections(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "CHAIN_SIZES", (2,))
+    out = tmp_path / "bench.json"
+    assert bench.main(["--out", str(out), "--seeds", "1", "--repeats", "1"]) == 0
+    doc = json.loads(out.read_text())
+    assert set(doc["machine"]) >= {"cpu", "nproc", "numpy", "scipy", "blas", "threads"}
+    assert set(doc["machine"]["threads"]) == set(bench.THREAD_VARS)
+    assert list(doc["exact_route"]["by_n"]) == ["2"]

@@ -276,6 +276,8 @@ def test_cli_sweep_psd_record_of_no_steps_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "code=2" in err and "n_steps" in err
     assert "invalid analysis block" in err
+    # n_steps is derived; the message names the keys the user wrote
+    assert "psd_duration_s" in err and "psd_sample_rate_hz" in err
     assert not (out_dir / "verdict.json").exists()
 
 

@@ -1,10 +1,13 @@
 """System definition and compilation."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import modeheat.model
 from modeheat import (
     BOLTZMANN,
     CouplingSpec,
@@ -155,6 +158,43 @@ def test_fingerprint_tracks_the_compiled_system():
     # mass enters the hash directly: rescaling m and k_c together changes the
     # model but can leave the drift invariant
     assert a.fingerprint() != oscillator_pair(mass=2e-12).fingerprint()
+
+
+def test_fingerprint_is_computed_once_and_follows_replace(monkeypatch):
+    model = oscillator_pair()
+    mats = compile(model)
+    fresh = hashlib.sha256()
+    fresh.update(mats.drift.tobytes())
+    fresh.update(mats.diffusion.tobytes())
+    fresh.update(np.array([1e-12, 1e-12]).tobytes())
+    fresh.update(b"A|B")
+    assert model.fingerprint() == fresh.hexdigest()[:16]
+
+    def no_compile(_):
+        raise AssertionError("fingerprint recompiled the model")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(modeheat.model, "compile", no_compile)
+        assert model.fingerprint() == fresh.hexdigest()[:16]
+    hotter = dataclasses.replace(model, noise_factor=8.0)
+    assert hotter.fingerprint() != model.fingerprint()
+    assert hotter.fingerprint() == oscillator_pair(noise_factor=8.0).fingerprint()
+
+
+def test_labels_and_index_follow_replace():
+    model = oscillator_pair()
+    assert model.labels == ("A", "B")
+    assert [model.index(lab) for lab in model.labels] == [0, 1]
+    renamed = dataclasses.replace(
+        model,
+        oscillators=tuple(
+            dataclasses.replace(o, label=o.label.lower()) for o in model.oscillators
+        ),
+        couplings=(dataclasses.replace(model.couplings[0], pair=("a", "b")),),
+    )
+    assert renamed.labels == ("a", "b") and renamed.index("b") == 1
+    with pytest.raises(UnknownLabel):
+        renamed.index("B")
 
 
 def test_dict_round_trip():
