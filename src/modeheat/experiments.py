@@ -309,7 +309,7 @@ def run_spectrum(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
     variance = float(np.mean((record - np.mean(record)) ** 2))
     area_full = psd.area()
     f0 = o.omega / (2.0 * math.pi)
-    t_from_fit_area = o.mass * o.omega**2 * fit.area / model.boltzmann
+    t_from_fit_area = model.kelvin_per_moment[0] * fit.area
 
     checks = [
         _check_rel("parseval_full_band", area_full, variance, 0.01),
@@ -466,23 +466,7 @@ def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) ->
     }
     psd_sim = _sim_from_config(psd_block, (seed + 1) % 2**64, "analysis")
 
-    header = [
-        "g_over_gamma",
-        "T_prime_A_lyap",
-        "T_prime_A_mc",
-        "T_prime_A_mc_se",
-        "T_prime_A_psd",
-        "T_prime_A_psd_se",
-        "P_A_gap",
-        "P_A_gap_se",
-        "P_A_direct",
-        "P_A_direct_se",
-        "P_A_lyap",
-        "balance_residual",
-        "P_A_equal_direct",
-        "P_A_equal_direct_se",
-    ]
-    rows: list[list[float]] = []
+    rows = []
     checks: list[Check] = []
 
     for r in ratios:
@@ -520,22 +504,22 @@ def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) ->
         equal_direct = direct_heat_flux_mc(equal_trajs, equal_model, a_label)
 
         rows.append(
-            [
-                g / osc_a.gamma,
-                t_lyap,
-                t_mc,
-                t_mc_se,
-                t_psd,
-                t_psd_se,
-                p_gap,
-                p_gap_se,
-                direct.value,
-                direct.se,
-                p_lyap,
-                balance,
-                equal_direct.value,
-                equal_direct.se,
-            ]
+            {
+                "g_over_gamma": g / osc_a.gamma,
+                "T_prime_A_lyap": t_lyap,
+                "T_prime_A_mc": t_mc,
+                "T_prime_A_mc_se": t_mc_se,
+                "T_prime_A_psd": t_psd,
+                "T_prime_A_psd_se": t_psd_se,
+                "P_A_gap": p_gap,
+                "P_A_gap_se": p_gap_se,
+                "P_A_direct": direct.value,
+                "P_A_direct_se": direct.se,
+                "P_A_lyap": p_lyap,
+                "balance_residual": balance,
+                "P_A_equal_direct": equal_direct.value,
+                "P_A_equal_direct_se": equal_direct.se,
+            }
         )
         checks += [
             _check_within_se(f"t_mc_vs_lyap_{tag}", t_mc, t_lyap, t_mc_se),
@@ -551,7 +535,7 @@ def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) ->
             Check(f"balance_{tag}", balance < 1e-8, f"balance_residual={balance:.3e}"),
             _check_within_se(f"equal_bath_control_{tag}", equal_direct.value, 0.0, equal_direct.se),
         ]
-    return Outcome({"strong_coupling_sweep": Table(header, rows)}, checks)
+    return Outcome({"strong_coupling_sweep": _table(rows)}, checks)
 
 
 _RUNNERS = {

@@ -271,25 +271,35 @@ def _noise_factor_matrix(Q: np.ndarray) -> np.ndarray:
 def _one_step_operators(model: SystemModel, config: SimConfig):
     """Propagator E and noise factor Lq of one step.
 
-    E = expm(M dt) and Q = int_0^dt e^{Ms} D e^{M^T s} ds via the
-    block-matrix exponential of [[-M, D/s], [0, M^T]] * dt, whose upper-right
-    block yields Q = s E @ F12.  Q is linear in D; dividing D by the power
-    of two s >= 1 that brings ||D/s||_1 to at most 2^-10 ||M||_1 is exact,
-    and keeps a D much larger than M (as with k_B = 1) from setting expm's
-    scaling and spoiling both blocks.  Valid for any dt and for gamma=0.
+    E = expm(M h) and Q = int_0^h e^{Ms} D e^{M^T s} ds on the sub-step
+    h = dt / 2^k via the block-matrix exponential of [[-M, D/s], [0, M^T]] * h,
+    whose upper-right block yields Q = s E @ F12.  Q is linear in D; dividing
+    D by the power of two s >= 1 that brings ||D/s||_1 to at most
+    2^-10 ||M||_1 is exact, and keeps a D much larger than M (as with k_B = 1)
+    from setting expm's scaling and spoiling both blocks.  F12 cancels
+    e^{+lambda h} against e^{-lambda h}, so h is cut until the fastest decay
+    spans at most one e-fold, k = max(0, ceil(log2(max|Re lambda| dt))), and
+    the pair is squared back up to dt k times with Q <- E Q E^T + Q and
+    E <- E E, sums of positive semi-definite terms in which nothing cancels.
+    Valid for any dt and for gamma=0.
     """
     mats = compile(model)
     M, D = mats.drift, mats.diffusion
     n = M.shape[0]
+    decay = float(np.max(np.abs(np.linalg.eigvals(M).real))) * config.dt
+    k = max(0, math.ceil(math.log2(decay))) if decay > 0 else 0
     _, e = math.frexp(1024.0 * np.linalg.norm(D, 1) / np.linalg.norm(M, 1))
     s = math.ldexp(1.0, max(e, 0))
     H = np.zeros((2 * n, 2 * n))
     H[:n, :n] = -M
     H[:n, n:] = D / s
     H[n:, n:] = M.T
-    F = scipy.linalg.expm(H * config.dt)
+    F = scipy.linalg.expm(H * math.ldexp(config.dt, -k))
     E = F[n:, n:].T
     Q = s * (E @ F[:n, n:])
+    for _ in range(k):
+        Q = E @ Q @ E.T + Q
+        E = E @ E
     return E, _noise_factor_matrix(0.5 * (Q + Q.T))
 
 
@@ -334,9 +344,8 @@ def _integrate_member(E, ops, Lq, config: SimConfig, burn_in: int, index: int) -
         k0 += m
         if not np.all(np.isfinite(x)):
             raise NonFiniteState(
-                f"state diverged near step {k0} of member {index}; reduce dt (the one-step "
-                "block exponential overflows at hundreds of damping times per step) or "
-                "check feedback gains"
+                f"state diverged near step {k0} of member {index}; the one-step propagator "
+                "amplifies the state instead of damping it (check the feedback gains)"
             )
     return rec
 
@@ -508,24 +517,14 @@ def ensemble_stats(trajectories: list[Trajectory]) -> EnsembleStats:
 
 
 def mode_temperature_mc(stats: EnsembleStats, model: SystemModel) -> McTemperatures:
-    """Mode temperatures from MC variances: T'_pos = m Omega^2 var(u)/k_B and
-    T'_kin = m var(v)/k_B, with standard errors propagated linearly."""
+    """Mode temperatures from MC variances, ``model.kelvin_per_moment`` times
+    each variance (T'_pos = m Omega^2 var(u)/k_B, T'_kin = m var(v)/k_B),
+    with standard errors propagated linearly through the same factors."""
     _require_model_match(stats.fingerprint, model)
-    kB = model.boltzmann
-    n = len(model.oscillators)
-    t_pos = np.empty(n)
-    t_pos_se = np.empty(n)
-    t_kin = np.empty(n)
-    t_kin_se = np.empty(n)
-    for i, o in enumerate(model.oscillators):
-        cu = o.mass * o.omega**2 / kB
-        cv = o.mass / kB
-        t_pos[i] = cu * stats.variance[2 * i]
-        t_pos_se[i] = cu * stats.variance_se[2 * i]
-        t_kin[i] = cv * stats.variance[2 * i + 1]
-        t_kin_se[i] = cv * stats.variance_se[2 * i + 1]
+    T = model.kelvin_per_moment * stats.variance
+    T_se = model.kelvin_per_moment * stats.variance_se
     return McTemperatures(
-        positional=t_pos, positional_se=t_pos_se, kinetic=t_kin, kinetic_se=t_kin_se
+        positional=T[0::2], positional_se=T_se[0::2], kinetic=T[1::2], kinetic_se=T_se[1::2]
     )
 
 
@@ -544,7 +543,8 @@ def direct_heat_flux_mc(
 ) -> Estimate:
     """Work-based bath flux estimate, independent of the flux-gap formula.
 
-    P_hat = S_0/(2m) - 2 gamma m <v^2>_time: the injected-power term is the
+    P_hat = S_0/(2m) - 2 gamma m <v^2>_time (``model.injected_power`` and
+    ``model.damping_coefficient``): the injected-power term is the
     exact Ito mean (no sampling noise), so all randomness sits in the
     dissipation average, whose SE comes from the integrated autocorrelation
     time of the v^2 series.
@@ -554,14 +554,9 @@ def direct_heat_flux_mc(
     _require_model_match(_check_fingerprints(trajectories), model)
     trajs = sorted(trajectories, key=lambda t: t.ensemble_index)
     i = model.index(oscillator) if isinstance(oscillator, str) else oscillator
-    o = model.oscillators[i]
-
     mean_vsq, se_vsq, _ = _pooled_mean_se([t.states[:, 2 * i + 1] for t in trajs], np.square)
-    injected = model.thermal_noise_intensity(i) / (2 * o.mass)
-    return Estimate(
-        value=injected - 2.0 * o.gamma * o.mass * mean_vsq,
-        se=2.0 * o.gamma * o.mass * se_vsq,
-    )
+    c = float(model.damping_coefficient[i])
+    return Estimate(value=float(model.injected_power[i]) - c * mean_vsq, se=c * se_vsq)
 
 
 # -- export ---------------------------------------------------------------------

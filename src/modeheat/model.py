@@ -16,6 +16,12 @@ amplitude damping half-rate.  The thermal force is white with intensity
 ``noise_factor * gamma * m * k_B * T``; the default factor 4 makes the
 equilibrium mode temperature equal the bath temperature (equipartition for
 the ``2*gamma*u'`` damping term).  Strict SI units throughout.
+
+The model also holds the one definition of the observables both routes read
+off second moments: ``kelvin_per_moment`` turns <u_i^2> and <v_i^2> into
+mode temperatures (m Omega^2 / k_B and m / k_B), and ``injected_power`` and
+``damping_coefficient`` give the bath flux S_0/(2m) - 2 gamma m <v^2>.  The
+exact, Monte Carlo and spectral estimators all multiply by these arrays.
 """
 
 from __future__ import annotations
@@ -108,9 +114,10 @@ class SystemModel:
     8.0 reproduces the alternative convention in which the equilibrium mode
     temperature comes out at twice the bath temperature.
 
-    ``labels``, the label index and ``fingerprint()`` are computed on first
-    use and kept, so the ``feedbacks`` dict must not be changed in place;
-    build a new model with ``dataclasses.replace`` instead.
+    ``labels``, the label index, the per-oscillator arrays below and
+    ``fingerprint()`` are computed on first use and kept, so the
+    ``feedbacks`` dict must not be changed in place; build a new model with
+    ``dataclasses.replace`` instead.
     """
 
     oscillators: tuple[OscillatorSpec, ...]
@@ -162,6 +169,27 @@ class SystemModel:
         o = self.oscillators[i]
         return self.noise_factor * o.gamma * o.mass * self.boltzmann * o.bath_temperature
 
+    @functools.cached_property
+    def kelvin_per_moment(self) -> np.ndarray:
+        """Mode temperature per unit second moment, K per state coordinate:
+        m Omega^2 / k_B at u_i (positional) and m / k_B at v_i (kinetic)."""
+        kB = self.boltzmann
+        return _frozen(
+            [k for o in self.oscillators for k in (o.mass * o.omega**2 / kB, o.mass / kB)]
+        )
+
+    @functools.cached_property
+    def injected_power(self) -> np.ndarray:
+        """Mean power S_0/(2m) the thermal force injects per oscillator, W."""
+        return _frozen(
+            [self.thermal_noise_intensity(i) / (2 * o.mass) for i, o in enumerate(self.oscillators)]
+        )
+
+    @functools.cached_property
+    def damping_coefficient(self) -> np.ndarray:
+        """2 gamma m per oscillator, kg/s: the bath dissipates 2 gamma m <v^2>."""
+        return _frozen([2 * o.gamma * o.mass for o in self.oscillators])
+
     def fingerprint(self) -> str:
         """Short hash of the compiled system; used to guard estimator/model mixing.
 
@@ -178,6 +206,13 @@ class SystemModel:
         h.update(np.array([o.mass for o in self.oscillators]).tobytes())
         h.update(("|".join(self.labels)).encode())
         return h.hexdigest()[:16]
+
+
+def _frozen(values: list[float]) -> np.ndarray:
+    """Read-only float array, so a cached per-model array cannot be edited."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .langevin import Estimate, Trajectory
 from .model import SystemModel, compile, coupling_g
-from .steady import NormalModes, normal_modes
+from .steady import normal_modes
 from .tables import Table, write_csv
 
 __all__ = [
@@ -211,7 +211,8 @@ def temperature_from_area(
     oscillator: int | str = 0,
     band: tuple[float, float] | None = None,
 ) -> BandTemperature:
-    """Mode temperature T' = m Omega^2 * (band area) / k_B.
+    """Mode temperature T' = m Omega^2 * (band area) / k_B, the band area
+    scaled by the position entry of ``model.kelvin_per_moment``.
 
     The default band is the peak center +/- 20*gamma in Hz, which holds
     more than 98% of a Lorentzian's area.  The captured fraction of the
@@ -241,8 +242,7 @@ def temperature_from_area(
     total = float(np.sum(psd.values) * df)
     fraction = area / total if total > 0 else 0.0
 
-    o = model.oscillators[i]
-    scale = o.mass * o.omega**2 / model.boltzmann
+    scale = float(model.kelvin_per_moment[2 * i])
     return BandTemperature(
         value=scale * area,
         se=scale * area_se,
@@ -389,41 +389,22 @@ def fit_lorentzian(
 
 
 def coupling_from_splitting(
-    psd_or_modes: Psd | NormalModes,
+    psd: Psd,
     model: SystemModel,
     pair: tuple[str, str],
     band: tuple[float, float] | None = None,
 ) -> Estimate:
-    """Coupling rate from the normal-mode frequency splitting, g = pi*(f+ - f-).
+    """Coupling rate from the normal-mode splitting of a measured spectrum,
+    g = pi*(f+ - f-).
 
-    Exact route: pass the NormalModes of the drift matrix; the splitting must
-    exceed the modes' linewidths to count as resolved (otherwise the g <~ gamma
-    regime is signalled via UnresolvedSplitting, se is 0).  Measurement route:
-    pass a Psd; the two peak centers come from a two-Lorentzian fit seeded by
+    The two peak centers come from a two-Lorentzian fit seeded by
     centroid-split spectral moments, the SE from the fit covariance, and the
     peaks must be separated by more than twice the resolution bandwidth and
-    more than either fitted width.
+    more than either fitted width (otherwise UnresolvedSplitting).  The
+    default band spans the pair's mean frequency +/- (2 g + 20 max gamma)/pi
+    Hz, with g the nominal ``coupling_g``.
     """
     i, j = (model.index(pair[0]), model.index(pair[1]))
-
-    if isinstance(psd_or_modes, NormalModes):
-        modes = psd_or_modes
-        key = (min(i, j), max(i, j))
-        if key not in modes.splittings:
-            raise UnresolvedSplitting(
-                f"oscillators {pair} are not a near-degenerate pair; "
-                "no splitting is defined"
-            )
-        splitting = modes.splittings[key]
-        linewidth = float(np.max(modes.linewidths))
-        if splitting <= linewidth:
-            raise UnresolvedSplitting(
-                f"splitting {splitting:.3g} rad/s does not exceed the linewidth "
-                f"{linewidth:.3g} rad/s; coupling is too weak to resolve"
-            )
-        return Estimate(value=0.5 * splitting, se=0.0)
-
-    psd = psd_or_modes
     if band is None:
         oi, oj = model.oscillators[i], model.oscillators[j]
         center = 0.5 * (oi.omega + oj.omega) / (2.0 * math.pi)

@@ -4,8 +4,7 @@ The stationary covariance C of dx = Mx dt + L dW solves the Lyapunov
 equation M C + C M^T + D = 0 with D = L L^T.  From C follow the mode
 temperatures, the net heat flux drawn from each bath, and the power
 injected or removed by each feedback force.  ``normal_modes`` gives the
-eigenfrequencies of the drift matrix, including the splitting of
-near-degenerate coupled pairs.
+eigenfrequencies and linewidths of the drift matrix.
 """
 
 from __future__ import annotations
@@ -71,14 +70,11 @@ class NormalModes:
 
     ``frequencies`` are |Im lambda| in rad/s (ascending), ``linewidths``
     are -2 Re lambda in 1/s (full width of the energy decay).  Real
-    eigenvalues appear as zero-frequency entries.  ``splittings`` maps a
-    near-degenerate oscillator index pair to the frequency difference of
-    the two normal modes it hybridizes into.
+    eigenvalues appear as zero-frequency entries.
     """
 
     frequencies: np.ndarray
     linewidths: np.ndarray
-    splittings: dict[tuple[int, int], float]
     defective: bool = False
 
 
@@ -186,34 +182,26 @@ def solve_stationary(matrices: StateMatrices) -> np.ndarray:
 def mode_temperatures(C: np.ndarray, model: SystemModel) -> tuple[np.ndarray, np.ndarray]:
     """Positional and kinetic mode temperatures, K per oscillator.
 
-    T'_pos = m Omega^2 <u^2> / k_B uses the bare mechanical frequency, so a
-    position feedback that softens the mode reads as a hotter positional
-    temperature; T'_kin = m <v^2> / k_B is the one that enters the
-    flux-gap relation.  The two coincide without position feedback.
+    ``model.kelvin_per_moment`` times the diagonal of C: T'_pos =
+    m Omega^2 <u^2> / k_B uses the bare mechanical frequency, so a position
+    feedback that softens the mode reads as a hotter positional temperature;
+    T'_kin = m <v^2> / k_B is the one that enters the flux-gap relation.  The
+    two coincide without position feedback.
     """
-    kB = model.boltzmann
-    t_pos = np.empty(len(model.oscillators))
-    t_kin = np.empty(len(model.oscillators))
-    for i, o in enumerate(model.oscillators):
-        u, v = 2 * i, 2 * i + 1
-        t_pos[i] = o.mass * o.omega**2 * C[u, u] / kB
-        t_kin[i] = o.mass * C[v, v] / kB
-    return t_pos, t_kin
+    T = model.kelvin_per_moment * np.diag(C)
+    return T[0::2], T[1::2]
 
 
 def bath_heat_flux(C: np.ndarray, model: SystemModel) -> np.ndarray:
     """Net power each bath feeds its oscillator, W (positive = bath heats mode).
 
     Computed as injected stochastic power minus dissipated power,
-    P_i = S_0,i/(2 m_i) - 2 gamma_i m_i <v_i^2>.  Under the default noise
-    convention this equals 2 gamma k_B (T - T'_kin): the flux is set by the
-    bath/mode temperature gap alone, whatever produced the gap.
+    P_i = S_0,i/(2 m_i) - 2 gamma_i m_i <v_i^2> (``model.injected_power`` and
+    ``model.damping_coefficient``).  Under the default noise convention this
+    equals 2 gamma k_B (T - T'_kin): the flux is set by the bath/mode
+    temperature gap alone, whatever produced the gap.
     """
-    P = np.empty(len(model.oscillators))
-    for i, o in enumerate(model.oscillators):
-        v = 2 * i + 1
-        P[i] = model.thermal_noise_intensity(i) / (2 * o.mass) - 2 * o.gamma * o.mass * C[v, v]
-    return P
+    return model.injected_power - model.damping_coefficient * np.diag(C)[1::2]
 
 
 def feedback_heat_flux(C: np.ndarray, model: SystemModel) -> np.ndarray:
@@ -237,33 +225,10 @@ def feedback_heat_flux(C: np.ndarray, model: SystemModel) -> np.ndarray:
     return P
 
 
-def _uncoupled_frequencies(matrices: StateMatrices) -> np.ndarray:
-    """Per-oscillator stiffness frequency with coupling removed (rad/s).
-
-    Row 2i+1 of the drift matrix holds -(Omega_i^2 - A_i/m_i) - sum_j k_ij/m_i
-    at the u_i column and +k_ij/m_i at each partner column, so summing the
-    position columns cancels the coupling contribution exactly.
-    """
-    n = matrices.n_oscillators
-    w = np.empty(n)
-    for i in range(n):
-        row = matrices.drift[2 * i + 1]
-        w2 = -np.sum(row[0::2])
-        w[i] = np.sqrt(w2) if w2 > 0 else 0.0
-    return w
-
-
 def normal_modes(matrices: StateMatrices) -> NormalModes:
     """Eigenmodes of the drift matrix, reporting each conjugate pair once.
 
-    Near-degenerate oscillator pairs (uncoupled frequencies within 1e-3
-    relative) get a ``splittings`` entry: the difference of the two normal
-    mode frequencies nearest their common frequency, which is how a coupling
-    rate is read off a measured spectrum.  All pairs are tested at once, and
-    each pair's two nearest modes are searched only among the four around
-    the point where its centre falls in the ascending frequencies (ties go
-    to the lower mode index), not by sorting every mode for every pair.  A
-    non-diagonalizable drift matrix triggers DefectiveMatrixWarning;
+    A non-diagonalizable drift matrix triggers DefectiveMatrixWarning;
     eigenvalues are still returned.
     """
     lam, vecs = np.linalg.eig(matrices.drift)
@@ -281,34 +246,11 @@ def normal_modes(matrices: StateMatrices) -> NormalModes:
         )
 
     # One representative per conjugate pair: keep Im >= 0.
-    keep = lam.imag >= 0
-    lam_k = lam[keep]
+    lam_k = lam[lam.imag >= 0]
     lam_k = lam_k[np.argsort(lam_k.imag, kind="stable")]
-
-    frequencies = np.abs(lam_k.imag)
-    linewidths = -2.0 * lam_k.real
-
-    w_unc = _uncoupled_frequencies(matrices)
-    k = np.arange(len(w_unc))
-    w_max = np.maximum.outer(w_unc, w_unc)
-    detuning = np.abs(np.subtract.outer(w_unc, w_unc))
-    i, j = np.nonzero((k[:, None] < k) & (w_max > 0) & (detuning <= 1e-3 * w_max))
-    center = 0.5 * (w_unc[i] + w_unc[j])
-    # |frequencies - center| falls and then rises along the ascending
-    # frequencies, so the two nearest modes lie within two places of the
-    # insertion point.  Two inf sentinels at each end of the spectrum keep a
-    # window slot past either end from ever being nearest.
-    padded = np.concatenate(([np.inf, np.inf], frequencies, [np.inf, np.inf]))
-    window = np.searchsorted(frequencies, center)[:, None] + np.arange(4)
-    order = np.argsort(np.abs(padded[window] - center[:, None]), axis=1, kind="stable")
-    nearest = padded[np.take_along_axis(window, order[:, :2], axis=1)]
-    gaps = np.abs(nearest[:, 0] - nearest[:, 1])
-    splittings = dict(zip(zip(i.tolist(), j.tolist()), gaps.tolist()))
-
     return NormalModes(
-        frequencies=frequencies,
-        linewidths=linewidths,
-        splittings=splittings,
+        frequencies=np.abs(lam_k.imag),
+        linewidths=-2.0 * lam_k.real,
         defective=defective,
     )
 

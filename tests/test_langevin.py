@@ -27,11 +27,13 @@ from modeheat import (
     mode_temperature_mc,
     simulate,
     solve_stationary,
+    steady_state,
     trajectory_to_binary,
     trajectory_to_csv,
 )
+from modeheat.config import load_config
 
-from conftest import DT_FAST, OMEGA_FAST, single_oscillator, oscillator_pair
+from conftest import DT_FAST, OMEGA_FAST, REPO, single_oscillator, oscillator_pair
 
 
 def _quiet_simulate(model, config, threads=1):
@@ -271,6 +273,23 @@ def test_noise_factor_leaves_noiseless_coordinates_at_zero():
     np.testing.assert_allclose(Lq @ Lq.T, Q_ref, rtol=0, atol=1e-8 * np.max(np.abs(Q_ref)))
 
 
+def test_exact_and_mc_temperatures_share_one_definition():
+    # Fed the exact variances, the MC estimator must return the exact
+    # temperatures bit for bit.  On the equipartition model's B (m = 2e-12 kg)
+    # m Omega^2 C / k_B and (m Omega^2 / k_B) C differ in the last bit.
+    model = load_config(REPO / "configs" / "equipartition.json").model
+    ss = steady_state(model)
+    var = np.diag(ss.covariance)
+    stats = langevin.EnsembleStats(
+        labels=model.labels, n_members=1, n_records=1, mean=np.zeros_like(var),
+        variance=var, variance_se=np.zeros_like(var), tau_int=np.ones_like(var),
+        fingerprint=model.fingerprint(), dt=1.0,
+    )
+    mc = mode_temperature_mc(stats, model)
+    assert np.array_equal(mc.positional, ss.mode_temperature_positional)
+    assert np.array_equal(mc.kinetic, ss.mode_temperature_kinetic)
+
+
 def test_zero_temperature_gives_identically_zero_trajectory():
     model = single_oscillator(temperature=0.0)
     cfg = SimConfig(dt=DT_FAST, n_steps=300, seed=2, ensemble_size=2, allow_large_step=True)
@@ -396,9 +415,8 @@ def test_short_burn_in_warns(fast_model):
             simulate(fast_model, cfg)
 
 
-def test_block_exponential_overflow_raises_non_finite():
-    # at gamma*dt = 1000 the one-step block exponential overflows float64;
-    # at gamma*dt = 400 the same model stays finite
+def test_steps_of_hundreds_of_damping_times_stay_finite():
+    # gamma*dt = 400 and 1000: the sub-stepped one-step operators stay finite
     model = SystemModel(
         oscillators=(
             OscillatorSpec(
@@ -409,10 +427,49 @@ def test_block_exponential_overflow_raises_non_finite():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        finite = simulate(model, SimConfig(dt=40.0, n_steps=200, seed=1, allow_large_step=True))
-        assert np.all(np.isfinite(finite[0].states))
-        with pytest.raises(NonFiniteState):
-            simulate(model, SimConfig(dt=100.0, n_steps=200, seed=1, allow_large_step=True))
+        for dt in (40.0, 100.0):
+            traj = simulate(model, SimConfig(dt=dt, n_steps=200, seed=1, allow_large_step=True))
+            assert np.all(np.isfinite(traj[0].states))
+
+
+def test_amplifying_propagator_raises_non_finite(monkeypatch, fast_model):
+    # spectral radius 1e3: the state overflows float64 within a few hundred steps
+    def amplifying(model, config):
+        n = 2 * len(model.oscillators)
+        return 1e3 * np.eye(n), np.eye(n)
+
+    monkeypatch.setattr(langevin, "_one_step_operators", amplifying)
+    cfg = SimConfig(dt=DT_FAST, n_steps=400, seed=1, burn_in=0, allow_large_step=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NonFiniteState, match="amplifies"):
+            simulate(fast_model, cfg)
+
+
+# overdamped slow mode: max|Re lambda| = 17.8/s, so a step of 1-10 s spans
+# tens to hundreds of e-folds of its fastest decay
+_OVERDAMPED = SystemModel(oscillators=(OscillatorSpec("S", 1e-9, 2 * math.pi, 10.0, 300.0),))
+
+
+@pytest.mark.parametrize("dt", [1.0, 3.0, 10.0])
+def test_one_step_noise_matches_lyapunov_at_large_steps(dt):
+    mats = compile(_OVERDAMPED)
+    _, Lq = langevin._one_step_operators(
+        _OVERDAMPED, SimConfig(dt=dt, n_steps=1, seed=1, allow_large_step=True)
+    )
+    E_ref = scipy.linalg.expm(mats.drift * dt)
+    C = solve_stationary(mats)
+    Q_ref = C - E_ref @ C @ E_ref.T
+    np.testing.assert_allclose(Lq @ Lq.T, Q_ref, rtol=0, atol=1e-12 * np.max(np.abs(Q_ref)))
+
+
+def test_large_steps_read_the_bath_temperature():
+    cfg = SimConfig(dt=10.0, n_steps=2000, seed=1, allow_large_step=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LargeStepWarning)
+        trajs = simulate(_OVERDAMPED, cfg)
+    mc = mode_temperature_mc(ensemble_stats(trajs), _OVERDAMPED)
+    assert abs(mc.kinetic[0] - 300.0) <= 4.0 * mc.kinetic_se[0]
 
 
 def test_sim_config_validation():

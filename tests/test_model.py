@@ -70,6 +70,32 @@ def test_thermal_noise_intensity_scales_with_noise_factor():
     assert base == pytest.approx(4.0 * 10.0 * 1e-12 * BOLTZMANN * 300.0, rel=1e-15)
 
 
+def test_observable_arrays_follow_the_oscillators():
+    model = SystemModel(
+        oscillators=(
+            OscillatorSpec("A", 1e-12, OMEGA_FAST, 10.0, 300.0),
+            OscillatorSpec("B", 3e-12, 0.9 * OMEGA_FAST, 25.0, 150.0),
+        ),
+        boltzmann=1.0,
+    )
+    np.testing.assert_array_equal(
+        model.kelvin_per_moment,
+        [1e-12 * OMEGA_FAST**2, 1e-12, 3e-12 * (0.9 * OMEGA_FAST) ** 2, 3e-12],
+    )
+    np.testing.assert_array_equal(
+        model.injected_power,
+        [model.thermal_noise_intensity(0) / 2e-12, model.thermal_noise_intensity(1) / 6e-12],
+    )
+    np.testing.assert_array_equal(model.damping_coefficient, [2e-11, 1.5e-10])
+    with pytest.raises(ValueError):
+        model.kelvin_per_moment[0] = 0.0
+    a, b = model.oscillators
+    hotter = dataclasses.replace(
+        model, oscillators=(dataclasses.replace(a, bath_temperature=600.0), b)
+    )
+    assert hotter.injected_power[0] == 2 * model.injected_power[0]
+
+
 def test_state_index_helpers():
     mats = compile(oscillator_pair())
     assert mats.n_oscillators == 2

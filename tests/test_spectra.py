@@ -1,6 +1,5 @@
 """Welch thermometry: Parseval closure, Lorentzian fits, splitting readout."""
 
-import dataclasses
 import math
 import os
 import subprocess
@@ -303,33 +302,6 @@ def test_off_peak_band_flags_low_capture(spec_record):
 
 
 # -- coupling from the normal-mode splitting ----------------------------------------
-
-
-def test_splitting_exact_route_matches_coupling_rate():
-    model = oscillator_pair(g_over_gamma=100.0)
-    modes = normal_modes(compile(model))
-    est = coupling_from_splitting(modes, model, ("A", "B"))
-    g_true = coupling_g(model, ("A", "B")).value
-    assert est.se == 0.0
-    assert est.value == pytest.approx(g_true, rel=0.01)
-    key = (0, 1)
-    assert est.value == pytest.approx(0.5 * modes.splittings[key], rel=1e-12)
-
-
-def test_splitting_exact_route_unresolved_when_weak():
-    model = oscillator_pair(g_over_gamma=0.1)
-    modes = normal_modes(compile(model))
-    with pytest.raises(UnresolvedSplitting):
-        coupling_from_splitting(modes, model, ("A", "B"))
-
-
-def test_splitting_exact_route_requires_near_degenerate_pair():
-    model = oscillator_pair(g_over_gamma=10.0)
-    b = dataclasses.replace(model.oscillators[1], omega=1.2 * model.oscillators[1].omega)
-    detuned = dataclasses.replace(model, oscillators=(model.oscillators[0], b))
-    modes = normal_modes(compile(detuned))
-    with pytest.raises(UnresolvedSplitting):
-        coupling_from_splitting(modes, detuned, ("A", "B"))
 
 
 def test_splitting_psd_route_noiseless_doublet():

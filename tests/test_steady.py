@@ -25,13 +25,14 @@ from modeheat import (
     SystemModel,
     bath_heat_flux,
     compile,
+    coupling_g,
     feedback_heat_flux,
     mode_temperatures,
     normal_modes,
     solve_stationary,
     steady_state,
 )
-from modeheat.steady import REQUIRED_RESIDUAL, _uncoupled_frequencies, lyapunov_residual
+from modeheat.steady import REQUIRED_RESIDUAL, lyapunov_residual
 
 from conftest import OMEGA_FAST, cold_damped, oscillator_pair, single_oscillator
 
@@ -232,93 +233,11 @@ def test_not_hurwitz_when_rounding_leaves_an_undamped_pair_just_stable():
         solve_stationary(compile(model))
 
 
-def _reference_splittings(matrices: StateMatrices, frequencies: np.ndarray) -> dict:
-    """Splittings by a per-pair loop that sorts every mode by its distance to
-    the pair's centre, the search normal_modes makes on a window."""
-    w_unc = _uncoupled_frequencies(matrices)
-    splittings = {}
-    for i in range(len(w_unc)):
-        for j in range(i + 1, len(w_unc)):
-            w_max = max(w_unc[i], w_unc[j])
-            if w_max > 0 and abs(w_unc[i] - w_unc[j]) <= 1e-3 * w_max:
-                center = 0.5 * (w_unc[i] + w_unc[j])
-                nearest = np.argsort(np.abs(frequencies - center), kind="stable")[:2]
-                if len(nearest) == 2:
-                    splittings[(i, j)] = float(
-                        abs(frequencies[nearest[0]] - frequencies[nearest[1]])
-                    )
-    return splittings
-
-
-def _uniform_chain(n: int) -> SystemModel:
-    """n identical oscillators, nearest neighbours joined by equal springs."""
-    oscillators = tuple(
-        OscillatorSpec(f"o{i}", 1e-12, OMEGA_FAST, 10.0, 300.0) for i in range(n)
-    )
-    k_c = 2.0 * 1e-12 * OMEGA_FAST * 50.0
-    couplings = tuple(
-        CouplingSpec((a.label, b.label), k_c) for a, b in zip(oscillators, oscillators[1:])
-    )
-    return SystemModel(oscillators, couplings)
-
-
-def _centre_below_every_mode() -> SystemModel:
-    # A and B are degenerate at OMEGA_FAST; strong springs to the stiffer C
-    # lift every normal mode above their common frequency.
-    k_c = 0.2 * 1e-12 * OMEGA_FAST**2
-    return SystemModel(
-        oscillators=(
-            OscillatorSpec("A", 1e-12, OMEGA_FAST, 10.0, 300.0),
-            OscillatorSpec("B", 1e-12, OMEGA_FAST, 10.0, 300.0),
-            OscillatorSpec("C", 1e-12, 1.5 * OMEGA_FAST, 10.0, 300.0),
-        ),
-        couplings=(CouplingSpec(("A", "C"), k_c), CouplingSpec(("B", "C"), k_c)),
-    )
-
-
-def _centre_above_every_mode() -> SystemModel:
-    # Heavy damping pulls both normal modes of a weakly coupled degenerate
-    # pair below the pair's undamped frequency.
-    return oscillator_pair(g_over_gamma=0.01, gamma=0.3 * OMEGA_FAST)
-
-
-@pytest.mark.parametrize(
-    "model, where",
-    [
-        (single_oscillator(), "none"),
-        (oscillator_pair(g_over_gamma=10.0), "between"),
-        (_uniform_chain(8), "every pair"),
-        (_centre_below_every_mode(), "below"),
-        (_centre_above_every_mode(), "above"),
-    ],
-)
-def test_splittings_equal_the_full_per_pair_search(model, where):
-    mats = compile(model)
-    nm = normal_modes(mats)
-    expected = _reference_splittings(mats, nm.frequencies)
-    assert list(nm.splittings.items()) == list(expected.items())
-    n = len(model.oscillators)
-    w = _uncoupled_frequencies(mats)
-    if where == "none":
-        assert nm.splittings == {}
-    elif where == "every pair":
-        assert np.all(w == w[0]) and len(nm.splittings) == n * (n - 1) // 2
-    else:
-        # the pair's centre sits at the edge of the spectrum the window searches
-        centre = w[0]
-        side = {"between": nm.frequencies[0] < centre < nm.frequencies[-1],
-                "below": centre < nm.frequencies[0],
-                "above": centre > nm.frequencies[-1]}
-        assert side[where]
-        assert nm.splittings[(0, 1)] > 0
-
-
 def test_normal_modes_single_oscillator():
     nm = normal_modes(compile(single_oscillator()))
     assert nm.frequencies.shape == (1,)
     assert nm.frequencies[0] == pytest.approx(math.sqrt(OMEGA_FAST**2 - 10.0**2), rel=1e-12)
     assert nm.linewidths[0] == pytest.approx(2 * 10.0, rel=1e-9)
-    assert nm.splittings == {}
     assert not nm.defective
 
 
@@ -328,20 +247,10 @@ def test_normal_mode_splitting_closed_form():
     k_c = model.couplings[0].spring_constant
     w_s = math.sqrt(OMEGA_FAST**2 - 100.0)
     w_a = math.sqrt(OMEGA_FAST**2 + 2 * k_c / 1e-12 - 100.0)
-    assert (0, 1) in nm.splittings
-    assert nm.splittings[(0, 1)] == pytest.approx(w_a - w_s, rel=1e-9)
-    np.testing.assert_allclose(sorted(nm.frequencies), [w_s, w_a], rtol=1e-12)
-
-
-def test_detuned_pair_has_no_splitting_entry():
-    model = SystemModel(
-        oscillators=(
-            OscillatorSpec("A", 1e-12, OMEGA_FAST, 10.0, 300.0),
-            OscillatorSpec("B", 1e-12, 1.05 * OMEGA_FAST, 10.0, 300.0),
-        ),
-        couplings=(CouplingSpec(("A", "B"), 1e-5),),
-    )
-    assert normal_modes(compile(model)).splittings == {}
+    w = np.sort(nm.frequencies)
+    np.testing.assert_allclose(w, [w_s, w_a], rtol=1e-12)
+    # half the splitting of the two normal modes is the coupling rate
+    assert 0.5 * (w[1] - w[0]) == pytest.approx(coupling_g(model, ("A", "B")).value, rel=0.01)
 
 
 def test_defective_drift_warns_and_flags():

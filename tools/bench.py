@@ -10,8 +10,8 @@ numbers.
 Sections:
 
 - ``exact_route``: ``steady_state`` (compile, Lyapunov solve and the derived
-  temperatures and fluxes) and ``normal_modes`` (eigenmodes and the
-  splittings of every near-degenerate pair) against the oscillator count N,
+  temperatures and fluxes) and ``normal_modes`` (eigenfrequencies and
+  linewidths of the drift matrix) against the oscillator count N,
   on the seeded nearest-neighbour chains of the benchmark's
   ``exact_network`` workload (``perfbench/inputs.py``), one chain per seed.
   Each entry is the CPU time of this process, the least of ``--repeats``
