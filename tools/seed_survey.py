@@ -1,14 +1,14 @@
 """Count how often each check of an experiment fails over seeds 1..K.
 
-    python tools/seed_survey.py CONFIG [CONFIG ...] [-k 30] [--threads 1]
+    python tools/seed_survey.py CONFIG [CONFIG ...] [-k 30]
 
-Each config runs through `run_experiment` once per seed 1..K, exactly as
-`modeheat run --seed` would, but writes no files.  For every config the
-script prints the number of FAIL verdicts and, per check in verdict order,
-the number of seeds on which that check failed.  A correct program fails a
-check at a fixed tolerance only as often as its error bar allows; a count far
-above that rate shows a miscalibrated check.  The BLAS and OpenMP thread
-counts are pinned to 1 before numpy loads.
+Each config runs through `run_experiment` once per seed 1..K on one thread,
+exactly as `modeheat run --seed` would, but writes no files.  For every
+config the script prints the number of FAIL verdicts and, per check in
+verdict order, the number of seeds on which that check failed.  A correct
+program fails a check at a fixed tolerance only as often as its error bar
+allows; a count far above that rate shows a miscalibrated check.  The BLAS
+and OpenMP thread counts are pinned to 1 before numpy loads.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ from modeheat.config import load_config  # noqa: E402
 from modeheat.experiments import run_experiment  # noqa: E402
 
 
-def survey(config_path, k: int, threads: int = 1) -> tuple[int, dict[str, int]]:
+def survey(config_path, k: int) -> tuple[int, dict[str, int]]:
     """(FAIL verdicts, failures per check) of the config over seeds 1..k."""
     cfg = load_config(config_path)
     failed_runs = 0
     failures: dict[str, int] = {}
     for seed in range(1, k + 1):
-        checks = run_experiment(cfg, seed, threads).checks
+        checks = run_experiment(cfg, seed, 1).checks
         failed_runs += not all(c.passed for c in checks)
         for c in checks:
             failures[c.name] = failures.get(c.name, 0) + (not c.passed)
@@ -49,13 +49,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument("configs", nargs="+", type=Path)
     parser.add_argument("-k", type=int, default=30, help="seeds 1..k (default 30)")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
     if args.k < 1:
         parser.error("-k must be >= 1")
 
     for path in args.configs:
-        failed_runs, failures = survey(path, args.k, args.threads)
+        failed_runs, failures = survey(path, args.k)
         print(f"{path}: {failed_runs} of {args.k} seeds FAIL")
         width = max(map(len, failures))
         for name, count in failures.items():
