@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -177,12 +178,20 @@ class ExperimentConfig:
     output: dict = field(default_factory=dict)
 
 
+@functools.cache
+def _validator() -> jsonschema.protocols.Validator:
+    """Validator for CONFIG_SCHEMA, built on first use.  Unlike
+    ``jsonschema.validate`` it does not check the schema against its
+    metaschema on every load; the test suite checks it once."""
+    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document and build the config objects."""
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config does not match the schema: {exc.message}") from exc
+    # best_match picks the error jsonschema.validate would raise.
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if error is not None:
+        raise ConfigError(f"config does not match the schema: {error.message}") from error
     try:
         model = model_from_dict(doc["model"])
     except (ValueError, KeyError) as exc:

@@ -34,6 +34,7 @@ from .fluxlab import (
     comparison_to_json,
     comparison_to_text,
     flux_from_gap,
+    flux_gap_slope,
     gap_from_flux,
 )
 from .langevin import (
@@ -244,7 +245,7 @@ def run_coupled_transfer(cfg: ExperimentConfig, seed: int, threads: int) -> Outc
         flux_direct = direct_heat_flux_mc(trajs, model, o.label)
         direct.append(flux_direct)
         p_gap = flux_from_gap(o.gamma, o.bath_temperature, mc.kinetic[i], model.boltzmann)
-        p_gap_se = 2.0 * o.gamma * model.boltzmann * mc.kinetic_se[i]
+        p_gap_se = flux_gap_slope(o.gamma, model.boltzmann) * mc.kinetic_se[i]
         rows.append(
             {
                 "oscillator": o.label,
@@ -485,7 +486,7 @@ def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) ->
         p_gap = flux_from_gap(
             osc_a.gamma, osc_a.bath_temperature, mc.kinetic[ia], model.boltzmann
         )
-        p_gap_se = 2.0 * osc_a.gamma * model.boltzmann * mc.kinetic_se[ia]
+        p_gap_se = flux_gap_slope(osc_a.gamma, model.boltzmann) * mc.kinetic_se[ia]
         direct = direct_heat_flux_mc(trajs, model, a_label)
 
         psd_trajs = simulate(model, psd_sim, threads)

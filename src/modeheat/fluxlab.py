@@ -22,6 +22,7 @@ from .errors import ZeroDamping
 __all__ = [
     "FluxReport",
     "BulkComparison",
+    "flux_gap_slope",
     "flux_from_gap",
     "gap_from_flux",
     "bulk_delta_T",
@@ -67,6 +68,16 @@ class BulkComparison:
     degenerate: bool = False
 
 
+def flux_gap_slope(gamma: float, boltzmann: float = BOLTZMANN) -> float:
+    """Slope 2 gamma k_B, W/K, of the flux-gap relation P = 2 gamma k_B (T - T').
+
+    The one definition of the slope: ``flux_from_gap`` and ``gap_from_flux``
+    use it, and so does the standard error of a flux inferred from a mode
+    temperature with standard error se, flux_gap_slope(gamma) * se.
+    """
+    return 2.0 * gamma * boltzmann
+
+
 def flux_from_gap(gamma: float, T: float, T_mode: float, boltzmann: float = BOLTZMANN) -> float:
     """Heat flux P = 2 gamma k_B (T - T_mode), W; positive = bath heats mode.
 
@@ -77,7 +88,7 @@ def flux_from_gap(gamma: float, T: float, T_mode: float, boltzmann: float = BOLT
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    return 2.0 * gamma * boltzmann * (T - T_mode)
+    return flux_gap_slope(gamma, boltzmann) * (T - T_mode)
 
 
 def gap_from_flux(gamma: float, P: float) -> float:
@@ -86,7 +97,7 @@ def gap_from_flux(gamma: float, P: float) -> float:
         raise ZeroDamping(
             f"gamma must be > 0 to infer a gap from a flux, got {gamma}"
         )
-    return P / (2.0 * gamma * BOLTZMANN)
+    return P / flux_gap_slope(gamma)
 
 
 def bulk_delta_T(P: float, R_th: float) -> float:

@@ -31,6 +31,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .constants import BOLTZMANN
 from .errors import NonPositiveStiffness, UnknownLabel, UnknownPair, UnstableFeedback
@@ -92,6 +93,11 @@ class FeedbackSpec:
             raise ValueError(f"noise_psd must be >= 0, got {self.noise_psd}")
 
 
+# What ``SystemModel.feedback`` returns for an oscillator without feedback;
+# frozen, so every model can share it.
+_NO_FEEDBACK = FeedbackSpec()
+
+
 @dataclass(frozen=True)
 class CouplingSpec:
     """Bilinear spring between two oscillators: force on i is -k_c (u_i - u_j)."""
@@ -114,10 +120,10 @@ class SystemModel:
     8.0 reproduces the alternative convention in which the equilibrium mode
     temperature comes out at twice the bath temperature.
 
-    ``labels``, the label index, the per-oscillator arrays below and
-    ``fingerprint()`` are computed on first use and kept, so the
-    ``feedbacks`` dict must not be changed in place; build a new model with
-    ``dataclasses.replace`` instead.
+    ``labels``, the label index, the per-oscillator arrays below,
+    ``compile(model)`` and ``fingerprint()`` are computed on first use and
+    kept, so the ``feedbacks`` dict must not be changed in place; build a new
+    model with ``dataclasses.replace`` instead.
     """
 
     oscillators: tuple[OscillatorSpec, ...]
@@ -162,7 +168,7 @@ class SystemModel:
             raise UnknownLabel(f"no oscillator labelled {label!r}") from None
 
     def feedback(self, label: str) -> FeedbackSpec:
-        return self.feedbacks.get(label, FeedbackSpec())
+        return self.feedbacks.get(label, _NO_FEEDBACK)
 
     def thermal_noise_intensity(self, i: int) -> float:
         """White thermal-force intensity S_0 of oscillator i, N^2/Hz."""
@@ -182,13 +188,28 @@ class SystemModel:
     def injected_power(self) -> np.ndarray:
         """Mean power S_0/(2m) the thermal force injects per oscillator, W."""
         return _frozen(
-            [self.thermal_noise_intensity(i) / (2 * o.mass) for i, o in enumerate(self.oscillators)]
+            [
+                _white_force_power(self.thermal_noise_intensity(i), o.mass)
+                for i, o in enumerate(self.oscillators)
+            ]
+        )
+
+    @functools.cached_property
+    def feedback_noise_power(self) -> np.ndarray:
+        """Mean power S_ext/(2m) the feedback force noise injects per oscillator, W
+        (zero where an oscillator has no feedback)."""
+        return _frozen(
+            [_white_force_power(self.feedback(o.label).noise_psd, o.mass) for o in self.oscillators]
         )
 
     @functools.cached_property
     def damping_coefficient(self) -> np.ndarray:
         """2 gamma m per oscillator, kg/s: the bath dissipates 2 gamma m <v^2>."""
         return _frozen([2 * o.gamma * o.mass for o in self.oscillators])
+
+    @functools.cached_property
+    def _matrices(self) -> StateMatrices:
+        return _compile(self)
 
     def fingerprint(self) -> str:
         """Short hash of the compiled system; used to guard estimator/model mixing.
@@ -211,8 +232,19 @@ class SystemModel:
 def _frozen(values: list[float]) -> np.ndarray:
     """Read-only float array, so a cached per-model array cannot be edited."""
     out = np.array(values, dtype=float)
-    out.flags.writeable = False
+    _read_only(out)
     return out
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    """Mark arrays that callers share read-only, in place."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _white_force_power(psd: float, mass: float) -> float:
+    """Mean power S/(2m), W, that a white force of intensity S injects into a mass m."""
+    return psd / (2 * mass)
 
 
 @dataclass(frozen=True)
@@ -222,6 +254,11 @@ class StateMatrices:
     ``diffusion`` is nonzero only on velocity-velocity diagonal entries;
     ``noise_gain`` is the 2N x N factor with D = noise_gain @ noise_gain.T
     (one independent white channel per oscillator).
+
+    ``compile`` returns one instance per model, shared by every caller, so
+    its arrays and the ``schur`` factor are read-only.  An instance built by
+    hand keeps the arrays it was given; its ``schur`` is likewise computed on
+    first use and kept, so its drift must not be edited after that.
     """
 
     drift: np.ndarray
@@ -231,6 +268,31 @@ class StateMatrices:
     @property
     def n_oscillators(self) -> int:
         return self.drift.shape[0] // 2
+
+    @functools.cached_property
+    def schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Real Schur form (scale, T, U) of the stiffness-scaled drift, kept once computed.
+
+        Each position u_i is scaled by its local stiffness frequency,
+        scale[2i] = sqrt(-M[2i+1, 2i]) where that is positive and 1 elsewhere,
+        so that position and velocity rows carry comparable magnitudes.  Then
+        diag(scale) M diag(scale)^-1 = U T U^T with U orthogonal and T upper
+        quasi-triangular in scipy's standardized form: a 1x1 block per real
+        eigenvalue, a 2x2 block with equal diagonal entries Re(lambda) per
+        conjugate pair.  T is similar to M; ``solve_stationary`` and
+        ``normal_modes`` both read it, so one O(n^3) factorization serves both.
+        """
+        M = self.drift
+        dim = M.shape[0]
+        scale = np.ones(dim)
+        for i in range(dim // 2):
+            w2 = -M[2 * i + 1, 2 * i]
+            if w2 > 0:
+                scale[2 * i] = np.sqrt(w2)
+        inv = 1.0 / scale
+        T, U = scipy.linalg.schur(scale[:, None] * M * inv, output="real")
+        _read_only(scale, T, U)
+        return scale, T, U
 
 
 @dataclass(frozen=True)
@@ -261,6 +323,9 @@ def compile(model: SystemModel) -> StateMatrices:
     """Compile the model into drift/diffusion matrices.
 
     Pure and deterministic: equal models produce bit-identical matrices.
+    The result is computed on the first call and kept with the model, so
+    ``compile(model) is compile(model)``; its arrays are read-only, and its
+    ``schur`` factor, once computed, serves every later solve.
 
     Raises
     ------
@@ -269,6 +334,10 @@ def compile(model: SystemModel) -> StateMatrices:
     NonPositiveStiffness
         if the effective stiffness matrix is not positive definite.
     """
+    return model._matrices
+
+
+def _compile(model: SystemModel) -> StateMatrices:
     n = len(model.oscillators)
     if n == 0:
         raise ValueError("model has no oscillators")
@@ -314,7 +383,9 @@ def compile(model: SystemModel) -> StateMatrices:
         M[2 * j + 1, 2 * j] -= c.spring_constant / mj
         M[2 * j + 1, 2 * i] += c.spring_constant / mj
 
-    return StateMatrices(drift=M, diffusion=L @ L.T, noise_gain=L)
+    D = L @ L.T
+    _read_only(M, D, L)
+    return StateMatrices(drift=M, diffusion=D, noise_gain=L)
 
 
 def coupling_g(model: SystemModel, pair: tuple[str, str]) -> CouplingEstimate:

@@ -5,6 +5,12 @@ equation M C + C M^T + D = 0 with D = L L^T.  From C follow the mode
 temperatures, the net heat flux drawn from each bath, and the power
 injected or removed by each feedback force.  ``normal_modes`` gives the
 eigenfrequencies and linewidths of the drift matrix.
+
+Both read one real Schur form of the stiffness-scaled drift,
+``StateMatrices.schur``, which the compiled model keeps: the Lyapunov solve
+and its Hurwitz test use it, and ``normal_modes`` takes the eigenvalues of
+its quasi-triangular factor.  Solving a model and then asking for its normal
+modes therefore factors the drift once.
 """
 
 from __future__ import annotations
@@ -108,7 +114,8 @@ def solve_stationary(matrices: StateMatrices) -> np.ndarray:
     ``solve_continuous_lyapunov``: a real Schur form, then LAPACK ``trsyl``)
     is applied with positions rescaled by the per-oscillator stiffness
     frequency, so that position and velocity rows carry comparable
-    magnitudes; a few rounds of iterative refinement against the unscaled
+    magnitudes (``StateMatrices.schur``, factored on first use and kept);
+    a few rounds of iterative refinement against the unscaled
     residual, each reusing the same Schur form, then push the solution to
     near machine precision.  Each iterate's residual R = M C + C M^T + D is
     formed once: its norm decides whether to refine, and R itself is the
@@ -128,17 +135,9 @@ def solve_stationary(matrices: StateMatrices) -> np.ndarray:
     the refined residual stays above 1e-10 relative.
     """
     M, D = matrices.drift, matrices.diffusion
-    dim = M.shape[0]
-
-    # Scale u_i by its local stiffness frequency so the solve is balanced.
-    scale = np.ones(dim)
-    for i in range(dim // 2):
-        w2 = -M[2 * i + 1, 2 * i]
-        if w2 > 0:
-            scale[2 * i] = np.sqrt(w2)
-    inv = 1.0 / scale
     # Bartels-Stewart: one real Schur form M_s = U T U^T serves every solve.
-    T, U = scipy.linalg.schur(scale[:, None] * M * inv, output="real")
+    scale, T, U = matrices.schur
+    inv = 1.0 / scale
     growth = np.max(np.diag(T))
     if growth >= -_HURWITZ_ROUNDING * np.finfo(float).eps * np.linalg.norm(T, 1):
         raise NotHurwitz(
@@ -207,7 +206,8 @@ def bath_heat_flux(C: np.ndarray, model: SystemModel) -> np.ndarray:
 def feedback_heat_flux(C: np.ndarray, model: SystemModel) -> np.ndarray:
     """Power each feedback force injects into its oscillator, W.
 
-    P_fb,i = S_ext,i/(2 m_i) + B_i <v_i^2> + A_i <u_i v_i>.  The last term
+    P_fb,i = S_ext,i/(2 m_i) + B_i <v_i^2> + A_i <u_i v_i>, the first term
+    being ``model.feedback_noise_power``.  The last term
     vanishes in any stationary state; it is kept so that the balance
     Sum(P_bath + P_fb) = 0 holds identically, not just on exact solves.
     """
@@ -218,7 +218,7 @@ def feedback_heat_flux(C: np.ndarray, model: SystemModel) -> np.ndarray:
             continue
         u, v = 2 * i, 2 * i + 1
         P[i] = (
-            fb.noise_psd / (2 * o.mass)
+            model.feedback_noise_power[i]
             + fb.velocity_gain * C[v, v]
             + fb.position_gain * C[u, v]
         )
@@ -228,10 +228,18 @@ def feedback_heat_flux(C: np.ndarray, model: SystemModel) -> np.ndarray:
 def normal_modes(matrices: StateMatrices) -> NormalModes:
     """Eigenmodes of the drift matrix, reporting each conjugate pair once.
 
+    The eigenvalues are those of the quasi-triangular factor T of
+    ``matrices.schur``, which is similar to the drift; a solve of the same
+    compiled model has already computed it, and a drift that no solve has
+    seen is factored here.  The eigenvector condition that flags a
+    defective drift is likewise measured in the stiffness-scaled Schur
+    basis, where a lightly damped oscillator at Omega = 2 pi x 100 kHz reads
+    1.00002; its unscaled eigenvectors (1, lambda) read about Omega.
+
     A non-diagonalizable drift matrix triggers DefectiveMatrixWarning;
     eigenvalues are still returned.
     """
-    lam, vecs = np.linalg.eig(matrices.drift)
+    lam, vecs = np.linalg.eig(matrices.schur[1])
     defective = False
     try:
         cond = np.linalg.cond(vecs)
@@ -240,8 +248,9 @@ def normal_modes(matrices: StateMatrices) -> NormalModes:
     if not np.isfinite(cond) or cond > 1e12:
         defective = True
         warnings.warn(
-            f"drift matrix is defective or nearly so (eigenvector condition {cond:.2e}); "
-            "frequencies remain valid, eigenvectors do not span the state space",
+            f"drift matrix is defective or nearly so (eigenvector condition {cond:.2e}, "
+            "measured in the stiffness-scaled Schur basis); frequencies remain valid, "
+            "eigenvectors do not span the state space",
             DefectiveMatrixWarning,
         )
 

@@ -14,8 +14,21 @@ def test_exact_route_times_every_size_and_chain():
     section = bench.exact_route(sizes=(2, 5), seeds=2, repeats=1)
     assert list(section["by_n"]) == ["2", "5"]
     for times in section["by_n"].values():
-        assert len(times["steady_state"]) == len(times["normal_modes"]) == 2
-        assert all(t >= 0 for t in times["steady_state"] + times["normal_modes"])
+        assert list(times) == ["steady_state", "normal_modes", "steady_then_modes"]
+        assert all(len(t) == 2 and min(t) >= 0 for t in times.values())
+
+
+def test_exact_route_builds_a_fresh_model_for_every_call(monkeypatch):
+    built = []
+
+    def record(setup, call, repeats):
+        built.extend(setup() for _ in range(repeats))
+        return 0.0
+
+    monkeypatch.setattr(bench, "cpu_seconds", record)
+    bench.exact_route(sizes=(2,), seeds=1, repeats=2)
+    # three entries, two calls each, and no model or compiled matrices shared
+    assert len(built) == 6 and len({id(obj) for obj in built}) == 6
 
 
 def test_main_writes_machine_and_sections(tmp_path, monkeypatch):

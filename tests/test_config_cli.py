@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import modeheat
@@ -79,8 +80,17 @@ def test_config_from_dict_happy_path():
 def test_config_from_dict_rejects_bad_documents(mutate):
     doc = copy.deepcopy(GOOD_DOC)
     mutate(doc)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as got:
         config_from_dict(doc)
+    # the message names the error jsonschema.validate would raise
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(doc, CONFIG_SCHEMA)
+    assert str(got.value) == f"config does not match the schema: {expected.value.message}"
+
+
+def test_config_schema_passes_its_metaschema():
+    # loads validate with a validator built once and skip this check
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
 
 
 def test_load_config_errors(tmp_path):

@@ -13,6 +13,7 @@ from modeheat import (
     comparison_to_json,
     comparison_to_text,
     flux_from_gap,
+    flux_gap_slope,
     flux_report,
     gap_from_flux,
 )
@@ -22,6 +23,8 @@ def test_flux_from_gap_reference_point():
     # 2 * gamma * k_B * (T - T') at gamma = 13.08 1/s and an 18 K gap
     p = flux_from_gap(13.08, 300.0, 282.0)
     assert p == pytest.approx(2 * 13.08 * BOLTZMANN * 18.0, rel=1e-15)
+    assert p == flux_gap_slope(13.08) * 18.0
+    assert flux_gap_slope(13.08, boltzmann=1.0) == 26.16
     assert p == pytest.approx(6.5e-21, rel=2e-3)
 
 

@@ -76,6 +76,7 @@ def test_observable_arrays_follow_the_oscillators():
             OscillatorSpec("A", 1e-12, OMEGA_FAST, 10.0, 300.0),
             OscillatorSpec("B", 3e-12, 0.9 * OMEGA_FAST, 25.0, 150.0),
         ),
+        feedbacks={"B": FeedbackSpec(velocity_gain=-1e-11, noise_psd=1e-30)},
         boltzmann=1.0,
     )
     np.testing.assert_array_equal(
@@ -86,6 +87,7 @@ def test_observable_arrays_follow_the_oscillators():
         model.injected_power,
         [model.thermal_noise_intensity(0) / 2e-12, model.thermal_noise_intensity(1) / 6e-12],
     )
+    np.testing.assert_array_equal(model.feedback_noise_power, [0.0, 1e-30 / 6e-12])
     np.testing.assert_array_equal(model.damping_coefficient, [2e-11, 1.5e-10])
     with pytest.raises(ValueError):
         model.kelvin_per_moment[0] = 0.0
@@ -94,6 +96,20 @@ def test_observable_arrays_follow_the_oscillators():
         model, oscillators=(dataclasses.replace(a, bath_temperature=600.0), b)
     )
     assert hotter.injected_power[0] == 2 * model.injected_power[0]
+
+
+def test_compile_is_kept_with_the_model_and_read_only():
+    model = oscillator_pair()
+    mats = compile(model)
+    assert compile(model) is mats
+    for shared in (mats.drift, mats.diffusion, mats.noise_gain, *mats.schur):
+        with pytest.raises(ValueError):
+            shared += 0.0
+    assert mats.schur is mats.schur
+    # an edited model is a new model and compiles afresh
+    hotter = dataclasses.replace(model, noise_factor=8.0)
+    assert compile(hotter) is not mats
+    np.testing.assert_allclose(compile(hotter).diffusion, 2.0 * mats.diffusion, rtol=1e-15)
 
 
 def test_state_index_helpers():

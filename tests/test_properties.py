@@ -6,7 +6,8 @@ random subset.  Oscillator 0 always has a warm bath and a noiseless cooling
 feedback, so every network draws net power from its baths and the relative
 energy balance has a nonzero scale.  The identities checked hold for any such network: the
 Lyapunov residual gate, the global energy balance, the flux-gap relation, the
-exact zero of <u_i v_i> and linearity of C in the noise intensities.  On the
+exact zero of <u_i v_i>, linearity of C in the noise intensities, and
+normal modes read off the Schur factor that equal the drift's eigenvalues.  On the
 Monte Carlo side, the integrator's block scan equals a step-by-step loop for
 any burn-in, stride, chunk length and block length, and the MC mode
 temperatures and direct bath fluxes lie within 5 SE of the exact ones.
@@ -34,6 +35,7 @@ from modeheat import (  # noqa: E402
     ensemble_stats,
     flux_from_gap,
     mode_temperature_mc,
+    normal_modes,
     simulate,
     solve_stationary,
     steady_state,
@@ -147,6 +149,22 @@ def test_exact_zeros_and_linearity_in_noise(model):
     s[0::2] = np.sqrt(-mats.drift[1::2, 0::2].sum(axis=1))
     B, B2 = np.outer(s, s) * C, np.outer(s, s) * C2
     np.testing.assert_allclose(B2, 2.0 * B, rtol=1e-12, atol=1e-12 * np.max(np.abs(2.0 * B)))
+
+
+@_PROPERTY
+@given(stable_networks())
+def test_normal_modes_are_the_drift_eigenvalues(model):
+    # read off the Schur factor of the stiffness-scaled drift, they match a
+    # plain eig of the drift itself, one entry per conjugate pair
+    modes = normal_modes(compile(model))
+    lam = np.linalg.eigvals(compile(model).drift)
+    lam = lam[lam.imag >= 0]
+    got = -0.5 * modes.linewidths + 1j * modes.frequencies
+    assert not modes.defective
+    assert got.shape == lam.shape
+    distance = np.abs(got[:, None] - lam[None, :])
+    tol = 1e-12 * np.max(np.abs(lam))
+    assert np.all(distance.min(axis=0) <= tol) and np.all(distance.min(axis=1) <= tol)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

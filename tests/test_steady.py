@@ -253,6 +253,31 @@ def test_normal_mode_splitting_closed_form():
     assert 0.5 * (w[1] - w[0]) == pytest.approx(coupling_g(model, ("A", "B")).value, rel=0.01)
 
 
+def test_solve_then_normal_modes_factor_the_drift_once(monkeypatch):
+    schur, eig = scipy.linalg.schur, np.linalg.eig
+    factored, eigen_inputs = [], []
+
+    def counted_schur(a, **kwargs):
+        factored.append(a)
+        return schur(a, **kwargs)
+
+    def recorded_eig(a):
+        eigen_inputs.append(np.array(a))
+        return eig(a)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
+    monkeypatch.setattr(np.linalg, "eig", recorded_eig)
+    model = oscillator_pair(g_over_gamma=10.0)
+    steady_state(model)
+    modes = normal_modes(compile(model))
+    assert len(factored) == 1
+    drift = compile(model).drift
+    assert eigen_inputs
+    assert not any(a.shape == drift.shape and np.array_equal(a, drift) for a in eigen_inputs)
+    lam = np.linalg.eigvals(drift)
+    np.testing.assert_allclose(modes.frequencies, np.sort(lam.imag[lam.imag >= 0]), rtol=1e-12)
+
+
 def test_defective_drift_warns_and_flags():
     jordan = StateMatrices(
         drift=np.array([[-1.0, 1.0], [0.0, -1.0]]),
