@@ -1,4 +1,4 @@
-"""The timing harness: its exact-route section and the file it writes."""
+"""The timing harness: its exact-route and Welch sections and the file it writes."""
 
 import importlib.util
 import json
@@ -31,11 +31,23 @@ def test_exact_route_builds_a_fresh_model_for_every_call(monkeypatch):
     assert len(built) == 6 and len({id(obj) for obj in built}) == 6
 
 
+def test_welch_times_and_traces_every_record_length():
+    section = bench.welch(samples=(4096, 6000), seed=0, repeats=1)
+    assert list(section["by_samples"]) == ["4096", "6000"]
+    for row in section["by_samples"].values():
+        assert row["n_segments"] == 1  # the linewidth floor exceeds these records
+        assert row["cpu_ms"] >= 0
+        # the windowed segment and its spectrum, at least
+        assert 4096 * 8 / 1e6 < row["peak_mb"] < 1.0
+
+
 def test_main_writes_machine_and_sections(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "CHAIN_SIZES", (2,))
+    monkeypatch.setattr(bench, "WELCH_SAMPLES", (4096,))
     out = tmp_path / "bench.json"
     assert bench.main(["--out", str(out), "--seeds", "1", "--repeats", "1"]) == 0
     doc = json.loads(out.read_text())
     assert set(doc["machine"]) >= {"cpu", "nproc", "numpy", "scipy", "blas", "threads"}
     assert set(doc["machine"]["threads"]) == set(bench.THREAD_VARS)
     assert list(doc["exact_route"]["by_n"]) == ["2"]
+    assert list(doc["welch"]["by_samples"]) == ["4096"]

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -115,6 +116,58 @@ def test_rectangular_welch_without_overlap_is_parseval_exact(segment_length):
     covered = u[: psd.n_segments * segment_length]
     assert psd.n_segments == 17
     assert psd.area() == pytest.approx(float(np.mean(covered**2)), rel=1e-12)
+
+
+def _welch_sixteen_per_fft(u, segment_length, overlap_fraction, window, dt):
+    """Reference: the Welch loop that transformed 16 segments per rfft call."""
+    L = segment_length
+    step = L - int(overlap_fraction * L)
+    segments = np.lib.stride_tricks.sliding_window_view(u, L)[::step]
+    if window == "hann":
+        w = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(L) / L)
+    else:
+        w = np.ones(L)
+    power = np.zeros(L // 2 + 1)
+    for start in range(0, segments.shape[0], 16):
+        spec = np.fft.rfft(segments[start : start + 16] * w, axis=1)
+        power += np.sum(spec.real**2 + spec.imag**2, axis=0)
+    values = power / ((1.0 / dt) * float(np.sum(w * w)) * segments.shape[0])
+    values[1 : (L + 1) // 2] *= 2.0
+    return values
+
+
+@pytest.mark.parametrize("n_segments", [1, 15, 16, 17, 31, 33])
+@pytest.mark.parametrize("overlap_fraction", [0.0, 0.5])
+@pytest.mark.parametrize("segment_length", [64, 65])
+@pytest.mark.parametrize("window", ["hann", "rectangular"])
+def test_welch_bits_match_sixteen_segments_per_fft(
+    window, segment_length, overlap_fraction, n_segments
+):
+    step = segment_length - int(overlap_fraction * segment_length)
+    n = segment_length + (n_segments - 1) * step + 3  # a dropped partial tail
+    u = np.random.default_rng(n_segments).standard_normal(n) * 1e-9
+    psd = welch_psd(
+        _synthetic_trajectory(u, dt=2e-5), 0, segment_length=segment_length,
+        overlap_fraction=overlap_fraction, window=window,
+    )
+    reference = _welch_sixteen_per_fft(u, segment_length, overlap_fraction, window, 2e-5)
+    assert psd.n_segments == n_segments
+    assert np.array_equal(psd.values, reference)
+
+
+def test_welch_working_set_is_independent_of_record_length():
+    L = 1 << 14
+    u = np.random.default_rng(39).standard_normal(L + 38 * (L // 2))
+    traj = _synthetic_trajectory(u, dt=1e-3)
+    tracemalloc.start()
+    try:
+        psd = welch_psd(traj, 0, segment_length=L)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert psd.n_segments == 39
+    # two segments and their spectra at a time; all 16 of a block would be ~50 L
+    assert peak < 16 * L * 8
 
 
 def test_package_import_defers_optional_scipy_modules():

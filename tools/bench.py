@@ -19,6 +19,12 @@ Sections:
   its matrices and their Schur factor, so every call gets a model built
   afresh from the chain document, outside the timer: the times are those
   of a cold model, as a run sees it.
+- ``welch``: ``welch_psd`` on records of 2**17, 2**20 and 1.6 M samples of the
+  shipped ``configs/spectrum.json`` oscillator (seeded ``simulate``, made
+  outside the timer), at the default segmentation that ``run_spectrum``
+  uses.  Each entry is the least process CPU time of ``--repeats`` calls, in
+  ms, and the tracemalloc peak of one further call, in MB: the estimator's
+  own working set, on top of the record.
 """
 
 from __future__ import annotations
@@ -34,11 +40,15 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CHAIN_SIZES = (2, 5, 10, 20, 50, 100, 200)
+WELCH_SAMPLES = (1 << 17, 1 << 20, 1_600_000)
+WELCH_SEED = 1
 
 if __name__ == "__main__":
     # OpenBLAS reads its thread count once, when numpy loads.
@@ -49,7 +59,11 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
+from modeheat.config import load_config  # noqa: E402
+from modeheat.errors import LargeStepWarning  # noqa: E402
+from modeheat.langevin import SimConfig, simulate  # noqa: E402
 from modeheat.model import compile, model_from_dict  # noqa: E402
+from modeheat.spectra import welch_psd  # noqa: E402
 from modeheat.steady import normal_modes, steady_state  # noqa: E402
 
 # The benchmark's input generator, loaded by path: perfbench is not a package.
@@ -146,6 +160,41 @@ def exact_route(sizes, seeds: int, repeats: int) -> dict:
     }
 
 
+def peak_bytes(call) -> int:
+    """Tracemalloc peak of one ``call()``: what it allocates at once."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def welch(samples, seed: int, repeats: int) -> dict:
+    """Welch CPU ms and tracemalloc peak MB by record length, on the spectrum oscillator."""
+    cfg = load_config(ROOT / "configs" / "spectrum.json")
+    by_size = {}
+    for n in samples:
+        sim = SimConfig(**dict(cfg.sim, n_steps=n, seed=seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LargeStepWarning)
+            traj = simulate(cfg.model, sim)[0]
+
+        def call(record):
+            return welch_psd(record, 0, model=cfg.model)
+
+        by_size[str(n)] = {
+            "n_segments": call(traj).n_segments,
+            "cpu_ms": 1e3 * cpu_seconds(lambda: traj, call, repeats),
+            "peak_mb": peak_bytes(lambda: call(traj)) / 1e6,
+        }
+    return {
+        "timer": f"process CPU time in ms, least of {repeats} calls; tracemalloc peak of one call in MB",
+        "records": f"configs/spectrum.json oscillator, simulate seed {seed}, default segmentation",
+        "by_samples": by_size,
+    }
+
+
 def main(argv=None) -> int:
     today = datetime.date.today().isoformat()
     parser = argparse.ArgumentParser(
@@ -153,7 +202,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--out", type=Path, default=ROOT / f"BENCH_{today}.json")
     parser.add_argument("--seeds", type=int, default=3, help="chains per size (default 3)")
-    parser.add_argument("--repeats", type=int, default=3, help="calls per chain (default 3)")
+    parser.add_argument("--repeats", type=int, default=3, help="calls per chain or record (default 3)")
     args = parser.parse_args(argv)
     if args.seeds < 1 or args.repeats < 1:
         parser.error("--seeds and --repeats must be >= 1")
@@ -162,11 +211,15 @@ def main(argv=None) -> int:
         "date": today,
         "machine": machine(),
         "exact_route": exact_route(CHAIN_SIZES, args.seeds, args.repeats),
+        "welch": welch(WELCH_SAMPLES, WELCH_SEED, args.repeats),
     }
     print(f"{'N':>5}" + "".join(f"{key + ' s':>24}" for key in ROUTES))
     for n, times in result["exact_route"]["by_n"].items():
         spans = (f"{min(t):.4g}-{max(t):.4g}" for t in times.values())
         print(f"{n:>5}" + "".join(f"{span:>24}" for span in spans))
+    print(f"{'samples':>9}{'segments':>10}{'welch ms':>10}{'peak MB':>10}")
+    for n, row in result["welch"]["by_samples"].items():
+        print(f"{n:>9}{row['n_segments']:>10}{row['cpu_ms']:>10.1f}{row['peak_mb']:>10.1f}")
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0
