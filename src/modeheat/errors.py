@@ -76,10 +76,6 @@ class DegenerateBand(ModeheatError):
     """Too few PSD points in the band to fit a peak (< 8)."""
 
 
-class UnresolvedSplitting(ModeheatError):
-    """Normal-mode peaks are not separable (splitting below linewidths/resolution)."""
-
-
 # --- flux arithmetic ----------------------------------------------------------
 
 class ZeroDamping(ModeheatError):

@@ -2,8 +2,8 @@
 
 These are the measurement procedures the rest of the package cross-checks
 against exact stationary statistics: the mode temperature read off the area
-under a displacement noise spectrum, the damping rate read off a Lorentzian
-linewidth, and the coupling rate read off the normal-mode splitting.
+under a displacement noise spectrum and the damping rate read off a
+Lorentzian linewidth.
 
 Spectra are one-sided densities in m^2/Hz on a Hz grid (laboratory
 convention).  The displacement spectrum of a single thermally driven mode is
@@ -22,15 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BandOutOfRange,
-    DegenerateBand,
-    RecordTooShort,
-    UnknownPair,
-    UnresolvedSplitting,
-)
-from .langevin import Estimate, Trajectory
-from .model import SystemModel, compile, coupling_g
+from .errors import BandOutOfRange, DegenerateBand, RecordTooShort
+from .langevin import Trajectory
+from .model import SystemModel, compile
 from .steady import normal_modes
 from .tables import Table, write_csv
 
@@ -41,7 +35,6 @@ __all__ = [
     "welch_psd",
     "temperature_from_area",
     "fit_lorentzian",
-    "coupling_from_splitting",
     "psd_table",
     "psd_to_csv",
 ]
@@ -268,95 +261,86 @@ def temperature_from_area(
     )
 
 
-def _moment_seed(f: np.ndarray, s: np.ndarray, df: float, n_peaks: int) -> list[float]:
+def _moment_seed(f: np.ndarray, s: np.ndarray, df: float) -> list[float]:
     """Deterministic fit seed: the band minimum as background and spectral
-    moments of the excess above it, split at its centroid for two peaks.
-    A peak whose excess is all zero gets the middle and a quarter of its span."""
+    moments of the excess above it.  An all-zero excess gets the middle and a
+    quarter of the band."""
     bg0 = float(np.min(s))
     w = np.clip(s - bg0, 0.0, None)
-    edges = [0, f.size]
-    if n_peaks == 2:
-        total = float(np.sum(w))
-        centroid = float(np.sum(f * w) / total) if total > 0 else 0.5 * (f[0] + f[-1])
-        edges.insert(1, int(np.clip(np.searchsorted(f, centroid, "right"), 1, f.size - 1)))
-    guess = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        fk, wk = f[lo:hi], w[lo:hi]
-        total = float(np.sum(wk))
-        if total > 0:
-            center = float(np.sum(fk * wk) / total)
-            spread = math.sqrt(float(np.sum((fk - center) ** 2 * wk) / total))
-        else:
-            center = float(0.5 * (fk[0] + fk[-1]))
-            spread = 0.25 * (fk[-1] - fk[0])
-        guess += [center, max(2.0 * spread, 2.0 * df), max(total * df, np.finfo(float).tiny)]
-    return guess + [bg0]
+    total = float(np.sum(w))
+    if total > 0:
+        center = float(np.sum(f * w) / total)
+        spread = math.sqrt(float(np.sum((f - center) ** 2 * w) / total))
+    else:
+        center = float(0.5 * (f[0] + f[-1]))
+        spread = 0.25 * (f[-1] - f[0])
+    return [center, max(2.0 * spread, 2.0 * df), max(total * df, np.finfo(float).tiny), bg0]
 
 
-def _fit_peaks(psd: Psd, band: tuple[float, float], n_peaks: int, guess=None) -> tuple:
-    """Weighted least-squares fit of a flat background plus n_peaks
-    Lorentzians over the band, with an analytic Jacobian.
+def fit_lorentzian(
+    psd: Psd,
+    initial_guess: tuple[float, float, float, float] | None = None,
+    band: tuple[float, float] | None = None,
+) -> PeakFit:
+    """Weighted least-squares Lorentzian fit over the band, with an analytic
+    Jacobian.
 
-    Parameters are (center_hz, fwhm_hz, area) per peak, then the background;
-    ``guess`` defaults to ``_moment_seed``.  The band needs 8 points per peak.
-    The solver works in O(1) coordinates (frequencies from the lower band
-    edge in band widths, densities in units of the band maximum) with per-bin
-    sigma = value/sqrt(n_segments), centers bounded to the band, and stops at
-    relative parameter step < 1e-8 or 200 evaluations.  Returns (parameters,
-    reduced chi-square, parameter covariance, converged).
+    Model: S(f) = background + (area/pi) * (G/2) / ((f-center)^2 + (G/2)^2),
+    G the FWHM in Hz.  ``initial_guess`` is (center_hz, fwhm_hz, area,
+    background); when omitted it is seeded from spectral moments of the band.
+    The band needs 8 points.  The solver works in O(1) coordinates
+    (frequencies from the lower band edge in band widths, densities in units
+    of the band maximum) with per-bin sigma = value/sqrt(n_segments) and the
+    center bounded to the band.  It stops at relative parameter step < 1e-8
+    or 200 evaluations; running out of budget is reported through
+    ``converged``, not an exception.
     """
     import scipy.optimize  # deferred: a slow import, and most runs fit no peak
 
+    if band is None:
+        band = (float(psd.frequencies[0]), float(psd.frequencies[-1]))
     mask = psd.band_slice(band)
     f = psd.frequencies[mask]
     s = psd.values[mask]
-    need = 8 * n_peaks
-    if f.size < need:
-        raise DegenerateBand(f"band {band} holds {f.size} points; at least {need} required")
+    if f.size < 8:
+        raise DegenerateBand(f"band {band} holds {f.size} points; at least 8 required")
     df = psd.resolution_bandwidth
-    guess = _moment_seed(f, s, df, n_peaks) if guess is None else list(guess)
-    for c in guess[0:-1:3]:
-        if not band[0] <= c <= band[1]:
-            raise ValueError(f"initial center {c} lies outside the band {band}")
+    guess = _moment_seed(f, s, df) if initial_guess is None else initial_guess
+    if not band[0] <= guess[0] <= band[1]:
+        raise ValueError(f"initial center {guess[0]} lies outside the band {band}")
 
     f0 = band[0]
     f_scale = max(band[1] - band[0], df)
     s_scale = float(np.max(s)) or 1.0
     sigma = np.maximum(s, 1e-12 * s_scale) / math.sqrt(psd.n_segments)
     # d(physical parameter)/d(solver parameter)
-    scale = np.array([f_scale, f_scale, s_scale * f_scale] * n_peaks + [s_scale])
+    scale = np.array([f_scale, f_scale, s_scale * f_scale, s_scale])
 
     def unpack(p):
-        q = p[:-1].reshape(n_peaks, 3)
-        bg = p[-1] * s_scale
-        return f0 + q[:, 0] * f_scale, q[:, 1] * f_scale, q[:, 2] * s_scale * f_scale, bg
+        return f0 + p[0] * f_scale, p[1] * f_scale, p[2] * s_scale * f_scale, p[3] * s_scale
 
     def residuals(p):
-        centers, widths, areas, bg = unpack(p)
-        model = bg
-        for center, width, area in zip(centers, widths, areas):
-            hw = 0.5 * width
-            model = model + (area / math.pi) * hw / ((f - center) ** 2 + hw**2)
-        return (model - s) / sigma
+        center, width, area, bg = unpack(p)
+        hw = 0.5 * width
+        return (bg + (area / math.pi) * hw / ((f - center) ** 2 + hw**2) - s) / sigma
 
     def jacobian(p):
-        J = np.empty((f.size, p.size))
-        for k, (center, width, area) in enumerate(zip(*unpack(p)[:3])):
-            hw = 0.5 * width
-            d = (f - center) ** 2 + hw**2
-            dc = (area / math.pi) * hw * 2.0 * (f - center) / d**2
-            dw = (area / (2.0 * math.pi)) * ((f - center) ** 2 - hw**2) / d**2
-            da = (hw / math.pi) / d
-            J[:, 3 * k] = dc * f_scale / sigma
-            J[:, 3 * k + 1] = dw * f_scale / sigma
-            J[:, 3 * k + 2] = da * s_scale * f_scale / sigma
-        J[:, -1] = s_scale / sigma
+        center, width, area, _ = unpack(p)
+        hw = 0.5 * width
+        d = (f - center) ** 2 + hw**2
+        dc = (area / math.pi) * hw * 2.0 * (f - center) / d**2
+        dw = (area / (2.0 * math.pi)) * ((f - center) ** 2 - hw**2) / d**2
+        da = (hw / math.pi) / d
+        J = np.empty((f.size, 4))
+        J[:, 0] = dc * f_scale / sigma
+        J[:, 1] = dw * f_scale / sigma
+        J[:, 2] = da * s_scale * f_scale / sigma
+        J[:, 3] = s_scale / sigma
         return J
 
-    p0 = (np.array(guess) - np.array([f0, 0.0, 0.0] * n_peaks + [0.0])) / scale
-    tiny = np.finfo(float).tiny
-    lower = [0.0, tiny, 0.0] * n_peaks + [0.0]
-    upper = [(band[1] - f0) / f_scale, np.inf, np.inf] * n_peaks + [np.inf]
+    p0 = (np.array(guess) - np.array([f0, 0.0, 0.0, 0.0])) / scale
+    lower = [0.0, np.finfo(float).tiny, 0.0, 0.0]
+    upper = [(band[1] - f0) / f_scale, np.inf, np.inf, np.inf]
     result = scipy.optimize.least_squares(
         residuals,
         np.clip(p0, lower, upper),
@@ -368,90 +352,15 @@ def _fit_peaks(psd: Psd, band: tuple[float, float], n_peaks: int, guess=None) ->
         gtol=None,
         max_nfev=200,
     )
-    centers, widths, areas, bg = unpack(result.x)
-    params = np.append(np.column_stack([centers, widths, areas]).ravel(), bg)
-    goodness = float(2.0 * result.cost / max(f.size - p0.size, 1))
-    J = result.jac
-    cov = goodness * np.linalg.pinv(J.T @ J) * np.outer(scale, scale)
-    return params, goodness, cov, result.status > 0
-
-
-def fit_lorentzian(
-    psd: Psd,
-    initial_guess: tuple[float, float, float, float] | None = None,
-    band: tuple[float, float] | None = None,
-) -> PeakFit:
-    """Weighted least-squares Lorentzian fit over the band.
-
-    Model: S(f) = background + (area/pi) * (G/2) / ((f-center)^2 + (G/2)^2),
-    G the FWHM in Hz.  ``initial_guess`` is (center_hz, fwhm_hz, area, background);
-    omitted entries are seeded from spectral moments of the band.  The solver
-    stops at relative parameter step < 1e-8 or 200 evaluations; running out
-    of budget is reported through ``converged``, not an exception.
-    """
-    if band is None:
-        band = (float(psd.frequencies[0]), float(psd.frequencies[-1]))
-    (center, width, area, bg), goodness, _, converged = _fit_peaks(
-        psd, band, 1, initial_guess
-    )
+    center, width, area, bg = unpack(result.x)
     return PeakFit(
         center=center,
         fwhm_gamma=math.pi * width,
         area=area,
         background=bg,
-        goodness=goodness,
-        converged=converged,
+        goodness=float(2.0 * result.cost / max(f.size - p0.size, 1)),
+        converged=result.status > 0,
     )
-
-
-def coupling_from_splitting(
-    psd: Psd,
-    model: SystemModel,
-    pair: tuple[str, str],
-    band: tuple[float, float] | None = None,
-) -> Estimate:
-    """Coupling rate from the normal-mode splitting of a measured spectrum,
-    g = pi*(f+ - f-).
-
-    The two peak centers come from a two-Lorentzian fit seeded by
-    centroid-split spectral moments, the SE from the fit covariance, and the
-    peaks must be separated by more than twice the resolution bandwidth and
-    more than either fitted width (otherwise UnresolvedSplitting).  The
-    default band spans the pair's mean frequency +/- (2 g + 20 max gamma)/pi
-    Hz, with g the nominal ``coupling_g``.
-    """
-    i, j = (model.index(pair[0]), model.index(pair[1]))
-    if band is None:
-        oi, oj = model.oscillators[i], model.oscillators[j]
-        center = 0.5 * (oi.omega + oj.omega) / (2.0 * math.pi)
-        try:
-            g_nom = coupling_g(model, pair).value
-        except UnknownPair:  # uncoupled pair: the band follows the linewidths alone
-            g_nom = 0.0
-        half = 2.0 * g_nom / math.pi + 20.0 * max(oi.gamma, oj.gamma) / math.pi
-        band = (
-            max(center - half, float(psd.frequencies[0])),
-            min(center + half, float(psd.frequencies[-1])),
-        )
-    params, _, cov, _ = _fit_peaks(psd, band, 2)
-    c1, w1, _, c2, w2 = params[:5]
-    separation = abs(c2 - c1)
-    df = psd.resolution_bandwidth
-
-    if separation <= 2.0 * df:
-        raise UnresolvedSplitting(
-            f"fitted peak separation {separation:.3g} Hz is within twice the "
-            f"resolution bandwidth {df:.3g} Hz"
-        )
-    if separation <= max(w1, w2):
-        raise UnresolvedSplitting(
-            f"fitted peak separation {separation:.3g} Hz does not exceed the "
-            f"fitted linewidths ({w1:.3g}, {w2:.3g} Hz)"
-        )
-
-    # SE of c2 - c1 from the local quadratic model of the fit
-    var = cov[0, 0] + cov[3, 3] - 2.0 * cov[0, 3]
-    return Estimate(value=math.pi * separation, se=math.pi * math.sqrt(max(var, 0.0)))
 
 
 def psd_table(psd: Psd) -> Table:

@@ -1,4 +1,4 @@
-"""Welch thermometry: Parseval closure, Lorentzian fits, splitting readout."""
+"""Welch thermometry: Parseval closure, Lorentzian fits."""
 
 import math
 import os
@@ -15,16 +15,11 @@ from modeheat import (
     BandOutOfRange,
     DegenerateBand,
     LargeStepWarning,
-    OscillatorSpec,
     Psd,
     RecordTooShort,
     SimConfig,
-    SystemModel,
     Trajectory,
-    UnresolvedSplitting,
     compile,
-    coupling_from_splitting,
-    coupling_g,
     fit_lorentzian,
     normal_modes,
     psd_to_csv,
@@ -33,7 +28,7 @@ from modeheat import (
     welch_psd,
 )
 
-from conftest import OMEGA_SPEC, single_oscillator, oscillator_pair
+from conftest import OMEGA_SPEC, single_oscillator
 
 
 def _synthetic_trajectory(u: np.ndarray, dt: float) -> Trajectory:
@@ -354,34 +349,23 @@ def test_off_peak_band_flags_low_capture(spec_record):
     assert bt.variance_fraction < 0.5
 
 
-# -- coupling from the normal-mode splitting ----------------------------------------
+# -- the fitter's analytic Jacobian ------------------------------------------------
 
 
-def test_splitting_psd_route_noiseless_doublet():
-    model = oscillator_pair(g_over_gamma=40.0, omega=OMEGA_SPEC, gamma=25.0)
-    g_true = coupling_g(model, ("A", "B")).value
-    f0 = OMEGA_SPEC / (2 * math.pi)
-    c1 = f0 - g_true / (2 * math.pi)
-    c2 = f0 + g_true / (2 * math.pi)
-    df = 2.0
-    f = df * np.arange(12000)
-    fwhm = 2 * 25.0 / (2 * math.pi)
-    values = _lorentz(f, c1, fwhm, 2e-19) + _lorentz(f, c2, fwhm, 1.5e-19, bg=1e-25)
-    psd = Psd(
-        frequencies=f, values=values, resolution_bandwidth=df, n_segments=256, window="hann"
-    )
-    est = coupling_from_splitting(psd, model, ("A", "B"))
-    assert est.value == pytest.approx(math.pi * (c2 - c1), rel=1e-6)
-    assert est.value == pytest.approx(g_true, rel=1e-6)
-    assert est.se >= 0.0
-
-
-def test_doublet_jacobian_matches_central_differences(monkeypatch):
-    # every column of the analytic Jacobian, the second peak's included, away
-    # from the seed: unequal peak areas and widths, nonzero background
+def test_lorentzian_jacobian_matches_central_differences(monkeypatch):
+    # every column of the analytic Jacobian away from the seed: shifted
+    # center, width and area, nonzero background
     import scipy.optimize
 
-    model, psd = _uncoupled_doublet()
+    df = 2.0
+    f = df * np.arange(12000)
+    psd = Psd(
+        frequencies=f,
+        values=_lorentz(f, 20050.0, 8.0, 2e-19, bg=1e-25),
+        resolution_bandwidth=df,
+        n_segments=256,
+        window="hann",
+    )
     calls = []
     real = scipy.optimize.least_squares
 
@@ -390,10 +374,10 @@ def test_doublet_jacobian_matches_central_differences(monkeypatch):
         return real(fun, x0, jac=jac, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "least_squares", spy)
-    coupling_from_splitting(psd, model, ("A", "B"))
+    fit_lorentzian(psd, band=(19800.0, 20300.0))
     (fun, jac, x0), = calls
-    assert x0.size == 7
-    p = x0 * np.array([1.02, 1.3, 0.8, 0.97, 0.7, 1.25, 1.0])
+    assert x0.size == 4
+    p = x0 * np.array([1.02, 1.3, 0.8, 1.0])
     p[-1] += 0.05
     J = jac(p)
     numeric = np.empty_like(J)
@@ -405,89 +389,6 @@ def test_doublet_jacobian_matches_central_differences(monkeypatch):
     # entries near a column's zero crossing are held to 1e-6 of its largest entry
     scale = np.max(np.abs(J), axis=0)
     np.testing.assert_allclose(J / scale, numeric / scale, rtol=1e-6, atol=1e-6)
-
-
-def test_splitting_psd_route_on_simulated_doublet():
-    model = oscillator_pair(g_over_gamma=40.0, omega=OMEGA_SPEC, gamma=25.0)
-    cfg = SimConfig(dt=2e-5, n_steps=800_000, seed=43, allow_large_step=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LargeStepWarning)
-        traj = simulate(model, cfg)[0]
-    psd = welch_psd(traj, "A", model=model)
-    est = coupling_from_splitting(psd, model, ("A", "B"))
-    g_true = coupling_g(model, ("A", "B")).value
-    assert est.value == pytest.approx(g_true, rel=0.05)
-    assert est.se > 0.0
-
-
-def _uncoupled_doublet(split_hz=100.0, gamma=25.0):
-    """Two detuned, uncoupled oscillators and a noiseless PSD of their doublet."""
-    f0 = OMEGA_SPEC / (2 * math.pi)
-    lo, hi = f0 - 0.5 * split_hz, f0 + 0.5 * split_hz
-    model = SystemModel(
-        oscillators=(
-            OscillatorSpec("A", 1e-12, 2 * math.pi * lo, gamma, 300.0),
-            OscillatorSpec("B", 1e-12, 2 * math.pi * hi, gamma, 300.0),
-        )
-    )
-    df = 2.0
-    f = df * np.arange(12000)
-    fwhm = 2 * gamma / (2 * math.pi)
-    values = _lorentz(f, lo, fwhm, 2e-19) + _lorentz(f, hi, fwhm, 1.5e-19, bg=1e-25)
-    psd = Psd(
-        frequencies=f, values=values, resolution_bandwidth=df, n_segments=256, window="hann"
-    )
-    return model, psd
-
-
-def test_splitting_psd_route_default_band_on_uncoupled_pair():
-    # no coupling spring: the default band falls back to center +- 20 gamma/pi
-    model, psd = _uncoupled_doublet(split_hz=100.0)
-    est = coupling_from_splitting(psd, model, ("A", "B"))
-    assert est.value == pytest.approx(math.pi * 100.0, rel=1e-6)
-
-
-def test_splitting_psd_route_does_not_hide_unexpected_errors(monkeypatch):
-    model, psd = _uncoupled_doublet()
-
-    def broken(model, pair):
-        raise RuntimeError("bug")
-
-    monkeypatch.setattr(spectra, "coupling_g", broken)
-    with pytest.raises(RuntimeError, match="bug"):
-        coupling_from_splitting(psd, model, ("A", "B"))
-
-
-def test_splitting_psd_route_unresolved_when_peaks_overlap():
-    # separation g/pi ~ 4 Hz against ~8 Hz linewidths: one merged bump
-    model = oscillator_pair(g_over_gamma=0.5, omega=OMEGA_SPEC, gamma=25.0)
-    g_true = coupling_g(model, ("A", "B")).value
-    f0 = OMEGA_SPEC / (2 * math.pi)
-    df = 2.0
-    f = f0 - 400.0 + df * np.arange(400)
-    fwhm = 2 * 25.0 / (2 * math.pi)
-    values = _lorentz(f, f0 - g_true / (2 * math.pi), fwhm, 2e-19) + _lorentz(
-        f, f0 + g_true / (2 * math.pi), fwhm, 2e-19
-    )
-    psd = Psd(
-        frequencies=f, values=values, resolution_bandwidth=df, n_segments=64, window="hann"
-    )
-    with pytest.raises(UnresolvedSplitting):
-        coupling_from_splitting(psd, model, ("A", "B"))
-
-
-def test_splitting_psd_route_degenerate_band():
-    model = oscillator_pair(g_over_gamma=40.0)
-    f = 1.0 * np.arange(8)
-    psd = Psd(
-        frequencies=f,
-        values=np.ones_like(f),
-        resolution_bandwidth=1.0,
-        n_segments=4,
-        window="hann",
-    )
-    with pytest.raises(DegenerateBand):
-        coupling_from_splitting(psd, model, ("A", "B"), band=(0.0, 7.0))
 
 
 # -- export -------------------------------------------------------------------------

@@ -253,6 +253,32 @@ def test_normal_mode_splitting_closed_form():
     assert 0.5 * (w[1] - w[0]) == pytest.approx(coupling_g(model, ("A", "B")).value, rel=0.01)
 
 
+@pytest.mark.parametrize("g_over_gamma", [0.3, 1.0, 10.0, 100.0])
+def test_equal_gamma_normal_modes_match_the_stiffness_closed_form(g_over_gamma):
+    # with one damping rate for every oscillator the drift eigenvalues are
+    # exactly -gamma +- i sqrt(kappa_j - gamma^2), kappa_j the eigenvalues of
+    # the mass-weighted stiffness M^-1/2 K M^-1/2; an unequal-mass pair is
+    # swept through its avoided crossing
+    gamma, m_a, m_b = 10.0, 1e-12, 2.5e-12
+    for detuning in np.linspace(-0.01, 0.01, 21):
+        w_a, w_b = OMEGA_FAST, OMEGA_FAST * (1.0 + detuning)
+        k_c = 2.0 * g_over_gamma * gamma * math.sqrt(m_a * m_b * w_a * w_b)
+        model = SystemModel(
+            oscillators=(
+                OscillatorSpec("A", m_a, w_a, gamma, 300.0),
+                OscillatorSpec("B", m_b, w_b, gamma, 300.0),
+            ),
+            couplings=(CouplingSpec(("A", "B"), k_c),),
+        )
+        stiffness = np.array([[m_a * w_a**2 + k_c, -k_c], [-k_c, m_b * w_b**2 + k_c]])
+        root_m = np.sqrt([m_a, m_b])
+        kappa = np.linalg.eigvalsh(stiffness / np.outer(root_m, root_m))
+        nm = normal_modes(compile(model))
+        tol = 1e-12 * math.sqrt(kappa[-1])  # max |lambda| = sqrt(max kappa)
+        np.testing.assert_allclose(nm.frequencies, np.sqrt(kappa - gamma**2), rtol=0, atol=tol)
+        np.testing.assert_allclose(nm.linewidths, 2.0 * gamma, rtol=0, atol=tol)
+
+
 def test_solve_then_normal_modes_factor_the_drift_once(monkeypatch):
     schur, eig = scipy.linalg.schur, np.linalg.eig
     factored, eigen_inputs = [], []
