@@ -27,6 +27,10 @@ from .tables import write_csv, write_json
 
 __all__ = ["main", "run"]
 
+# BLAS and OpenMP thread settings, read once when numpy loads; the integrator's
+# small products run slower on more than one thread, so the manifest records them.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def run(
     config_path: str | Path,
@@ -97,6 +101,7 @@ def run(
         "config_sha256": hashlib.sha256(raw).hexdigest(),
         "seed": int(resolved_seed),
         "threads": int(threads),
+        "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
         "versions": {
             "modeheat": __version__,
             "python": sys.version.split()[0],

@@ -14,9 +14,16 @@ product of E^0..E^7 scans inside every block, the block ends are scanned
 the same way with E^8 (recursively), and one product adds each block's
 incoming state back.  It equals the step-by-step loop up to summation order.
 
+Members are integrated in batches: the scan carries a leading member axis,
+and each product is a stacked matmul, one GEMM per member of the same shape
+as for a lone member.  The chunk length fixes each member's summation order;
+the batch size does not enter it, so every member's bits are those of a
+member integrated alone.  All members write into one (members, 2N, records)
+array, so each coordinate series the reductions read is contiguous.
+
 Noise comes from counter-based per-member streams (Philox keyed by
 (seed, ensemble_index)), so every trajectory is bit-reproducible on a given
-install regardless of how members are scheduled across threads.
+install regardless of how members are batched or scheduled across threads.
 
 Standard errors account for sample autocorrelation via the integrated
 autocorrelation time (windowed sum of the ensemble-averaged autocorrelation
@@ -63,9 +70,14 @@ __all__ = [
 
 MAX_STEP_PRODUCT = 0.05
 # Steps per scan and per noise draw.  The chunk length fixes the floating-point
-# summation order of the scan, so it is part of the bit-reproducibility
-# contract: the same install gives the same bits at any thread count and stride.
+# summation order of each member's scan, so it is part of the bit-reproducibility
+# contract: the same install gives the same bits at any thread count, stride
+# and batch size.
 _CHUNK = 1 << 16
+# Member-steps per batch: max(1, _BATCH_STEPS // chunk length) members are
+# integrated together.  It only bounds the batch's noise and scan temporaries;
+# no bit depends on it.
+_BATCH_STEPS = 1 << 14
 # Block length of the two-level scan; like the chunk length it fixes the
 # summation order, so it is a constant too.
 _BLOCK = 8
@@ -120,9 +132,12 @@ class Trajectory:
     """Recorded samples of one ensemble member.
 
     ``states`` has shape (n_records, 2N) in the (u_1, v_1, u_2, v_2, ...)
-    ordering; ``times`` are absolute simulation times of the records (the
-    burn-in interval is already excluded).  ``fingerprint`` ties the data to
-    the generating model so estimators refuse mismatched inputs.
+    ordering.  From ``simulate`` it is a Fortran-ordered view into the
+    ensemble's shared (members, 2N, n_records) record, so each coordinate
+    series ``states[:, d]`` is contiguous.  ``times`` are absolute simulation
+    times of the records (the burn-in interval is already excluded).
+    ``fingerprint`` ties the data to the generating model so estimators
+    refuse mismatched inputs.
     """
 
     times: np.ndarray
@@ -219,33 +234,36 @@ def _scan_operators(E: np.ndarray, m: int) -> list[tuple[np.ndarray, np.ndarray]
 
 
 def _block_scan(W: np.ndarray, ops, level: int = 0) -> np.ndarray:
-    """Inclusive scan s_k = sum_{j<=k} P^(k-j) w_j of the rows of W, with P
-    the propagator of ``ops[level]``."""
-    m, n = W.shape
+    """Inclusive scan s_k = sum_{j<=k} P^(k-j) w_j along axis 1 of W, one
+    (m, n) series per member on axis 0, with P the propagator of ``ops[level]``."""
+    G, m, n = W.shape
     if m == 1:
         return W
     T, F = ops[level]
     L = T.shape[0] // n
     B = -(-m // L)
     if B * L != m:
-        W = np.concatenate([W, np.zeros((B * L - m, n))])
-    S = W.reshape(B, L * n) @ T
-    carries = _block_scan(S[:, -n:], ops, level + 1)
-    S[1:] += carries[:-1] @ F
-    return S.reshape(B * L, n)[:m]
+        W = np.concatenate([W, np.zeros((G, B * L - m, n))], axis=1)
+    S = W.reshape(G, B, L * n) @ T
+    carries = _block_scan(S[:, :, -n:], ops, level + 1)
+    S[:, 1:] += carries[:, :-1] @ F
+    return S.reshape(G, B * L, n)[:, :m]
 
 
 def _advance_chunk(E, ops, Lq, Z, x):
-    """States after each of the len(Z) steps x_{k+1} = E x_k + Lq z_k from x.
+    """States after each of the m steps x_{k+1} = E x_k + Lq z_k, per member.
 
-    Two-level block scan over w_k = Lq z_k (with E x folded into w_0): one
-    (m/L, L n) @ (L n, L n) block-Toeplitz product scans within blocks of L
+    Z is (G, m, channels) and x the (G, n) start states.  Two-level block
+    scan over w_k = Lq z_k (with E x folded into w_0): one (m/L, L n) @
+    (L n, L n) block-Toeplitz product per member scans within blocks of L
     steps, the L-times-coarser series of block ends is scanned the same way
     with E^L, and one (m/L, n) @ (n, L n) product adds each block's incoming
-    state back.  ``ops`` comes from ``_scan_operators(E, ...)``.
+    state back.  ``ops`` comes from ``_scan_operators(E, ...)``.  The stacked
+    products are one BLAS call per member, of the shape a lone member gets
+    (E x stays a matrix-vector product), so the batch size moves no bit.
     """
     W = Z @ Lq.T
-    W[0] += E @ x
+    W[:, 0] += (E @ x[:, :, None])[:, :, 0]
     return _block_scan(W, ops)
 
 
@@ -286,7 +304,8 @@ def _one_step_operators(model: SystemModel, config: SimConfig):
     mats = compile(model)
     M, D = mats.drift, mats.diffusion
     n = M.shape[0]
-    decay = float(np.max(np.abs(np.linalg.eigvals(M).real))) * config.dt
+    # the Schur factor of the scaled drift is similar to M, and its diagonal holds Re(lambda)
+    decay = float(np.max(np.abs(np.diag(mats.schur[1])))) * config.dt
     k = max(0, math.ceil(math.log2(decay))) if decay > 0 else 0
     _, e = math.frexp(1024.0 * np.linalg.norm(D, 1) / np.linalg.norm(M, 1))
     s = math.ldexp(1.0, max(e, 0))
@@ -321,41 +340,49 @@ def _resolve_burn_in(model: SystemModel, config: SimConfig) -> int:
     return burn_in
 
 
-def _integrate_member(E, ops, Lq, config: SimConfig, burn_in: int, index: int) -> np.ndarray:
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([config.seed, index], dtype=np.uint64))
-    )
-    n = E.shape[0]
+def _integrate_batch(E, ops, Lq, config: SimConfig, burn_in: int, first: int, rec) -> None:
+    """Integrate members first, first + 1, ... into ``rec``, their
+    (G, n, n_records) slice of the ensemble record."""
+    G = rec.shape[0]
+    rngs = [
+        np.random.Generator(
+            np.random.Philox(key=np.array([config.seed, first + g], dtype=np.uint64))
+        )
+        for g in range(G)
+    ]
     nchan = Lq.shape[1]
     stride = config.record_stride
-    rec = np.empty((config.n_steps // stride, n))
-    x = np.zeros(n)
+    x = np.zeros((G, E.shape[0]))
     total = burn_in + config.n_steps
     k0 = 0
     while k0 < total:
         m = min(_CHUNK, total - k0)
-        Z = rng.standard_normal(size=(m, nchan))
+        Z = np.empty((G, m, nchan))
+        for rng, z in zip(rngs, Z):
+            rng.standard_normal(out=z)
         states = _advance_chunk(E, ops, Lq, Z, x)
         # record j is step burn_in + stride*(j+1); this chunk holds steps k0+1..k0+m
         j0 = max(0, (k0 - burn_in) // stride)
         j1 = max(0, (k0 + m - burn_in) // stride)
-        rec[j0:j1] = states[burn_in + stride * (j0 + 1) - k0 - 1 :: stride]
-        x = states[-1]
+        picked = states[:, burn_in + stride * (j0 + 1) - k0 - 1 :: stride]
+        rec[:, :, j0:j1] = picked.transpose(0, 2, 1)
+        x = states[:, -1]
         k0 += m
-        if not np.all(np.isfinite(x)):
+        finite = np.all(np.isfinite(x), axis=1)
+        if not np.all(finite):
             raise NonFiniteState(
-                f"state diverged near step {k0} of member {index}; the one-step propagator "
-                "amplifies the state instead of damping it (check the feedback gains)"
+                f"state diverged near step {k0} of member {first + int(np.argmin(finite))}; "
+                "the one-step propagator amplifies the state instead of damping it "
+                "(check the feedback gains)"
             )
-    return rec
 
 
 def simulate(model: SystemModel, config: SimConfig, threads: int = 1) -> list[Trajectory]:
     """Integrate the Langevin system; one Trajectory per ensemble member.
 
     Deterministic: member k depends only on (model, config, seed, k), never
-    on thread count or scheduling, so reruns are bit-identical.  Raises
-    StepTooLarge when dt*omega_max > 0.05 unless config.allow_large_step.
+    on thread count, batching or scheduling, so reruns are bit-identical.
+    Raises StepTooLarge when dt*omega_max > 0.05 unless config.allow_large_step.
     """
     omega_max = max(o.omega for o in model.oscillators)
     if config.dt * omega_max > MAX_STEP_PRODUCT:
@@ -373,28 +400,36 @@ def simulate(model: SystemModel, config: SimConfig, threads: int = 1) -> list[Tr
 
     E, Lq = _one_step_operators(model, config)
     burn_in = _resolve_burn_in(model, config)
-    ops = _scan_operators(E, min(_CHUNK, burn_in + config.n_steps))
+    chunk = min(_CHUNK, burn_in + config.n_steps)
+    ops = _scan_operators(E, chunk)
     fingerprint = model.fingerprint()
     n_rec = config.n_steps // config.record_stride
     times = config.dt * (burn_in + config.record_stride * (1.0 + np.arange(n_rec)))
+    record = np.empty((config.ensemble_size, E.shape[0], n_rec))
+    batch = max(1, _BATCH_STEPS // chunk)
 
-    def build(index: int) -> Trajectory:
-        rec = _integrate_member(E, ops, Lq, config, burn_in, index)
-        return Trajectory(
+    def integrate(first: int) -> None:
+        _integrate_batch(E, ops, Lq, config, burn_in, first, record[first : first + batch])
+
+    starts = range(0, config.ensemble_size, batch)
+    if threads > 1 and len(starts) > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(integrate, starts))
+    else:
+        for first in starts:
+            integrate(first)
+    return [
+        Trajectory(
             times=times,
-            states=rec,
+            states=record[i].T,
             labels=model.labels,
             fingerprint=fingerprint,
             seed=config.seed,
-            ensemble_index=index,
+            ensemble_index=i,
             dt=config.dt,
         )
-
-    indices = range(config.ensemble_size)
-    if threads > 1 and config.ensemble_size > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(build, indices))
-    return [build(i) for i in indices]
+        for i in range(config.ensemble_size)
+    ]
 
 
 # -- autocorrelation-aware reductions -------------------------------------------

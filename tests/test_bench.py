@@ -1,4 +1,4 @@
-"""The timing harness: its exact-route and Welch sections and the file it writes."""
+"""The timing harness: its exact-route, Welch and simulate sections and the file it writes."""
 
 import importlib.util
 import json
@@ -41,9 +41,21 @@ def test_welch_times_and_traces_every_record_length():
         assert 4096 * 8 / 1e6 < row["peak_mb"] < 1.0
 
 
+def test_simulate_times_every_dimension_and_ensemble_size():
+    section = bench.simulate_times(dims=(2, 4), members=(1, 3), repeats=1, n_steps=50)
+    assert list(section["by_dim"]) == ["2", "4"]
+    for rows in section["by_dim"].values():
+        assert list(rows) == ["1", "3"]
+        for row in rows.values():
+            assert set(row) == {"us_per_member_step", "ensemble_stats_ms"}
+            assert row["us_per_member_step"] >= 0 and row["ensemble_stats_ms"] >= 0
+
+
 def test_main_writes_machine_and_sections(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "CHAIN_SIZES", (2,))
     monkeypatch.setattr(bench, "WELCH_SAMPLES", (4096,))
+    monkeypatch.setattr(bench, "SIM_DIMS", (2,))
+    monkeypatch.setattr(bench, "SIM_MEMBERS", (2,))
     out = tmp_path / "bench.json"
     assert bench.main(["--out", str(out), "--seeds", "1", "--repeats", "1"]) == 0
     doc = json.loads(out.read_text())
@@ -51,3 +63,5 @@ def test_main_writes_machine_and_sections(tmp_path, monkeypatch):
     assert set(doc["machine"]["threads"]) == set(bench.THREAD_VARS)
     assert list(doc["exact_route"]["by_n"]) == ["2"]
     assert list(doc["welch"]["by_samples"]) == ["4096"]
+    assert list(doc["simulate"]["by_dim"]) == ["2"]
+    assert list(doc["simulate"]["by_dim"]["2"]) == ["2"]

@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -201,6 +202,8 @@ def test_cli_happy_path_writes_manifest_and_verdict(tmp_path, capsys):
     assert manifest["experiment"] == "paper_numbers"
     assert manifest["seed"] == 99
     assert manifest["rng"] == modeheat.RNG_ALGORITHM
+    thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    assert manifest["thread_env"] == {var: os.environ.get(var) for var in thread_vars}
     assert manifest["versions"]["modeheat"] == modeheat.__version__
     assert manifest["versions"]["python"].startswith(str(sys.version_info[0]))
     import hashlib

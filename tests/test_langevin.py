@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -66,6 +67,55 @@ def test_thread_count_does_not_change_results(fast_model):
     for ta, tb in zip(serial, threaded):
         assert ta.ensemble_index == tb.ensemble_index
         assert np.array_equal(ta.states, tb.states)
+
+
+def test_batch_size_does_not_change_results(monkeypatch):
+    # three 4000-step chunks per member carry each state across chunk edges,
+    # and give batches of 4 members: 11 members end on a partial batch.  A
+    # pair, because the one-oscillator carry E x rounds alike in any product.
+    model = oscillator_pair()
+    monkeypatch.setattr(langevin, "_CHUNK", 4000)
+    cfg = SimConfig(
+        dt=DT_FAST, n_steps=11900, seed=5, burn_in=100, ensemble_size=11, allow_large_step=True
+    )
+    assert langevin._BATCH_STEPS // 4000 == 4
+    batched = _quiet_simulate(model, cfg)
+    monkeypatch.setattr(langevin, "_BATCH_STEPS", 1)
+    single = _quiet_simulate(model, cfg)
+    for ta, tb in zip(batched, single, strict=True):
+        assert ta.ensemble_index == tb.ensemble_index
+        assert np.array_equal(ta.states, tb.states)
+
+
+def test_thread_count_does_not_change_results_across_batches(monkeypatch):
+    # batches of 2 members: 7 members make 4 batches for the pool to spread
+    model = oscillator_pair()
+    cfg = SimConfig(
+        dt=DT_FAST, n_steps=400, seed=11, burn_in=100, ensemble_size=7, allow_large_step=True
+    )
+    monkeypatch.setattr(langevin, "_BATCH_STEPS", 2 * 500)
+    serial = _quiet_simulate(model, cfg, threads=1)
+    # more threads than cores, switching often: each batch writes only its own
+    # slice of the shared record
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = _quiet_simulate(model, cfg, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    for ta, tb in zip(serial, threaded, strict=True):
+        assert ta.ensemble_index == tb.ensemble_index
+        assert np.array_equal(ta.states, tb.states)
+
+
+def test_coordinate_series_are_contiguous(fast_model):
+    cfg = SimConfig(
+        dt=DT_FAST, n_steps=300, seed=2, ensemble_size=3, record_stride=2, allow_large_step=True
+    )
+    for t in _quiet_simulate(fast_model, cfg):
+        assert t.states.shape == (150, 2)
+        for d in range(t.states.shape[1]):
+            assert t.states[:, d].flags.c_contiguous
 
 
 def test_members_differ_from_each_other(fast_model):
@@ -163,6 +213,27 @@ def test_scan_carry_path_matches_reference_loop(
     assert chunk >= 2 * langevin._BLOCK
     monkeypatch.setattr(langevin, "_CHUNK", chunk)
     _assert_scan_matches_loop(model, scheme, burn_in, stride, monkeypatch)
+
+
+@pytest.mark.parametrize("scheme", ["exact", "euler"])
+def test_every_batched_member_matches_its_reference_loop(scheme, monkeypatch):
+    # 17-step chunks and batches of 2: 5 members over 4 chunks, the last batch partial
+    monkeypatch.setattr(langevin, "_one_step_operators", _OPERATORS[scheme])
+    monkeypatch.setattr(langevin, "_CHUNK", 17)
+    monkeypatch.setattr(langevin, "_BATCH_STEPS", 2 * 17)
+    cfg = SimConfig(
+        dt=1e-3, n_steps=51, seed=9, burn_in=7, ensemble_size=5, record_stride=3,
+        allow_large_step=True,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        trajs = simulate(_SLOW_PAIR, cfg)
+        for k, t in enumerate(trajs):
+            loop = _reference_loop(_SLOW_PAIR, cfg, index=k)
+            assert t.ensemble_index == k
+            assert t.states.shape == loop.shape == (17, 4)
+            scale = np.max(np.abs(loop), axis=0)
+            assert np.all(np.abs(t.states - loop) <= 1e-12 * scale)
 
 
 def test_record_stride_subsamples_the_stride_one_stream(fast_model):

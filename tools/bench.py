@@ -25,6 +25,12 @@ Sections:
   uses.  Each entry is the least process CPU time of ``--repeats`` calls, in
   ms, and the tracemalloc peak of one further call, in MB: the estimator's
   own working set, on top of the record.
+- ``simulate``: ``simulate`` and ``ensemble_stats`` by state dimension 2N
+  and ensemble size, on the chain of N oscillators that
+  ``chain_doc(random.Random(0), N)`` draws, at the ``ensemble`` workload's
+  step (dt = 5.0025 ms, 2000 recorded steps after 200 burn-in steps).  Each
+  entry is the least process CPU time of ``--repeats`` calls: ``simulate``
+  in µs per member-step (burn-in included), ``ensemble_stats`` in ms.
 """
 
 from __future__ import annotations
@@ -49,6 +55,11 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CHAIN_SIZES = (2, 5, 10, 20, 50, 100, 200)
 WELCH_SAMPLES = (1 << 17, 1 << 20, 1_600_000)
 WELCH_SEED = 1
+SIM_DIMS = (2, 4, 8)
+SIM_MEMBERS = (1, 16, 200)
+SIM_STEPS = 2000
+SIM_BURN_IN = 200
+SIM_DT = 5.0025e-3
 
 if __name__ == "__main__":
     # OpenBLAS reads its thread count once, when numpy loads.
@@ -61,7 +72,7 @@ import scipy  # noqa: E402
 
 from modeheat.config import load_config  # noqa: E402
 from modeheat.errors import LargeStepWarning  # noqa: E402
-from modeheat.langevin import SimConfig, simulate  # noqa: E402
+from modeheat.langevin import SimConfig, ensemble_stats, simulate  # noqa: E402
 from modeheat.model import compile, model_from_dict  # noqa: E402
 from modeheat.spectra import welch_psd  # noqa: E402
 from modeheat.steady import normal_modes, steady_state  # noqa: E402
@@ -195,6 +206,34 @@ def welch(samples, seed: int, repeats: int) -> dict:
     }
 
 
+def simulate_times(dims, members, repeats: int, n_steps: int = SIM_STEPS) -> dict:
+    """simulate µs per member-step and ensemble_stats ms, by 2N and ensemble size."""
+    by_dim = {}
+    for dim in dims:
+        model = model_from_dict(inputs.chain_doc(random.Random(0), dim // 2))
+        rows = {}
+        for size in members:
+            sim = SimConfig(
+                dt=SIM_DT, n_steps=n_steps, seed=1, burn_in=SIM_BURN_IN,
+                ensemble_size=size, allow_large_step=True,
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LargeStepWarning)
+                sim_s = cpu_seconds(lambda: None, lambda _: simulate(model, sim), repeats)
+                trajs = simulate(model, sim)
+            rows[str(size)] = {
+                "us_per_member_step": 1e6 * sim_s / (size * (SIM_BURN_IN + n_steps)),
+                "ensemble_stats_ms": 1e3 * cpu_seconds(lambda: trajs, ensemble_stats, repeats),
+            }
+        by_dim[str(dim)] = rows
+    return {
+        "timer": f"process CPU time, least of {repeats} calls",
+        "models": "perfbench/inputs.py chain_doc(random.Random(0), 2N / 2)",
+        "steps": f"dt = {SIM_DT} s, {SIM_BURN_IN} burn-in + {n_steps} recorded steps per member",
+        "by_dim": by_dim,
+    }
+
+
 def main(argv=None) -> int:
     today = datetime.date.today().isoformat()
     parser = argparse.ArgumentParser(
@@ -212,6 +251,7 @@ def main(argv=None) -> int:
         "machine": machine(),
         "exact_route": exact_route(CHAIN_SIZES, args.seeds, args.repeats),
         "welch": welch(WELCH_SAMPLES, WELCH_SEED, args.repeats),
+        "simulate": simulate_times(SIM_DIMS, SIM_MEMBERS, args.repeats),
     }
     print(f"{'N':>5}" + "".join(f"{key + ' s':>24}" for key in ROUTES))
     for n, times in result["exact_route"]["by_n"].items():
@@ -220,6 +260,13 @@ def main(argv=None) -> int:
     print(f"{'samples':>9}{'segments':>10}{'welch ms':>10}{'peak MB':>10}")
     for n, row in result["welch"]["by_samples"].items():
         print(f"{n:>9}{row['n_segments']:>10}{row['cpu_ms']:>10.1f}{row['peak_mb']:>10.1f}")
+    print(f"{'2N':>4}{'members':>9}{'us/member-step':>16}{'stats ms':>10}")
+    for dim, rows in result["simulate"]["by_dim"].items():
+        for size, row in rows.items():
+            print(
+                f"{dim:>4}{size:>9}{row['us_per_member_step']:>16.3f}"
+                f"{row['ensemble_stats_ms']:>10.2f}"
+            )
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0
