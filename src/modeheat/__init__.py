@@ -30,17 +30,16 @@ from .errors import (
 )
 from .fluxlab import (
     BulkComparison,
-    FluxReport,
     bulk_delta_T,
     compare_mode_vs_bulk,
     comparison_to_json,
     comparison_to_text,
     flux_from_gap,
     flux_gap_slope,
-    flux_report,
     gap_from_flux,
 )
 from .langevin import (
+    Ensemble,
     EnsembleStats,
     Estimate,
     McTemperatures,
@@ -50,8 +49,6 @@ from .langevin import (
     ensemble_stats,
     mode_temperature_mc,
     simulate,
-    trajectory_to_binary,
-    trajectory_to_csv,
 )
 from .model import (
     CouplingSpec,
@@ -112,6 +109,7 @@ __all__ = [
     "steady_state",
     # langevin
     "SimConfig",
+    "Ensemble",
     "Trajectory",
     "EnsembleStats",
     "Estimate",
@@ -120,8 +118,6 @@ __all__ = [
     "ensemble_stats",
     "mode_temperature_mc",
     "direct_heat_flux_mc",
-    "trajectory_to_csv",
-    "trajectory_to_binary",
     # spectra
     "Psd",
     "PeakFit",
@@ -131,13 +127,11 @@ __all__ = [
     "fit_lorentzian",
     "psd_to_csv",
     # fluxlab
-    "FluxReport",
     "BulkComparison",
     "flux_gap_slope",
     "flux_from_gap",
     "gap_from_flux",
     "bulk_delta_T",
-    "flux_report",
     "compare_mode_vs_bulk",
     "comparison_to_json",
     "comparison_to_text",

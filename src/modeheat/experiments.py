@@ -132,13 +132,13 @@ def _ensemble(cfg: ExperimentConfig, seed: int, threads: int):
     temperatures, with the two checks every ensemble experiment opens with."""
     model = cfg.model
     ss = steady_state(model)
-    trajs = simulate(model, _sim_from_config(cfg.sim, seed), threads)
-    mc = mode_temperature_mc(ensemble_stats(trajs), model)
+    ens = simulate(model, _sim_from_config(cfg.sim, seed), threads)
+    mc = mode_temperature_mc(ensemble_stats(ens), model)
     checks = [
         Check("lyapunov_residual", ss.residual <= 1e-10, f"residual={ss.residual:.3e}"),
         _balance_check(ss),
     ]
-    return model, ss, trajs, mc, checks
+    return model, ss, ens, mc, checks
 
 
 # -- equipartition ---------------------------------------------------------------
@@ -182,13 +182,13 @@ def run_equipartition(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome
 
 
 def run_cold_damping(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
-    model, ss, trajs, mc, checks = _ensemble(cfg, seed, threads)
+    model, ss, ens, mc, checks = _ensemble(cfg, seed, threads)
     rows = []
     for i, o in enumerate(model.oscillators):
         fb = model.feedback(o.label)
         gamma_fb = -fb.velocity_gain / (2.0 * o.mass)
         predicted = o.bath_temperature * o.gamma / (o.gamma + gamma_fb)
-        flux = direct_heat_flux_mc(trajs, model, o.label)
+        flux = direct_heat_flux_mc(ens, model, o.label)
         rows.append(
             {
                 "oscillator": o.label,
@@ -237,12 +237,12 @@ def run_cold_damping(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
 def run_coupled_transfer(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
     if len(cfg.model.oscillators) != 2:
         raise ConfigError("coupled_transfer expects exactly two oscillators")
-    model, ss, trajs, mc, checks = _ensemble(cfg, seed, threads)
+    model, ss, ens, mc, checks = _ensemble(cfg, seed, threads)
     checks.append(_check_rel("antisymmetry_lyap", ss.bath_flux[0], -ss.bath_flux[1], 1e-10))
     rows = []
     direct = []
     for i, o in enumerate(model.oscillators):
-        flux_direct = direct_heat_flux_mc(trajs, model, o.label)
+        flux_direct = direct_heat_flux_mc(ens, model, o.label)
         direct.append(flux_direct)
         p_gap = flux_from_gap(o.gamma, o.bath_temperature, mc.kinetic[i], model.boltzmann)
         p_gap_se = flux_gap_slope(o.gamma, model.boltzmann) * mc.kinetic_se[i]
@@ -307,7 +307,7 @@ def run_spectrum(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
     fit = fit_lorentzian(psd, band=temp.band)
 
     record = traj.position(o.label)
-    variance = float(np.mean((record - np.mean(record)) ** 2))
+    variance = float(np.var(record))
     area_full = psd.area()
     f0 = o.omega / (2.0 * math.pi)
     t_from_fit_area = model.kelvin_per_moment[0] * fit.area
@@ -479,20 +479,20 @@ def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) ->
         p_lyap = ss.bath_flux[ia]
         balance = _rel(*_energy_imbalance(ss))
 
-        trajs = simulate(model, sim, threads)
-        stats = ensemble_stats(trajs)
+        ens = simulate(model, sim, threads)
+        stats = ensemble_stats(ens)
         mc = mode_temperature_mc(stats, model)
         t_mc, t_mc_se = mc.positional[ia], mc.positional_se[ia]
         p_gap = flux_from_gap(
             osc_a.gamma, osc_a.bath_temperature, mc.kinetic[ia], model.boltzmann
         )
         p_gap_se = flux_gap_slope(osc_a.gamma, model.boltzmann) * mc.kinetic_se[ia]
-        direct = direct_heat_flux_mc(trajs, model, a_label)
+        direct = direct_heat_flux_mc(ens, model, a_label)
 
-        psd_trajs = simulate(model, psd_sim, threads)
+        psd_ens = simulate(model, psd_sim, threads)
         temps = [
             temperature_from_area(welch_psd(tr, a_label, model=model), model, a_label)
-            for tr in psd_trajs
+            for tr in psd_ens
         ]
         t_psd = float(np.mean([t.value for t in temps]))
         if len(temps) > 1:
@@ -501,8 +501,8 @@ def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) ->
             t_psd_se = temps[0].se
 
         equal_model = _with_equal_baths(model, osc_a.bath_temperature)
-        equal_trajs = simulate(equal_model, sim, threads)
-        equal_direct = direct_heat_flux_mc(equal_trajs, equal_model, a_label)
+        equal_ens = simulate(equal_model, sim, threads)
+        equal_direct = direct_heat_flux_mc(equal_ens, equal_model, a_label)
 
         rows.append(
             {

@@ -20,32 +20,15 @@ from .constants import BOLTZMANN
 from .errors import ZeroDamping
 
 __all__ = [
-    "FluxReport",
     "BulkComparison",
     "flux_gap_slope",
     "flux_from_gap",
     "gap_from_flux",
     "bulk_delta_T",
-    "flux_report",
     "compare_mode_vs_bulk",
     "comparison_to_json",
     "comparison_to_text",
 ]
-
-
-@dataclass(frozen=True)
-class FluxReport:
-    """One channel's flux with the quantities that produced it.
-
-    ``direction`` is "bath_to_mode" when the bath is at least as hot as the
-    mode (flux >= 0) and "mode_to_bath" otherwise.
-    """
-
-    flux: float
-    gamma: float
-    bath_temperature: float
-    mode_temperature: float
-    direction: str
 
 
 @dataclass(frozen=True)
@@ -105,18 +88,6 @@ def bulk_delta_T(P: float, R_th: float) -> float:
     if R_th <= 0:
         raise ValueError(f"thermal resistance must be > 0, got {R_th}")
     return P * R_th
-
-
-def flux_report(gamma: float, T: float, T_mode: float) -> FluxReport:
-    """Bundle the flux-gap evaluation with its inputs and direction label."""
-    P = flux_from_gap(gamma, T, T_mode)
-    return FluxReport(
-        flux=P,
-        gamma=gamma,
-        bath_temperature=T,
-        mode_temperature=T_mode,
-        direction="bath_to_mode" if T >= T_mode else "mode_to_bath",
-    )
 
 
 def compare_mode_vs_bulk(

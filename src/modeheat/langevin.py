@@ -19,7 +19,8 @@ and each product is a stacked matmul, one GEMM per member of the same shape
 as for a lone member.  The chunk length fixes each member's summation order;
 the batch size does not enter it, so every member's bits are those of a
 member integrated alone.  All members write into one (members, 2N, records)
-array, so each coordinate series the reductions read is contiguous.
+array, the ``Ensemble``'s record: each member's coordinate series is a
+contiguous row, and the reductions read blocks of members from it in place.
 
 Noise comes from counter-based per-member streams (Philox keyed by
 (seed, ensemble_index)), so every trajectory is bit-reproducible on a given
@@ -37,8 +38,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import operator
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +54,10 @@ from .errors import (
     StepTooLarge,
 )
 from .model import SystemModel, compile
-from .tables import Table, write_csv
 
 __all__ = [
     "SimConfig",
+    "Ensemble",
     "Trajectory",
     "EnsembleStats",
     "Estimate",
@@ -64,8 +66,6 @@ __all__ = [
     "ensemble_stats",
     "mode_temperature_mc",
     "direct_heat_flux_mc",
-    "trajectory_to_csv",
-    "trajectory_to_binary",
 ]
 
 MAX_STEP_PRODUCT = 0.05
@@ -81,7 +81,7 @@ _BATCH_STEPS = 1 << 14
 # Block length of the two-level scan; like the chunk length it fixes the
 # summation order, so it is a constant too.
 _BLOCK = 8
-# Members per stacked FFT in the reductions; one block is copied at a time.
+# Members per stacked FFT in the reductions; one block is mapped at a time.
 _MEMBER_BLOCK = 16
 # No compiled kernel exists; perfbench/worker.py reads this to record which kernel ran.
 HAVE_NUMBA = False
@@ -132,21 +132,15 @@ class Trajectory:
     """Recorded samples of one ensemble member.
 
     ``states`` has shape (n_records, 2N) in the (u_1, v_1, u_2, v_2, ...)
-    ordering.  From ``simulate`` it is a Fortran-ordered view into the
-    ensemble's shared (members, 2N, n_records) record, so each coordinate
-    series ``states[:, d]`` is contiguous.  ``times`` are absolute simulation
-    times of the records (the burn-in interval is already excluded).
-    ``fingerprint`` ties the data to the generating model so estimators
-    refuse mismatched inputs.
+    ordering.  From an ``Ensemble`` it is a Fortran-ordered view into the
+    ensemble's record, so each coordinate series ``states[:, d]`` is
+    contiguous.  ``times`` are absolute simulation times of the records (the
+    burn-in interval is already excluded).
     """
 
     times: np.ndarray
     states: np.ndarray
     labels: tuple[str, ...]
-    fingerprint: str
-    seed: int
-    ensemble_index: int
-    dt: float
 
     def _index(self, oscillator: int | str) -> int:
         if isinstance(oscillator, str):
@@ -161,6 +155,36 @@ class Trajectory:
 
     def velocity(self, oscillator: int | str = 0) -> np.ndarray:
         return self.states[:, 2 * self._index(oscillator) + 1]
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """The members of one ``simulate`` call, in one record.
+
+    ``record`` has shape (members, 2N, n_records): member k's coordinate d
+    is the contiguous series ``record[k, d]``, sampled at ``times``.  The
+    ensemble is a read-only sequence of members: ``ens[k]`` is member k's
+    ``Trajectory``, whose ``states`` is the view ``record[k].T``, and
+    iteration runs in member order.  ``fingerprint`` ties the record to the
+    generating model, so estimators refuse a mismatched model; ``seed`` and
+    ``dt`` are the integration settings that produced it.
+    """
+
+    record: np.ndarray
+    times: np.ndarray
+    labels: tuple[str, ...]
+    fingerprint: str
+    seed: int
+    dt: float
+
+    def __len__(self) -> int:
+        return self.record.shape[0]
+
+    def __getitem__(self, k: int) -> Trajectory:
+        return Trajectory(self.times, self.record[operator.index(k)].T, self.labels)
+
+    def __iter__(self) -> Iterator[Trajectory]:
+        return (self[k] for k in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -191,10 +215,10 @@ class EnsembleStats:
     the integrated autocorrelation time, in record units (1 = uncorrelated
     samples), of the centered-squared series (x - mean)^2 that yields
     ``variance_se``.  Standard errors are zero only in the degenerate
-    zero-variance case.
+    zero-variance case.  ``fingerprint`` is the ensemble's, so
+    ``mode_temperature_mc`` refuses a mismatched model.
     """
 
-    labels: tuple[str, ...]
     n_members: int
     n_records: int
     mean: np.ndarray
@@ -202,7 +226,6 @@ class EnsembleStats:
     variance_se: np.ndarray
     tau_int: np.ndarray
     fingerprint: str
-    dt: float
 
 
 # -- integration kernel ---------------------------------------------------------
@@ -377,8 +400,8 @@ def _integrate_batch(E, ops, Lq, config: SimConfig, burn_in: int, first: int, re
             )
 
 
-def simulate(model: SystemModel, config: SimConfig, threads: int = 1) -> list[Trajectory]:
-    """Integrate the Langevin system; one Trajectory per ensemble member.
+def simulate(model: SystemModel, config: SimConfig, threads: int = 1) -> Ensemble:
+    """Integrate the Langevin system; the ensemble of config.ensemble_size members.
 
     Deterministic: member k depends only on (model, config, seed, k), never
     on thread count, batching or scheduling, so reruns are bit-identical.
@@ -402,7 +425,6 @@ def simulate(model: SystemModel, config: SimConfig, threads: int = 1) -> list[Tr
     burn_in = _resolve_burn_in(model, config)
     chunk = min(_CHUNK, burn_in + config.n_steps)
     ops = _scan_operators(E, chunk)
-    fingerprint = model.fingerprint()
     n_rec = config.n_steps // config.record_stride
     times = config.dt * (burn_in + config.record_stride * (1.0 + np.arange(n_rec)))
     record = np.empty((config.ensemble_size, E.shape[0], n_rec))
@@ -418,18 +440,14 @@ def simulate(model: SystemModel, config: SimConfig, threads: int = 1) -> list[Tr
     else:
         for first in starts:
             integrate(first)
-    return [
-        Trajectory(
-            times=times,
-            states=record[i].T,
-            labels=model.labels,
-            fingerprint=fingerprint,
-            seed=config.seed,
-            ensemble_index=i,
-            dt=config.dt,
-        )
-        for i in range(config.ensemble_size)
-    ]
+    return Ensemble(
+        record=record,
+        times=times,
+        labels=model.labels,
+        fingerprint=model.fingerprint(),
+        seed=config.seed,
+        dt=config.dt,
+    )
 
 
 # -- autocorrelation-aware reductions -------------------------------------------
@@ -449,105 +467,79 @@ def _tau_from_acov(acov: np.ndarray) -> float:
     return max(tau, 1.0)
 
 
-def _member_blocks(series: list[np.ndarray], f: Callable[[np.ndarray], np.ndarray] | None):
-    """The member series stacked _MEMBER_BLOCK at a time, each block mapped
-    by f (if given), so no transformed copy of the whole ensemble is held."""
-    for b in range(0, len(series), _MEMBER_BLOCK):
-        block = np.stack(series[b : b + _MEMBER_BLOCK])
-        yield block if f is None else f(block)
-
-
-def _pooled_mean(
-    series: list[np.ndarray], f: Callable[[np.ndarray], np.ndarray] | None = None
-) -> float:
-    """Pooled mean of the equal-length member series f(s) (default s),
-    summed one member block at a time."""
-    n_total = series[0].size * len(series)
-    return sum(float(np.sum(block)) for block in _member_blocks(series, f)) / n_total
+def _pooled_mean(series: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Pooled mean of f over the (members, n) series, summed one block of
+    _MEMBER_BLOCK members at a time, so no mapped copy of the whole
+    ensemble is held."""
+    blocks = range(0, len(series), _MEMBER_BLOCK)
+    return sum(float(np.sum(f(series[b : b + _MEMBER_BLOCK]))) for b in blocks) / series.size
 
 
 def _pooled_mean_se(
-    series: list[np.ndarray], f: Callable[[np.ndarray], np.ndarray]
+    series: np.ndarray, f: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[float, float, float]:
-    """Pooled mean of the equal-length member series f(s), SE inflated by
-    the ensemble-averaged integrated autocorrelation time.  Returns
-    (mean, se, tau).
+    """Pooled mean of f over the (members, n) series, SE inflated by the
+    ensemble-averaged integrated autocorrelation time.  Returns
+    (mean, se, tau).  f must return a new array: it is centred in place.
 
     The member autocovariances are summed in the frequency domain: the
     centred blocks are transformed, their |F|^2 accumulated, and one inverse
     FFT gives the summed autocorrelation, divided by the unbiased lag counts
     n - k and the member count afterwards.
     """
-    n = series[0].size
-    n_total = n * len(series)
+    n_members, n = series.shape
+    n_total = series.size
     mean = _pooled_mean(series, f)
     nfft = 1 << (2 * n - 1).bit_length()
     power = np.zeros(nfft // 2 + 1)
     sum_sq = 0.0
-    for block in _member_blocks(series, f):
+    for b in range(0, n_members, _MEMBER_BLOCK):
+        block = f(series[b : b + _MEMBER_BLOCK])
         block -= mean
         sum_sq += float(np.vdot(block, block))
         spec = np.fft.rfft(block, nfft)
         power += np.einsum("ij,ij->j", spec.real, spec.real)
         power += np.einsum("ij,ij->j", spec.imag, spec.imag)
-    acov = np.fft.irfft(power, nfft)[:n] / np.arange(n, 0, -1) / len(series)
+    acov = np.fft.irfft(power, nfft)[:n] / np.arange(n, 0, -1) / n_members
     tau = _tau_from_acov(acov)
     var = sum_sq / max(n_total - 1, 1)
     se = math.sqrt(max(var, 0.0) * tau / n_total)
     return mean, se, tau
 
 
-def _check_fingerprints(trajectories: list[Trajectory]) -> str:
-    if not trajectories:
-        raise ValueError("at least one trajectory is required")
-    fp = trajectories[0].fingerprint
-    for t in trajectories:
-        if t.fingerprint != fp:
-            raise FingerprintMismatch(
-                f"trajectories come from different models ({t.fingerprint} != {fp})"
-            )
-    return fp
-
-
-def ensemble_stats(trajectories: list[Trajectory]) -> EnsembleStats:
-    """Pooled moments over an ensemble, reduced in ensemble-index order.
+def ensemble_stats(ensemble: Ensemble) -> EnsembleStats:
+    """Pooled moments over an ensemble, reduced in member order.
 
     Variances are unbiased and taken about the pooled mean; their standard
     errors use the integrated autocorrelation time of the centered-squared
     series, so correlated records do not masquerade as extra information.
     One autocovariance pass per state coordinate.
     """
-    fp = _check_fingerprints(trajectories)
-    trajs = sorted(trajectories, key=lambda t: t.ensemble_index)
-    n_rec = trajs[0].states.shape[0]
-    dim = trajs[0].states.shape[1]
-    for t in trajs:
-        if t.states.shape != (n_rec, dim):
-            raise ValueError("all trajectories must have identical record shapes")
-
+    n_members, dim, n_rec = ensemble.record.shape
     mean = np.empty(dim)
     variance = np.empty(dim)
     variance_se = np.empty(dim)
     tau_int = np.empty(dim)
-    n_total = n_rec * len(trajs)
+    n_total = n_members * n_rec
 
     for d in range(dim):
-        series = [t.states[:, d] for t in trajs]
-        mean[d] = _pooled_mean(series)
+        series = ensemble.record[:, d]
+        # each block is summed from a contiguous copy: numpy's pairwise sum
+        # over the strided view groups the terms differently and moves the
+        # last bits of the mean
+        mean[d] = _pooled_mean(series, np.ascontiguousarray)
         m2, se2, tau_int[d] = _pooled_mean_se(series, lambda block, c=mean[d]: (block - c) ** 2)
         variance[d] = m2 * n_total / max(n_total - 1, 1)
         variance_se[d] = se2 * n_total / max(n_total - 1, 1)
 
     return EnsembleStats(
-        labels=trajs[0].labels,
-        n_members=len(trajs),
+        n_members=n_members,
         n_records=n_rec,
         mean=mean,
         variance=variance,
         variance_se=variance_se,
         tau_int=tau_int,
-        fingerprint=fp,
-        dt=trajs[0].dt,
+        fingerprint=ensemble.fingerprint,
     )
 
 
@@ -572,9 +564,7 @@ def _require_model_match(fingerprint: str, model: SystemModel) -> None:
 
 
 def direct_heat_flux_mc(
-    trajectories: Trajectory | list[Trajectory],
-    model: SystemModel,
-    oscillator: int | str,
+    ensemble: Ensemble, model: SystemModel, oscillator: int | str
 ) -> Estimate:
     """Work-based bath flux estimate, independent of the flux-gap formula.
 
@@ -584,35 +574,8 @@ def direct_heat_flux_mc(
     dissipation average, whose SE comes from the integrated autocorrelation
     time of the v^2 series.
     """
-    if isinstance(trajectories, Trajectory):
-        trajectories = [trajectories]
-    _require_model_match(_check_fingerprints(trajectories), model)
-    trajs = sorted(trajectories, key=lambda t: t.ensemble_index)
+    _require_model_match(ensemble.fingerprint, model)
     i = model.index(oscillator) if isinstance(oscillator, str) else oscillator
-    mean_vsq, se_vsq, _ = _pooled_mean_se([t.states[:, 2 * i + 1] for t in trajs], np.square)
+    mean_vsq, se_vsq, _ = _pooled_mean_se(ensemble.record[:, 2 * i + 1], np.square)
     c = float(model.damping_coefficient[i])
     return Estimate(value=float(model.injected_power[i]) - c * mean_vsq, se=c * se_vsq)
-
-
-# -- export ---------------------------------------------------------------------
-
-
-def trajectory_to_csv(trajectory: Trajectory, path) -> None:
-    """Write `time,u_1,v_1,...` rows at full float64 precision ('%.17g'),
-    '.' decimal separator, preceded by a fingerprint/seed/dt comment header."""
-    n_osc = len(trajectory.labels)
-    cols = ["time"]
-    for i in range(n_osc):
-        cols += [f"u_{i + 1}", f"v_{i + 1}"]
-    provenance = (
-        f"model_fingerprint={trajectory.fingerprint}, "
-        f"seed={trajectory.seed}, dt={trajectory.dt!r}"
-    )
-    data = np.column_stack([trajectory.times, trajectory.states])
-    write_csv(Table(cols, data, provenance), path)
-
-
-def trajectory_to_binary(trajectory: Trajectory, path) -> None:
-    """Raw little-endian float64 rows [time, u_1, v_1, ...], row-major, no header."""
-    data = np.column_stack([trajectory.times, trajectory.states])
-    data.astype("<f8").tofile(path)

@@ -14,7 +14,6 @@ from modeheat import (
     comparison_to_text,
     flux_from_gap,
     flux_gap_slope,
-    flux_report,
     gap_from_flux,
 )
 
@@ -65,18 +64,6 @@ def test_input_validation():
         bulk_delta_T(1e-6, 0.0)
     with pytest.raises(ValueError):
         bulk_delta_T(1e-6, -5.0)
-
-
-def test_flux_report_direction():
-    hot_bath = flux_report(10.0, 300.0, 250.0)
-    assert hot_bath.direction == "bath_to_mode"
-    assert hot_bath.flux > 0
-    cold_bath = flux_report(10.0, 250.0, 300.0)
-    assert cold_bath.direction == "mode_to_bath"
-    assert cold_bath.flux < 0
-    assert hot_bath.gamma == 10.0
-    assert hot_bath.bath_temperature == 300.0
-    assert hot_bath.mode_temperature == 250.0
 
 
 def test_compare_mode_vs_bulk_ratios():

@@ -34,15 +34,7 @@ from conftest import OMEGA_SPEC, single_oscillator
 def _synthetic_trajectory(u: np.ndarray, dt: float) -> Trajectory:
     states = np.column_stack([u, np.zeros_like(u)])
     times = dt * (1.0 + np.arange(u.size))
-    return Trajectory(
-        times=times,
-        states=states,
-        labels=("A",),
-        fingerprint="synthetic",
-        seed=0,
-        ensemble_index=0,
-        dt=dt,
-    )
+    return Trajectory(times=times, states=states, labels=("A",))
 
 
 def _lorentz(f, center, fwhm_hz, area, bg=0.0):

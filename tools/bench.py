@@ -220,10 +220,10 @@ def simulate_times(dims, members, repeats: int, n_steps: int = SIM_STEPS) -> dic
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LargeStepWarning)
                 sim_s = cpu_seconds(lambda: None, lambda _: simulate(model, sim), repeats)
-                trajs = simulate(model, sim)
+                ens = simulate(model, sim)
             rows[str(size)] = {
                 "us_per_member_step": 1e6 * sim_s / (size * (SIM_BURN_IN + n_steps)),
-                "ensemble_stats_ms": 1e3 * cpu_seconds(lambda: trajs, ensemble_stats, repeats),
+                "ensemble_stats_ms": 1e3 * cpu_seconds(lambda: ens, ensemble_stats, repeats),
             }
         by_dim[str(dim)] = rows
     return {
