@@ -59,7 +59,6 @@ from .model import (
     compile,
     coupling_g,
     model_from_dict,
-    model_to_dict,
 )
 from .spectra import (
     BandTemperature,
@@ -97,7 +96,6 @@ __all__ = [
     "compile",
     "coupling_g",
     "model_from_dict",
-    "model_to_dict",
     # steady
     "SteadyState",
     "NormalModes",

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import jsonschema
 
-from .errors import ConfigError
+from .errors import ConfigError, UnknownLabel
 from .model import SystemModel, model_from_dict
 
 __all__ = ["ExperimentConfig", "CONFIG_SCHEMA", "load_config", "config_from_dict"]
@@ -194,7 +194,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"config does not match the schema: {error.message}") from error
     try:
         model = model_from_dict(doc["model"])
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, UnknownLabel) as exc:
         raise ConfigError(f"invalid model: {exc}") from exc
     return ExperimentConfig(
         experiment=doc["experiment"],

@@ -38,13 +38,14 @@ from .fluxlab import (
     gap_from_flux,
 )
 from .langevin import (
+    Estimate,
     SimConfig,
     direct_heat_flux_mc,
     ensemble_stats,
     mode_temperature_mc,
     simulate,
 )
-from .model import CouplingSpec, SystemModel
+from .model import SystemModel, _with_coupling
 from .spectra import fit_lorentzian, psd_table, temperature_from_area, welch_psd
 from .steady import steady_state
 from .tables import Table
@@ -127,18 +128,46 @@ def _table(records: list[dict]) -> Table:
     return Table(list(records[0]), [list(r.values()) for r in records])
 
 
-def _ensemble(cfg: ExperimentConfig, seed: int, threads: int):
-    """The exact steady state, the simulated ensemble and its MC mode
-    temperatures, with the two checks every ensemble experiment opens with."""
-    model = cfg.model
+def _routes(model: SystemModel, sim: SimConfig, threads: int):
+    """Both routes on one model: the exact steady state, the simulated
+    ensemble and its MC mode temperatures."""
     ss = steady_state(model)
-    ens = simulate(model, _sim_from_config(cfg.sim, seed), threads)
-    mc = mode_temperature_mc(ensemble_stats(ens), model)
+    ens = simulate(model, sim, threads)
+    return ss, ens, mode_temperature_mc(ensemble_stats(ens), model)
+
+
+def _ensemble(cfg: ExperimentConfig, seed: int, threads: int):
+    """``_routes`` on the config's model, with the two checks every ensemble
+    experiment opens with."""
+    model = cfg.model
+    ss, ens, mc = _routes(model, _sim_from_config(cfg.sim, seed), threads)
     checks = [
         Check("lyapunov_residual", ss.residual <= 1e-10, f"residual={ss.residual:.3e}"),
         _balance_check(ss),
     ]
     return model, ss, ens, mc, checks
+
+
+def _flux_routes(model: SystemModel, ss, ens, mc, i: int, tag: str):
+    """Oscillator i's bath flux read off the ensemble two ways, by the gap
+    formula on its MC kinetic temperature and by the direct work average,
+    each as an ``Estimate``, with the pairwise 4-SE checks of the two
+    against the exact flux and against each other."""
+    o = model.oscillators[i]
+    gap = Estimate(
+        flux_from_gap(o.gamma, o.bath_temperature, mc.kinetic[i], model.boltzmann),
+        flux_gap_slope(o.gamma, model.boltzmann) * mc.kinetic_se[i],
+    )
+    direct = direct_heat_flux_mc(ens, model, i)
+    exact = ss.bath_flux[i]
+    checks = [
+        _check_within_se(f"p_gap_vs_lyap_{tag}", gap.value, exact, gap.se),
+        _check_within_se(f"p_direct_vs_lyap_{tag}", direct.value, exact, direct.se),
+        _check_within_se(
+            f"p_direct_vs_gap_{tag}", direct.value, gap.value, math.hypot(direct.se, gap.se)
+        ),
+    ]
+    return gap, direct, checks
 
 
 # -- equipartition ---------------------------------------------------------------
@@ -242,10 +271,8 @@ def run_coupled_transfer(cfg: ExperimentConfig, seed: int, threads: int) -> Outc
     rows = []
     direct = []
     for i, o in enumerate(model.oscillators):
-        flux_direct = direct_heat_flux_mc(ens, model, o.label)
+        gap, flux_direct, flux_checks = _flux_routes(model, ss, ens, mc, i, o.label)
         direct.append(flux_direct)
-        p_gap = flux_from_gap(o.gamma, o.bath_temperature, mc.kinetic[i], model.boltzmann)
-        p_gap_se = flux_gap_slope(o.gamma, model.boltzmann) * mc.kinetic_se[i]
         rows.append(
             {
                 "oscillator": o.label,
@@ -254,24 +281,13 @@ def run_coupled_transfer(cfg: ExperimentConfig, seed: int, threads: int) -> Outc
                 "t_kin_mc_k": mc.kinetic[i],
                 "t_kin_mc_se_k": mc.kinetic_se[i],
                 "p_lyap_w": ss.bath_flux[i],
-                "p_gap_mc_w": p_gap,
-                "p_gap_mc_se_w": p_gap_se,
+                "p_gap_mc_w": gap.value,
+                "p_gap_mc_se_w": gap.se,
                 "p_direct_mc_w": flux_direct.value,
                 "p_direct_mc_se_w": flux_direct.se,
             }
         )
-        checks += [
-            _check_within_se(f"p_gap_vs_lyap_{o.label}", p_gap, ss.bath_flux[i], p_gap_se),
-            _check_within_se(
-                f"p_direct_vs_lyap_{o.label}", flux_direct.value, ss.bath_flux[i], flux_direct.se
-            ),
-            _check_within_se(
-                f"p_direct_vs_gap_{o.label}",
-                flux_direct.value,
-                p_gap,
-                math.hypot(flux_direct.se, p_gap_se),
-            ),
-        ]
+        checks += flux_checks
     checks.append(
         _check_within_se(
             "antisymmetry_mc",
@@ -294,14 +310,9 @@ def run_spectrum(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
     traj = simulate(model, sim, threads)[0]
 
     analysis = cfg.analysis
-    psd = welch_psd(
-        traj,
-        o.label,
-        segment_length=analysis.get("segment_length"),
-        overlap_fraction=analysis.get("overlap_fraction", 0.5),
-        window=analysis.get("window", "hann"),
-        model=model,
-    )
+    welch_keys = ("segment_length", "overlap_fraction", "window")
+    welch = {k: analysis[k] for k in welch_keys if k in analysis}
+    psd = welch_psd(traj, o.label, model=model, **welch)
     band = tuple(analysis["band"]) if "band" in analysis else None
     temp = temperature_from_area(psd, model, o.label, band=band)
     fit = fit_lorentzian(psd, band=temp.band)
@@ -365,33 +376,30 @@ def run_paper_numbers(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome
     bulk_dT_computed = bulk_delta_T(bulk_flux, r_th)
     cmp = compare_mode_vs_bulk((mode_flux, mode_gamma), (bulk_flux, r_th))
 
-    checks = [
-        _check_rel("flux_from_gap_closure", flux_computed, mode_flux, 0.01),
-        _check_rel("gap_from_flux_closure", gap_computed, mode_gap, 0.01),
-        _check_rel("bulk_delta_t_closure", bulk_dT_computed, bulk_dT_quoted, 0.01),
-        _check_rel("flux_ratio_consistent", cmp.flux_ratio, bulk_flux / mode_flux, 1e-12),
-        _check_rel(
+    # (check, quantity, computed, quoted, tol): one check and one table row each
+    closures = [
+        ("flux_from_gap_closure", "mode_flux_w", flux_computed, mode_flux, 0.01),
+        ("gap_from_flux_closure", "mode_gap_k", gap_computed, mode_gap, 0.01),
+        ("bulk_delta_t_closure", "bulk_delta_t_k", bulk_dT_computed, bulk_dT_quoted, 0.01),
+        (
+            "flux_ratio_consistent",
+            "flux_ratio_bulk_over_mode",
+            cmp.flux_ratio,
+            bulk_flux / mode_flux,
+            1e-12,
+        ),
+        (
             "delta_t_ratio_consistent",
+            "delta_t_ratio_mode_over_bulk",
             cmp.delta_T_ratio,
             cmp.mode_delta_T / cmp.bulk_delta_T,
             1e-12,
         ),
     ]
-
+    checks = [_check_rel(name, value, quoted, tol) for name, _, value, quoted, tol in closures]
     table = Table(
         ["quantity", "computed", "quoted", "rel_err"],
-        [
-            ["mode_flux_w", flux_computed, mode_flux, _rel(flux_computed - mode_flux, mode_flux)],
-            ["mode_gap_k", gap_computed, mode_gap, _rel(gap_computed - mode_gap, mode_gap)],
-            [
-                "bulk_delta_t_k",
-                bulk_dT_computed,
-                bulk_dT_quoted,
-                _rel(bulk_dT_computed - bulk_dT_quoted, bulk_dT_quoted),
-            ],
-            ["flux_ratio_bulk_over_mode", cmp.flux_ratio, bulk_flux / mode_flux, 0.0],
-            ["delta_t_ratio_mode_over_bulk", cmp.delta_T_ratio, cmp.mode_delta_T / cmp.bulk_delta_T, 0.0],
-        ],
+        [[q, value, quoted, _rel(value - quoted, quoted)] for _, q, value, quoted, _ in closures],
     )
     texts = {
         "comparison.json": comparison_to_json(cmp) + "\n",
@@ -401,16 +409,6 @@ def run_paper_numbers(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome
 
 
 # -- strong-coupling sweep ---------------------------------------------------------
-
-
-def _with_coupling(template: SystemModel, pair: tuple[str, str], g: float) -> SystemModel:
-    """Template with the pair's spring set to k_c = 2 sqrt(m_i m_j) omega_bar g."""
-    i, j = template.index(pair[0]), template.index(pair[1])
-    oi, oj = template.oscillators[i], template.oscillators[j]
-    k_c = 2.0 * math.sqrt(oi.mass * oj.mass) * math.sqrt(oi.omega * oj.omega) * g
-    couplings = tuple(c for c in template.couplings if frozenset(c.pair) != frozenset(pair))
-    couplings += (CouplingSpec(pair=pair, spring_constant=k_c),)
-    return dataclasses.replace(template, couplings=couplings)
 
 
 def _with_equal_baths(model: SystemModel, temperature: float) -> SystemModel:
@@ -440,6 +438,11 @@ def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) ->
         raise ConfigError("strong_coupling_sweep expects exactly two oscillators")
     analysis = cfg.analysis
     pair = tuple(analysis.get("pair", template.labels))
+    if set(pair) != set(template.labels):
+        raise ConfigError(
+            f"invalid analysis block: pair {list(pair)} must name the model's two "
+            f"oscillators {list(template.labels)}, each once"
+        )
     a_label = pair[0]
     ia = template.index(a_label)
     osc_a = template.oscillators[ia]
@@ -474,20 +477,11 @@ def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) ->
         g = r * osc_a.gamma
         tag = f"g{g / osc_a.gamma:g}"
         model = _with_coupling(template, pair, g)
-        ss = steady_state(model)
+        ss, ens, mc = _routes(model, sim, threads)
         t_lyap = ss.mode_temperature_positional[ia]
-        p_lyap = ss.bath_flux[ia]
         balance = _rel(*_energy_imbalance(ss))
-
-        ens = simulate(model, sim, threads)
-        stats = ensemble_stats(ens)
-        mc = mode_temperature_mc(stats, model)
         t_mc, t_mc_se = mc.positional[ia], mc.positional_se[ia]
-        p_gap = flux_from_gap(
-            osc_a.gamma, osc_a.bath_temperature, mc.kinetic[ia], model.boltzmann
-        )
-        p_gap_se = flux_gap_slope(osc_a.gamma, model.boltzmann) * mc.kinetic_se[ia]
-        direct = direct_heat_flux_mc(ens, model, a_label)
+        gap, direct, flux_checks = _flux_routes(model, ss, ens, mc, ia, tag)
 
         psd_ens = simulate(model, psd_sim, threads)
         temps = [
@@ -512,11 +506,11 @@ def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) ->
                 "T_prime_A_mc_se": t_mc_se,
                 "T_prime_A_psd": t_psd,
                 "T_prime_A_psd_se": t_psd_se,
-                "P_A_gap": p_gap,
-                "P_A_gap_se": p_gap_se,
+                "P_A_gap": gap.value,
+                "P_A_gap_se": gap.se,
                 "P_A_direct": direct.value,
                 "P_A_direct_se": direct.se,
-                "P_A_lyap": p_lyap,
+                "P_A_lyap": ss.bath_flux[ia],
                 "balance_residual": balance,
                 "P_A_equal_direct": equal_direct.value,
                 "P_A_equal_direct_se": equal_direct.se,
@@ -528,11 +522,7 @@ def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) ->
             _check_within_se(
                 f"t_psd_vs_mc_{tag}", t_psd, t_mc, math.hypot(t_psd_se, t_mc_se)
             ),
-            _check_within_se(f"p_gap_vs_lyap_{tag}", p_gap, p_lyap, p_gap_se),
-            _check_within_se(f"p_direct_vs_lyap_{tag}", direct.value, p_lyap, direct.se),
-            _check_within_se(
-                f"p_direct_vs_gap_{tag}", direct.value, p_gap, math.hypot(direct.se, p_gap_se)
-            ),
+            *flux_checks,
             Check(f"balance_{tag}", balance < 1e-8, f"balance_residual={balance:.3e}"),
             _check_within_se(f"equal_bath_control_{tag}", equal_direct.value, 0.0, equal_direct.se),
         ]

@@ -153,9 +153,6 @@ class Trajectory:
     def position(self, oscillator: int | str = 0) -> np.ndarray:
         return self.states[:, 2 * self._index(oscillator)]
 
-    def velocity(self, oscillator: int | str = 0) -> np.ndarray:
-        return self.states[:, 2 * self._index(oscillator) + 1]
-
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -166,16 +163,13 @@ class Ensemble:
     ensemble is a read-only sequence of members: ``ens[k]`` is member k's
     ``Trajectory``, whose ``states`` is the view ``record[k].T``, and
     iteration runs in member order.  ``fingerprint`` ties the record to the
-    generating model, so estimators refuse a mismatched model; ``seed`` and
-    ``dt`` are the integration settings that produced it.
+    generating model, so estimators refuse a mismatched model.
     """
 
     record: np.ndarray
     times: np.ndarray
     labels: tuple[str, ...]
     fingerprint: str
-    seed: int
-    dt: float
 
     def __len__(self) -> int:
         return self.record.shape[0]
@@ -445,8 +439,6 @@ def simulate(model: SystemModel, config: SimConfig, threads: int = 1) -> Ensembl
         times=times,
         labels=model.labels,
         fingerprint=model.fingerprint(),
-        seed=config.seed,
-        dt=config.dt,
     )
 
 

@@ -26,8 +26,10 @@ exact, Monte Carlo and spectral estimators all multiply by these arrays.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,11 +44,9 @@ __all__ = [
     "CouplingSpec",
     "SystemModel",
     "StateMatrices",
-    "CouplingEstimate",
     "compile",
     "coupling_g",
     "model_from_dict",
-    "model_to_dict",
 ]
 
 
@@ -265,10 +265,6 @@ class StateMatrices:
     diffusion: np.ndarray
     noise_gain: np.ndarray
 
-    @property
-    def n_oscillators(self) -> int:
-        return self.drift.shape[0] // 2
-
     @functools.cached_property
     def schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Real Schur form (scale, T, U) of the stiffness-scaled drift, kept once computed.
@@ -293,15 +289,6 @@ class StateMatrices:
         T, U = scipy.linalg.schur(scale[:, None] * M * inv, output="real")
         _read_only(scale, T, U)
         return scale, T, U
-
-
-@dataclass(frozen=True)
-class CouplingEstimate:
-    """Coupling rate in rad/s; ``nondegenerate`` flags a nominal value for
-    pairs whose bare frequencies differ by more than 1e-6 relative."""
-
-    value: float
-    nondegenerate: bool = False
 
 
 def _stiffness_matrix(model: SystemModel) -> np.ndarray:
@@ -388,61 +375,37 @@ def _compile(model: SystemModel) -> StateMatrices:
     return StateMatrices(drift=M, diffusion=D, noise_gain=L)
 
 
-def coupling_g(model: SystemModel, pair: tuple[str, str]) -> CouplingEstimate:
+def _spring_per_rate(oi: OscillatorSpec, oj: OscillatorSpec) -> float:
+    """Spring constant per unit coupling rate, 2 sqrt(m_i m_j) sqrt(omega_i omega_j):
+    the convention k_c = _spring_per_rate * g that ``coupling_g`` inverts."""
+    return 2.0 * math.sqrt(oi.mass * oj.mass) * math.sqrt(oi.omega * oj.omega)
+
+
+def coupling_g(model: SystemModel, pair: tuple[str, str]) -> float:
     """Coupling rate g = k_c / (2 sqrt(m_i m_j) sqrt(omega_i omega_j)) in rad/s.
 
     For a degenerate identical pair this is half the normal-mode frequency
     splitting, up to relative corrections of order (g/omega)^2 and
-    (gamma/omega)^2.  For a nondegenerate pair (bare frequencies differing
-    by more than 1e-6 relative) the same nominal value is returned with the
-    ``nondegenerate`` flag set.
+    (gamma/omega)^2; for a detuned pair it is a nominal rate.
     """
     wanted = frozenset(pair)
     for c in model.couplings:
         if frozenset(c.pair) == wanted:
             i, j = model.index(c.pair[0]), model.index(c.pair[1])
-            oi, oj = model.oscillators[i], model.oscillators[j]
-            omega_bar = np.sqrt(oi.omega * oj.omega)
-            g = c.spring_constant / (2 * np.sqrt(oi.mass * oj.mass) * omega_bar)
-            detuned = abs(oi.omega - oj.omega) > 1e-6 * max(oi.omega, oj.omega)
-            return CouplingEstimate(value=float(g), nondegenerate=detuned)
+            return c.spring_constant / _spring_per_rate(model.oscillators[i], model.oscillators[j])
     raise UnknownPair(f"no coupling between {pair[0]!r} and {pair[1]!r}")
 
 
+def _with_coupling(template: SystemModel, pair: tuple[str, str], g: float) -> SystemModel:
+    """Template with the pair's spring set to the coupling rate g (``coupling_g``)."""
+    i, j = template.index(pair[0]), template.index(pair[1])
+    k_c = _spring_per_rate(template.oscillators[i], template.oscillators[j]) * g
+    couplings = tuple(c for c in template.couplings if frozenset(c.pair) != frozenset(pair))
+    couplings += (CouplingSpec(pair=pair, spring_constant=k_c),)
+    return dataclasses.replace(template, couplings=couplings)
+
+
 # -- JSON-friendly construction ----------------------------------------------
-
-def model_to_dict(model: SystemModel) -> dict:
-    """Serialize to the plain-dict form accepted by :func:`model_from_dict`."""
-    out: dict = {
-        "oscillators": [
-            {
-                "label": o.label,
-                "mass": o.mass,
-                "omega": o.omega,
-                "gamma": o.gamma,
-                "bath_temperature": o.bath_temperature,
-            }
-            for o in model.oscillators
-        ]
-    }
-    if model.couplings:
-        out["couplings"] = [
-            {"pair": list(c.pair), "spring_constant": c.spring_constant}
-            for c in model.couplings
-        ]
-    if model.feedbacks:
-        out["feedbacks"] = {
-            lab: {
-                "position_gain": fb.position_gain,
-                "velocity_gain": fb.velocity_gain,
-                "noise_psd": fb.noise_psd,
-            }
-            for lab, fb in model.feedbacks.items()
-        }
-    if model.noise_factor != 4.0:
-        out["noise_factor"] = model.noise_factor
-    return out
-
 
 def model_from_dict(doc: dict) -> SystemModel:
     """Build a SystemModel from its JSON document form (see `modeheat schema`)."""

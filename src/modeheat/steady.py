@@ -56,18 +56,12 @@ class SteadyState:
     oscillator, in W, positive for energy flowing into the mode.
     """
 
-    labels: tuple[str, ...]
     covariance: np.ndarray
     mode_temperature_positional: np.ndarray
     mode_temperature_kinetic: np.ndarray
     bath_flux: np.ndarray
     feedback_flux: np.ndarray
     residual: float
-
-    def temperature_gap(self, model: SystemModel) -> np.ndarray:
-        """Bath-minus-mode temperature gap T_i - T'_kin,i in K."""
-        baths = np.array([o.bath_temperature for o in model.oscillators])
-        return baths - self.mode_temperature_kinetic
 
 
 @dataclass(frozen=True)
@@ -270,7 +264,6 @@ def steady_state(model: SystemModel) -> SteadyState:
     C = solve_stationary(matrices)
     t_pos, t_kin = mode_temperatures(C, model)
     return SteadyState(
-        labels=model.labels,
         covariance=C,
         mode_temperature_positional=t_pos,
         mode_temperature_kinetic=t_kin,

@@ -15,7 +15,7 @@ import pytest
 import modeheat
 from modeheat.config import CONFIG_SCHEMA, config_from_dict, load_config
 from modeheat.errors import ConfigError
-from modeheat import cli
+from modeheat import cli, experiments
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO / "configs"
@@ -122,6 +122,25 @@ def test_shipped_schema_file_matches_source():
 def test_shipped_configs_validate(name):
     cfg = load_config(CONFIG_DIR / name)
     assert cfg.experiment == name.removesuffix(".json")
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda m: m.__setitem__("couplings", [{"pair": ["A", "Z"], "spring_constant": 1e-4}]),
+        lambda m: m.__setitem__("feedbacks", {"Z": {"velocity_gain": -1e-12}}),
+    ],
+    ids=["coupling", "feedback"],
+)
+def test_cli_model_naming_an_unknown_oscillator_exits_2(tmp_path, capsys, mutate):
+    # schema-valid, but the label is checked only when the model is built
+    doc = json.loads((CONFIG_DIR / "coupled_transfer.json").read_text())
+    mutate(doc["model"])
+    out_dir = tmp_path / "out"
+    assert cli.run(_write(tmp_path, doc), out=out_dir) == 2
+    err = capsys.readouterr().err
+    assert "code=2 invalid model" in err and "'Z'" in err
+    assert not (out_dir / "verdict.json").exists()
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -304,3 +323,18 @@ def test_cli_sweep_runs_at_the_largest_seed(tmp_path):
     assert code in (0, 4)
     assert json.loads((out_dir / "manifest.json").read_text())["seed"] == 2**64 - 1
     assert (out_dir / "strong_coupling_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("pair", [["A", "Z"], ["A", "A"]], ids=["unknown", "repeated"])
+def test_cli_sweep_pair_must_name_both_oscillators_exits_2(tmp_path, capsys, monkeypatch, pair):
+    def no_solve(model):
+        raise AssertionError("the sweep solved a model before checking its pair")
+
+    monkeypatch.setattr(experiments, "steady_state", no_solve)
+    doc = _short_sweep_doc()
+    doc["analysis"]["pair"] = pair
+    out_dir = tmp_path / "out"
+    assert cli.run(_write(tmp_path, doc), out=out_dir) == 2
+    err = capsys.readouterr().err
+    assert f"code=2 invalid analysis block: pair {pair}" in err
+    assert not (out_dir / "verdict.json").exists()

@@ -24,10 +24,12 @@ def _run_dir(
     mirror=None,
     text=None,
     outputs=None,
+    checks=None,
 ):
     run = root / "demo"
     run.mkdir(parents=True)
-    checks = [{"name": "c1", "passed": True, "detail": ""}, {"name": "c2", "passed": passed}]
+    if checks is None:
+        checks = [{"name": "c1", "passed": True, "detail": ""}, {"name": "c2", "passed": passed}]
     (run / "verdict.json").write_text(json.dumps({"verdict": verdict, "checks": checks}))
     (run / "demo.csv").write_text(table)
     if mirror is not None:
@@ -127,3 +129,37 @@ def test_manifest_outputs_must_match(tmp_path, capsys):
     b = _full_run_dir(tmp_path / "b", outputs=["demo.csv", "verdict.json"])
     assert golden_diff.main([str(a), str(b), "--bound", "1"]) == 1
     assert "manifest outputs" in capsys.readouterr().out
+
+
+def _checks(*names_passed):
+    return [{"name": n, "passed": p, "detail": ""} for n, p in names_passed]
+
+
+def test_reordered_checks_fail(tmp_path, capsys):
+    a = _run_dir(tmp_path / "a", checks=_checks(("c1", True), ("c2", True)))
+    b = _run_dir(tmp_path / "b", checks=_checks(("c2", True), ("c1", True)))
+    assert golden_diff.main([str(a), str(b), "--bound", "1"]) == 1
+    assert "check #0: c1 passed -> c2 passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "before,after",
+    [
+        # the same repeat on both sides
+        ([("c1", True), ("c1", True)], [("c1", True), ("c1", True)]),
+        # keyed by name, BEFORE would keep only its last c1 and match AFTER
+        ([("c1", True), ("c1", False)], [("c1", False)]),
+    ],
+)
+def test_repeated_check_name_fails(tmp_path, capsys, before, after):
+    a = _run_dir(tmp_path / "a", checks=_checks(*before))
+    b = _run_dir(tmp_path / "b", checks=_checks(*after))
+    assert golden_diff.main([str(a), str(b), "--bound", "1"]) == 1
+    assert "check c1 repeated 2x in before" in capsys.readouterr().out
+
+
+def test_dropped_check_fails(tmp_path, capsys):
+    a = _run_dir(tmp_path / "a")
+    b = _run_dir(tmp_path / "b", checks=_checks(("c1", True)))
+    assert golden_diff.main([str(a), str(b), "--bound", "1"]) == 1
+    assert "check #1: c2 passed -> absent" in capsys.readouterr().out

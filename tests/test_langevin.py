@@ -53,8 +53,6 @@ def test_same_config_reproduces_bit_identical_trajectories(fast_model):
     assert np.array_equal(a.times, b.times)
     assert a.fingerprint == b.fingerprint == fast_model.fingerprint()
     assert a.labels == fast_model.labels
-    assert a.seed == 7
-    assert a.dt == DT_FAST
 
 
 def test_ensemble_is_a_sequence_of_member_views(fast_model):
@@ -595,7 +593,6 @@ def test_trajectory_label_indexing():
     cfg = SimConfig(dt=DT_FAST, n_steps=20, seed=1, allow_large_step=True)
     traj = _quiet_simulate(model, cfg)[0]
     assert np.array_equal(traj.position("B"), traj.states[:, 2])
-    assert np.array_equal(traj.velocity("A"), traj.states[:, 1])
     assert np.array_equal(traj.position(1), traj.position("B"))
     with pytest.raises(KeyError):
         traj.position("C")

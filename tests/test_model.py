@@ -21,7 +21,6 @@ from modeheat import (
     compile,
     coupling_g,
     model_from_dict,
-    model_to_dict,
 )
 
 from conftest import OMEGA_FAST, oscillator_pair, single_oscillator
@@ -112,11 +111,6 @@ def test_compile_is_kept_with_the_model_and_read_only():
     np.testing.assert_allclose(compile(hotter).diffusion, 2.0 * mats.diffusion, rtol=1e-15)
 
 
-def test_state_index_helpers():
-    mats = compile(oscillator_pair())
-    assert mats.n_oscillators == 2
-
-
 def test_oscillator_validation():
     with pytest.raises(ValueError):
         OscillatorSpec("A", -1e-12, OMEGA_FAST, 10.0, 300.0)
@@ -171,22 +165,24 @@ def test_non_positive_stiffness():
         )
 
 
-def test_coupling_g_formula_and_flags():
+def test_coupling_g_formula():
     model = oscillator_pair(g_over_gamma=10.0, gamma=10.0)
-    est = coupling_g(model, ("A", "B"))
-    assert est.value == pytest.approx(100.0, rel=1e-12)
-    assert not est.nondegenerate
+    g = coupling_g(model, ("A", "B"))
+    assert g == pytest.approx(100.0, rel=1e-12)
     # order of the pair does not matter
-    assert coupling_g(model, ("B", "A")).value == est.value
+    assert coupling_g(model, ("B", "A")) == g
 
+    # a detuned pair gets the nominal rate of the same formula
+    m, w_a, w_b, k_c = 1e-12, OMEGA_FAST, 1.01 * OMEGA_FAST, 1e-4
     detuned = SystemModel(
         oscillators=(
-            OscillatorSpec("A", 1e-12, OMEGA_FAST, 10.0, 300.0),
-            OscillatorSpec("B", 1e-12, 1.01 * OMEGA_FAST, 10.0, 300.0),
+            OscillatorSpec("A", m, w_a, 10.0, 300.0),
+            OscillatorSpec("B", m, w_b, 10.0, 300.0),
         ),
-        couplings=(CouplingSpec(("A", "B"), 1e-4),),
+        couplings=(CouplingSpec(("A", "B"), k_c),),
     )
-    assert coupling_g(detuned, ("A", "B")).nondegenerate
+    expected = k_c / (2 * m * math.sqrt(w_a * w_b))
+    assert coupling_g(detuned, ("A", "B")) == pytest.approx(expected, rel=1e-12)
 
     with pytest.raises(UnknownPair):
         coupling_g(single_oscillator(), ("A", "B"))
@@ -239,7 +235,7 @@ def test_labels_and_index_follow_replace():
         renamed.index("B")
 
 
-def test_dict_round_trip():
+def test_model_from_dict_reads_every_field():
     model = SystemModel(
         oscillators=(
             OscillatorSpec("A", 1e-12, OMEGA_FAST, 10.0, 300.0),
@@ -249,16 +245,29 @@ def test_dict_round_trip():
         feedbacks={"B": FeedbackSpec(velocity_gain=-1e-11, noise_psd=1e-31)},
         noise_factor=8.0,
     )
-    doc = model_to_dict(model)
-    back = model_from_dict(doc)
-    assert back == model
-    assert back.fingerprint() == model.fingerprint()
+    doc = {
+        "oscillators": [
+            {"label": "A", "mass": 1e-12, "omega": OMEGA_FAST, "gamma": 10.0,
+             "bath_temperature": 300.0},
+            {"label": "B", "mass": 2e-12, "omega": 0.9 * OMEGA_FAST, "gamma": 5.0,
+             "bath_temperature": 200.0},
+        ],
+        "couplings": [{"pair": ["A", "B"], "spring_constant": 3e-5}],
+        "feedbacks": {"B": {"velocity_gain": -1e-11, "noise_psd": 1e-31}},
+        "noise_factor": 8.0,
+    }
+    built = model_from_dict(doc)
+    assert built == model
+    assert built.fingerprint() == model.fingerprint()
 
 
-def test_dict_round_trip_omits_defaults():
-    doc = model_to_dict(single_oscillator())
-    assert "couplings" not in doc
-    assert "feedbacks" not in doc
-    assert "noise_factor" not in doc
+def test_model_from_dict_fills_defaults():
+    # no couplings, feedbacks or noise_factor: none, none and 4.0
+    doc = {
+        "oscillators": [
+            {"label": "A", "mass": 1e-12, "omega": OMEGA_FAST, "gamma": 10.0,
+             "bath_temperature": 300.0}
+        ]
+    }
     assert model_from_dict(doc) == single_oscillator()
 

@@ -4,14 +4,16 @@ by cell, every other output byte for byte.
     python tools/golden_diff.py BEFORE AFTER [--bound 1e-12]
 
 BEFORE and AFTER are directories holding run directories, found at any
-depth by their `verdict.json`.  For each run the verdict and the pass/fail
-of every check must be equal, and so must the `outputs` list of its
-`manifest.json`.  Each table, a CSV file or a JSON mirror (a list of row
-objects), is reported as byte-identical or by its worst cell: |after -
-before| over the largest magnitude in that column of BEFORE.  Text cells
-must match exactly.  Any other output (`comparison.json`, `comparison.txt`)
-must be byte-identical.  The exit status is 1 when a run or file is missing
-on one side, a verdict, check or outputs list differs, a non-table file
+depth by their `verdict.json`.  For each run the verdict must be equal, the
+checks must form the same sequence of (name, pass/fail), so a reordered or
+renamed check counts, and no check name may repeat within a run.  The
+`outputs` list of its `manifest.json` must be equal too.  Each table, a CSV
+file or a JSON mirror (a list of row objects), is reported as byte-identical
+or by its worst cell: |after - before| over the largest magnitude in that
+column of BEFORE.  Text cells must match exactly.  Any other output
+(`comparison.json`, `comparison.txt`) must be byte-identical.  The exit
+status is 1 when a run or file is missing on one side, a verdict, check
+sequence or outputs list differs, a check name repeats, a non-table file
 differs, or a cell exceeds --bound (default 0: every differing number
 fails), else 0.
 """
@@ -23,6 +25,8 @@ import csv
 import json
 import math
 import sys
+from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 
 # Compared per run, not file by file: the manifest carries a timestamp.
@@ -39,9 +43,9 @@ def _files(root: Path) -> set[Path]:
     }
 
 
-def _checks(path: Path) -> tuple[str, dict[str, bool]]:
+def _checks(path: Path) -> tuple[str, list[tuple[str, bool]]]:
     doc = json.loads(path.read_text())
-    return doc["verdict"], {c["name"]: c["passed"] for c in doc["checks"]}
+    return doc["verdict"], [(c["name"], c["passed"]) for c in doc["checks"]]
 
 
 def _outputs(path: Path) -> list[str] | None:
@@ -76,14 +80,23 @@ def _rows(path: Path) -> list[list] | None:
 
 
 def compare_verdicts(before: Path, after: Path) -> list[str]:
-    """Differences between two verdict.json files, one line each."""
+    """Differences between two verdict.json files, one line each: the verdict,
+    each position where the (name, passed) sequences differ, and each check
+    name that repeats on either side."""
     v0, c0 = _checks(before)
     v1, c1 = _checks(after)
     diffs = [f"verdict {v0} -> {v1}"] if v0 != v1 else []
-    for name in sorted(c0.keys() | c1.keys()):
-        if c0.get(name) != c1.get(name):
-            diffs.append(f"check {name}: {c0.get(name)} -> {c1.get(name)}")
+    for k, (a, b) in enumerate(zip_longest(c0, c1)):
+        if a != b:
+            diffs.append(f"check #{k}: {_check_text(a)} -> {_check_text(b)}")
+    for side, checks in (("before", c0), ("after", c1)):
+        counts = Counter(name for name, _ in checks)
+        diffs += [f"check {n} repeated {c}x in {side}" for n, c in counts.items() if c > 1]
     return diffs
+
+
+def _check_text(check: tuple[str, bool] | None) -> str:
+    return "absent" if check is None else f"{check[0]} {'passed' if check[1] else 'failed'}"
 
 
 def worst_cell(rows0: list[list], rows1: list[list]) -> tuple[float, str]:
