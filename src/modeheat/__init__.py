@@ -43,6 +43,7 @@ from .langevin import (
     EnsembleStats,
     Estimate,
     McTemperatures,
+    RecordGrid,
     SimConfig,
     Trajectory,
     direct_heat_flux_mc,
@@ -107,6 +108,7 @@ __all__ = [
     "steady_state",
     # langevin
     "SimConfig",
+    "RecordGrid",
     "Ensemble",
     "Trajectory",
     "EnsembleStats",

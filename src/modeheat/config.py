@@ -113,6 +113,7 @@ _ANALYSIS_SCHEMA = {
             "type": "array",
             "items": {"type": "number", "exclusiveMinimum": 0},
             "minItems": 1,
+            "uniqueItems": True,
         },
         "psd_duration_s": {"type": "number", "exclusiveMinimum": 0},
         "psd_sample_rate_hz": {"type": "number", "exclusiveMinimum": 0},

@@ -123,6 +123,23 @@ def _sim_from_config(sim_block: dict, seed: int, source: str = "sim") -> SimConf
         raise ConfigError(f"invalid {source} block: {exc}") from exc
 
 
+def _variance(x: np.ndarray) -> float:
+    """``np.var(x)`` to the bit, without its full-length temporary: the
+    squared deviations are summed in numpy's pairwise order (halves cut at
+    multiples of 8), one leaf of at most 2**16 samples at a time."""
+    mean = np.mean(x)
+
+    def sum_sq(part: np.ndarray) -> float:
+        if part.size <= 1 << 16:
+            dev = part - mean
+            return np.sum(np.square(dev, out=dev))
+        half = part.size // 2
+        half -= half % 8
+        return sum_sq(part[:half]) + sum_sq(part[half:])
+
+    return float(sum_sq(x) / x.size)
+
+
 def _table(records: list[dict]) -> Table:
     """The table whose columns are the keys of its row records, in order."""
     return Table(list(records[0]), [list(r.values()) for r in records])
@@ -307,7 +324,8 @@ def run_spectrum(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
     o = model.oscillators[0]
     T = o.bath_temperature
     sim = _sim_from_config(cfg.sim, seed)
-    traj = simulate(model, sim, threads)[0]
+    # the oscillator's position is the one coordinate read
+    traj = simulate(model, sim, threads, coordinates=(2 * model.index(o.label),))[0]
 
     analysis = cfg.analysis
     welch_keys = ("segment_length", "overlap_fraction", "window")
@@ -317,8 +335,7 @@ def run_spectrum(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
     temp = temperature_from_area(psd, model, o.label, band=band)
     fit = fit_lorentzian(psd, band=temp.band)
 
-    record = traj.position(o.label)
-    variance = float(np.var(record))
+    variance = _variance(traj.position(o.label))
     area_full = psd.area()
     f0 = o.omega / (2.0 * math.pi)
     t_from_fit_area = model.kelvin_per_moment[0] * fit.area
@@ -375,6 +392,13 @@ def run_paper_numbers(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome
     gap_computed = gap_from_flux(mode_gamma, mode_flux)
     bulk_dT_computed = bulk_delta_T(bulk_flux, r_th)
     cmp = compare_mode_vs_bulk((mode_flux, mode_gamma), (bulk_flux, r_th))
+    if mode_flux == 0 or cmp.bulk_delta_T == 0:
+        # the ratio closures below divide by both
+        raise ConfigError(
+            "invalid analysis block: reference mode_flux_w and bulk_flux_w must be nonzero, "
+            f"got mode_flux_w = {mode_flux:g} and bulk_flux_w = {bulk_flux:g} "
+            f"(bulk delta T = {cmp.bulk_delta_T:g} K)"
+        )
 
     # (check, quantity, computed, quoted, tol): one check and one table row each
     closures = [
@@ -416,6 +440,21 @@ def _with_equal_baths(model: SystemModel, temperature: float) -> SystemModel:
         dataclasses.replace(o, bath_temperature=temperature) for o in model.oscillators
     )
     return dataclasses.replace(model, oscillators=oscillators)
+
+
+def _psd_temperature(model: SystemModel, sim: SimConfig, label: str, threads: int):
+    """Mean band-area temperature of oscillator ``label`` over the members of
+    one ensemble, with the SE of that mean: the members' scatter, or the
+    per-bin SE of a lone member.  Only the position is recorded, and the
+    record is released on return, before the caller draws the next one."""
+    ens = simulate(model, sim, threads, coordinates=(2 * model.index(label),))
+    temps = [
+        temperature_from_area(welch_psd(tr, label, model=model), model, label) for tr in ens
+    ]
+    t_psd = float(np.mean([t.value for t in temps]))
+    if len(temps) > 1:
+        return t_psd, float(np.std([t.value for t in temps], ddof=1) / math.sqrt(len(temps)))
+    return t_psd, temps[0].se
 
 
 def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
@@ -483,16 +522,7 @@ def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) ->
         t_mc, t_mc_se = mc.positional[ia], mc.positional_se[ia]
         gap, direct, flux_checks = _flux_routes(model, ss, ens, mc, ia, tag)
 
-        psd_ens = simulate(model, psd_sim, threads)
-        temps = [
-            temperature_from_area(welch_psd(tr, a_label, model=model), model, a_label)
-            for tr in psd_ens
-        ]
-        t_psd = float(np.mean([t.value for t in temps]))
-        if len(temps) > 1:
-            t_psd_se = float(np.std([t.value for t in temps], ddof=1) / math.sqrt(len(temps)))
-        else:
-            t_psd_se = temps[0].se
+        t_psd, t_psd_se = _psd_temperature(model, psd_sim, a_label, threads)
 
         equal_model = _with_equal_baths(model, osc_a.bath_temperature)
         equal_ens = simulate(equal_model, sim, threads)

@@ -18,9 +18,14 @@ Members are integrated in batches: the scan carries a leading member axis,
 and each product is a stacked matmul, one GEMM per member of the same shape
 as for a lone member.  The chunk length fixes each member's summation order;
 the batch size does not enter it, so every member's bits are those of a
-member integrated alone.  All members write into one (members, 2N, records)
-array, the ``Ensemble``'s record: each member's coordinate series is a
-contiguous row, and the reductions read blocks of members from it in place.
+member integrated alone.  All members write into one (members, coordinates,
+records) array, the ``Ensemble``'s record: each member's coordinate series is
+a contiguous row, and the reductions read blocks of members from it in place.
+
+The record keeps only what a caller reads.  The integrator always advances
+the full state, but only the state coordinates named at ``simulate`` time
+are stored (all 2N by default), and no time stamps: the records lie on a
+uniform grid (``RecordGrid``), from which their times are derived on request.
 
 Noise comes from counter-based per-member streams (Philox keyed by
 (seed, ensemble_index)), so every trajectory is bit-reproducible on a given
@@ -40,7 +45,7 @@ import concurrent.futures
 import math
 import operator
 import warnings
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +62,7 @@ from .model import SystemModel, compile
 
 __all__ = [
     "SimConfig",
+    "RecordGrid",
     "Ensemble",
     "Trajectory",
     "EnsembleStats",
@@ -128,57 +134,114 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
+class RecordGrid:
+    """The uniform time grid of a record: record k was taken after step
+    ``start + stride * k`` of the integrator step ``dt`` (the burn-in steps
+    included, so ``start`` = burn-in + stride)."""
+
+    dt: float
+    start: int
+    stride: int
+
+    @property
+    def spacing(self) -> float:
+        """Time between records, in s: the difference of the first two
+        ``times``, to the bit."""
+        return self.dt * (self.start + self.stride) - self.dt * self.start
+
+    def times(self, n: int) -> np.ndarray:
+        """Absolute simulation times of the first n records, in s."""
+        t = np.arange(n, dtype=float)
+        t *= self.stride
+        t += self.start
+        t *= self.dt
+        return t
+
+
+def _coordinate_name(d: int, labels: tuple[str, ...]) -> str:
+    """u_<label> or v_<label> for state coordinate d; d itself when out of range."""
+    return f"{'uv'[d % 2]}_{labels[d // 2]}" if 0 <= d < 2 * len(labels) else str(d)
+
+
+def _row(coordinates: tuple[int, ...], d: int, labels: tuple[str, ...]) -> int:
+    """Where state coordinate d sits among the recorded ``coordinates``."""
+    try:
+        return coordinates.index(d)
+    except ValueError:
+        raise KeyError(
+            f"coordinate {_coordinate_name(d, labels)} was not recorded; the record holds "
+            f"{', '.join(_coordinate_name(c, labels) for c in coordinates)}"
+        ) from None
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """Recorded samples of one ensemble member.
 
-    ``states`` has shape (n_records, 2N) in the (u_1, v_1, u_2, v_2, ...)
-    ordering.  From an ``Ensemble`` it is a Fortran-ordered view into the
-    ensemble's record, so each coordinate series ``states[:, d]`` is
-    contiguous.  ``times`` are absolute simulation times of the records (the
-    burn-in interval is already excluded).
+    ``states`` has shape (n_records, len(coordinates)): column c holds state
+    coordinate ``coordinates[c]`` of the (u_1, v_1, u_2, v_2, ...) ordering,
+    so 2i is oscillator i's position and 2i + 1 its velocity.  From an
+    ``Ensemble`` it is a Fortran-ordered view into the ensemble's record, so
+    each coordinate series ``states[:, c]`` is contiguous.  ``grid`` places
+    the records in time (the burn-in interval is already excluded);
+    ``times`` derives their absolute simulation times.
     """
 
-    times: np.ndarray
     states: np.ndarray
     labels: tuple[str, ...]
+    coordinates: tuple[int, ...]
+    grid: RecordGrid
 
-    def _index(self, oscillator: int | str) -> int:
-        if isinstance(oscillator, str):
-            try:
-                return self.labels.index(oscillator)
-            except ValueError:
-                raise KeyError(f"no oscillator labelled {oscillator!r}") from None
-        return oscillator
+    @property
+    def times(self) -> np.ndarray:
+        return self.grid.times(self.states.shape[0])
 
     def position(self, oscillator: int | str = 0) -> np.ndarray:
-        return self.states[:, 2 * self._index(oscillator)]
+        """The position series of an oscillator, by label or index; KeyError
+        when it was not recorded."""
+        if isinstance(oscillator, str):
+            try:
+                oscillator = self.labels.index(oscillator)
+            except ValueError:
+                raise KeyError(f"no oscillator labelled {oscillator!r}") from None
+        return self.states[:, _row(self.coordinates, 2 * oscillator, self.labels)]
 
 
 @dataclass(frozen=True)
 class Ensemble:
     """The members of one ``simulate`` call, in one record.
 
-    ``record`` has shape (members, 2N, n_records): member k's coordinate d
-    is the contiguous series ``record[k, d]``, sampled at ``times``.  The
-    ensemble is a read-only sequence of members: ``ens[k]`` is member k's
-    ``Trajectory``, whose ``states`` is the view ``record[k].T``, and
-    iteration runs in member order.  ``fingerprint`` ties the record to the
-    generating model, so estimators refuse a mismatched model.
+    ``record`` has shape (members, len(coordinates), n_records): member k's
+    state coordinate ``coordinates[c]`` is the contiguous series
+    ``record[k, c]``, sampled on ``grid``.  ``series(d)`` looks a coordinate
+    up by its index d in the (u_1, v_1, u_2, ...) state.  The ensemble is a
+    read-only sequence of members: ``ens[k]`` is member k's ``Trajectory``,
+    whose ``states`` is the view ``record[k].T``, and iteration runs in
+    member order.  ``fingerprint`` ties the record to the generating model,
+    so estimators refuse a mismatched model.
     """
 
     record: np.ndarray
-    times: np.ndarray
     labels: tuple[str, ...]
+    coordinates: tuple[int, ...]
+    grid: RecordGrid
     fingerprint: str
 
     def __len__(self) -> int:
         return self.record.shape[0]
 
     def __getitem__(self, k: int) -> Trajectory:
-        return Trajectory(self.times, self.record[operator.index(k)].T, self.labels)
+        return Trajectory(
+            self.record[operator.index(k)].T, self.labels, self.coordinates, self.grid
+        )
 
     def __iter__(self) -> Iterator[Trajectory]:
         return (self[k] for k in range(len(self)))
+
+    def series(self, d: int) -> np.ndarray:
+        """The (members, n_records) series of state coordinate d, a view of
+        the record; KeyError when d was not recorded."""
+        return self.record[:, _row(self.coordinates, d, self.labels)]
 
 
 @dataclass(frozen=True)
@@ -357,9 +420,10 @@ def _resolve_burn_in(model: SystemModel, config: SimConfig) -> int:
     return burn_in
 
 
-def _integrate_batch(E, ops, Lq, config: SimConfig, burn_in: int, first: int, rec) -> None:
+def _integrate_batch(E, ops, Lq, config: SimConfig, burn_in: int, cols, first: int, rec) -> None:
     """Integrate members first, first + 1, ... into ``rec``, their
-    (G, n, n_records) slice of the ensemble record."""
+    (G, len(cols), n_records) slice of the ensemble record; ``cols`` indexes
+    the recorded coordinates of the state."""
     G = rec.shape[0]
     rngs = [
         np.random.Generator(
@@ -381,7 +445,7 @@ def _integrate_batch(E, ops, Lq, config: SimConfig, burn_in: int, first: int, re
         # record j is step burn_in + stride*(j+1); this chunk holds steps k0+1..k0+m
         j0 = max(0, (k0 - burn_in) // stride)
         j1 = max(0, (k0 + m - burn_in) // stride)
-        picked = states[:, burn_in + stride * (j0 + 1) - k0 - 1 :: stride]
+        picked = states[:, burn_in + stride * (j0 + 1) - k0 - 1 :: stride, cols]
         rec[:, :, j0:j1] = picked.transpose(0, 2, 1)
         x = states[:, -1]
         k0 += m
@@ -394,13 +458,36 @@ def _integrate_batch(E, ops, Lq, config: SimConfig, burn_in: int, first: int, re
             )
 
 
-def simulate(model: SystemModel, config: SimConfig, threads: int = 1) -> Ensemble:
+def simulate(
+    model: SystemModel,
+    config: SimConfig,
+    threads: int = 1,
+    *,
+    coordinates: Sequence[int] | None = None,
+) -> Ensemble:
     """Integrate the Langevin system; the ensemble of config.ensemble_size members.
+
+    ``coordinates`` names the state coordinates to record, as indices into
+    the (u_1, v_1, u_2, v_2, ...) state (2i is oscillator i's position), in
+    the order the record keeps them; None records all 2N.  The full state is
+    integrated either way, so a recorded series has the same bits whatever
+    else is recorded.
 
     Deterministic: member k depends only on (model, config, seed, k), never
     on thread count, batching or scheduling, so reruns are bit-identical.
     Raises StepTooLarge when dt*omega_max > 0.05 unless config.allow_large_step.
     """
+    dim = 2 * len(model.oscillators)
+    if coordinates is None:
+        recorded = tuple(range(dim))
+        cols = slice(None)
+    else:
+        recorded = tuple(operator.index(d) for d in coordinates)
+        if not recorded or len(set(recorded)) != len(recorded):
+            raise ValueError(f"coordinates must be distinct and not empty, got {recorded}")
+        if not all(0 <= d < dim for d in recorded):
+            raise ValueError(f"coordinates must lie in [0, {dim}), got {recorded}")
+        cols = list(recorded)
     omega_max = max(o.omega for o in model.oscillators)
     if config.dt * omega_max > MAX_STEP_PRODUCT:
         if not config.allow_large_step:
@@ -420,12 +507,13 @@ def simulate(model: SystemModel, config: SimConfig, threads: int = 1) -> Ensembl
     chunk = min(_CHUNK, burn_in + config.n_steps)
     ops = _scan_operators(E, chunk)
     n_rec = config.n_steps // config.record_stride
-    times = config.dt * (burn_in + config.record_stride * (1.0 + np.arange(n_rec)))
-    record = np.empty((config.ensemble_size, E.shape[0], n_rec))
+    record = np.empty((config.ensemble_size, len(recorded), n_rec))
     batch = max(1, _BATCH_STEPS // chunk)
 
     def integrate(first: int) -> None:
-        _integrate_batch(E, ops, Lq, config, burn_in, first, record[first : first + batch])
+        _integrate_batch(
+            E, ops, Lq, config, burn_in, cols, first, record[first : first + batch]
+        )
 
     starts = range(0, config.ensemble_size, batch)
     if threads > 1 and len(starts) > 1:
@@ -436,8 +524,9 @@ def simulate(model: SystemModel, config: SimConfig, threads: int = 1) -> Ensembl
             integrate(first)
     return Ensemble(
         record=record,
-        times=times,
         labels=model.labels,
+        coordinates=recorded,
+        grid=RecordGrid(float(config.dt), burn_in + config.record_stride, config.record_stride),
         fingerprint=model.fingerprint(),
     )
 
@@ -505,9 +594,11 @@ def ensemble_stats(ensemble: Ensemble) -> EnsembleStats:
     Variances are unbiased and taken about the pooled mean; their standard
     errors use the integrated autocorrelation time of the centered-squared
     series, so correlated records do not masquerade as extra information.
-    One autocovariance pass per state coordinate.
+    One autocovariance pass per state coordinate, in state order; a record
+    that lacks a coordinate is refused with KeyError.
     """
-    n_members, dim, n_rec = ensemble.record.shape
+    n_members, _, n_rec = ensemble.record.shape
+    dim = 2 * len(ensemble.labels)
     mean = np.empty(dim)
     variance = np.empty(dim)
     variance_se = np.empty(dim)
@@ -515,7 +606,7 @@ def ensemble_stats(ensemble: Ensemble) -> EnsembleStats:
     n_total = n_members * n_rec
 
     for d in range(dim):
-        series = ensemble.record[:, d]
+        series = ensemble.series(d)
         # each block is summed from a contiguous copy: numpy's pairwise sum
         # over the strided view groups the terms differently and moves the
         # last bits of the mean
@@ -538,7 +629,9 @@ def ensemble_stats(ensemble: Ensemble) -> EnsembleStats:
 def mode_temperature_mc(stats: EnsembleStats, model: SystemModel) -> McTemperatures:
     """Mode temperatures from MC variances, ``model.kelvin_per_moment`` times
     each variance (T'_pos = m Omega^2 var(u)/k_B, T'_kin = m var(v)/k_B),
-    with standard errors propagated linearly through the same factors."""
+    with standard errors propagated linearly through the same factors.
+    ``ensemble_stats`` refuses a record that lacks a coordinate, so its
+    stats cover the whole state."""
     _require_model_match(stats.fingerprint, model)
     T = model.kelvin_per_moment * stats.variance
     T_se = model.kelvin_per_moment * stats.variance_se
@@ -564,10 +657,11 @@ def direct_heat_flux_mc(
     ``model.damping_coefficient``): the injected-power term is the
     exact Ito mean (no sampling noise), so all randomness sits in the
     dissipation average, whose SE comes from the integrated autocorrelation
-    time of the v^2 series.
+    time of the v^2 series.  KeyError when the oscillator's velocity was not
+    recorded.
     """
     _require_model_match(ensemble.fingerprint, model)
     i = model.index(oscillator) if isinstance(oscillator, str) else oscillator
-    mean_vsq, se_vsq, _ = _pooled_mean_se(ensemble.record[:, 2 * i + 1], np.square)
+    mean_vsq, se_vsq, _ = _pooled_mean_se(ensemble.series(2 * i + 1), np.square)
     c = float(model.damping_coefficient[i])
     return Estimate(value=float(model.injected_power[i]) - c * mean_vsq, se=c * se_vsq)

@@ -140,7 +140,7 @@ def welch_psd(
     if n < 2:
         raise RecordTooShort(f"record of {n} samples cannot be segmented")
     # Record spacing, not the integrator step: records may be strided.
-    dt = float(trajectory.times[1] - trajectory.times[0])
+    dt = trajectory.grid.spacing
     fs = 1.0 / dt
 
     if segment_length is None:
@@ -277,17 +277,12 @@ def _moment_seed(f: np.ndarray, s: np.ndarray, df: float) -> list[float]:
     return [center, max(2.0 * spread, 2.0 * df), max(total * df, np.finfo(float).tiny), bg0]
 
 
-def fit_lorentzian(
-    psd: Psd,
-    initial_guess: tuple[float, float, float, float] | None = None,
-    band: tuple[float, float] | None = None,
-) -> PeakFit:
+def fit_lorentzian(psd: Psd, band: tuple[float, float] | None = None) -> PeakFit:
     """Weighted least-squares Lorentzian fit over the band, with an analytic
     Jacobian.
 
     Model: S(f) = background + (area/pi) * (G/2) / ((f-center)^2 + (G/2)^2),
-    G the FWHM in Hz.  ``initial_guess`` is (center_hz, fwhm_hz, area,
-    background); when omitted it is seeded from spectral moments of the band.
+    G the FWHM in Hz, seeded from spectral moments of the band.
     The band needs 8 points.  The solver works in O(1) coordinates
     (frequencies from the lower band edge in band widths, densities in units
     of the band maximum) with per-bin sigma = value/sqrt(n_segments) and the
@@ -305,9 +300,7 @@ def fit_lorentzian(
     if f.size < 8:
         raise DegenerateBand(f"band {band} holds {f.size} points; at least 8 required")
     df = psd.resolution_bandwidth
-    guess = _moment_seed(f, s, df) if initial_guess is None else initial_guess
-    if not band[0] <= guess[0] <= band[1]:
-        raise ValueError(f"initial center {guess[0]} lies outside the band {band}")
+    guess = _moment_seed(f, s, df)
 
     f0 = band[0]
     f_scale = max(band[1] - band[0], df)

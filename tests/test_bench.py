@@ -44,11 +44,13 @@ def test_welch_times_and_traces_every_record_length():
 def test_simulate_times_every_dimension_and_ensemble_size():
     section = bench.simulate_times(dims=(2, 4), members=(1, 3), repeats=1, n_steps=50)
     assert list(section["by_dim"]) == ["2", "4"]
-    for rows in section["by_dim"].values():
+    for dim, rows in section["by_dim"].items():
         assert list(rows) == ["1", "3"]
-        for row in rows.values():
-            assert set(row) == {"us_per_member_step", "ensemble_stats_ms"}
+        for size, row in rows.items():
+            assert set(row) == {"us_per_member_step", "ensemble_stats_ms", "peak_mb"}
             assert row["us_per_member_step"] >= 0 and row["ensemble_stats_ms"] >= 0
+            # the record of every coordinate (members x 2N x 50 float64), at least
+            assert row["peak_mb"] >= int(size) * int(dim) * 50 * 8 / 1e6
 
 
 def test_main_writes_machine_and_sections(tmp_path, monkeypatch):

@@ -76,6 +76,8 @@ def test_config_from_dict_happy_path():
         lambda d: d["sim"].__setitem__("dt", 0),
         lambda d: d["sim"].__setitem__("unknown_knob", 3),
         lambda d: d["output"].__setitem__("formats", ["yaml"]),
+        # the sweep names its checks by the ratio, so a repeat would repeat them
+        lambda d: d["analysis"].__setitem__("g_over_gamma", [1.0, 1.0]),
     ],
 )
 def test_config_from_dict_rejects_bad_documents(mutate):
@@ -203,6 +205,18 @@ def test_cli_failed_checks_exit_4(tmp_path, capsys):
     verdict = json.loads((out_dir / "verdict.json").read_text())
     assert verdict["verdict"] == "FAIL"
     assert any(not c["passed"] for c in verdict["checks"])
+
+
+@pytest.mark.parametrize("key", ["mode_flux_w", "bulk_flux_w"])
+def test_cli_paper_numbers_zero_quoted_flux_exits_2(tmp_path, capsys, key):
+    # schema-valid, but the flux and delta-T ratio closures divide by it
+    doc = copy.deepcopy(GOOD_DOC)
+    doc["analysis"]["reference"][key] = 0
+    out_dir = tmp_path / "out"
+    assert cli.run(_write(tmp_path, doc), out=out_dir) == 2
+    err = capsys.readouterr().err
+    assert "code=2 invalid analysis block" in err and key in err
+    assert not (out_dir / "verdict.json").exists()
 
 
 def test_cli_happy_path_writes_manifest_and_verdict(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Experiment plumbing: CSV writing, model rebuilds, sweep table layout."""
 
 import dataclasses
+import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +11,9 @@ import pytest
 
 from modeheat import ConfigError, LargeStepWarning, coupling_g
 from modeheat import cli
-from modeheat.config import ExperimentConfig, load_config
+from modeheat.config import ExperimentConfig, config_from_dict, load_config
 from modeheat.experiments import (
+    _variance,
     _with_equal_baths,
     run_experiment,
     run_strong_coupling_sweep,
@@ -117,6 +120,35 @@ def test_sweep_gap_flux_uses_the_model_boltzmann():
     passed = {c.name: c.passed for c in checks}
     assert passed["p_gap_vs_lyap_g10"]
     assert passed["p_direct_vs_gap_g10"]
+
+
+def test_sweep_holds_one_position_only_psd_record_at_a_time():
+    # two points: point 2 draws its PSD ensemble after point 1's is released,
+    # and each records only the swept oscillator's position
+    doc = json.loads((REPO / "configs" / "strong_coupling_sweep.json").read_text())
+    doc["sim"].update(n_steps=200, ensemble_size=8)
+    doc["analysis"].update(g_over_gamma=[1.0, 10.0], psd_duration_s=4.0)
+    cfg = config_from_dict(doc)
+    psd_rate = 2.5 * cfg.model.oscillators[0].omega / (2.0 * math.pi)
+    record_bytes = 8 * 8 * round(4.0 * psd_rate)  # 8 members of one float64 series
+    # Welch's segments and simulate's chunk temporaries, about 11 MB
+    slack = 12e6
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LargeStepWarning)
+            run_experiment(cfg, seed=1, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record_bytes == 12_800_000
+    assert peak < 1.5 * record_bytes + slack
+
+
+@pytest.mark.parametrize("n", [1, 7, 128, 129, 65536, 65537, 200_003, 1_600_000])
+def test_record_variance_keeps_the_bits_of_np_var(n):
+    x = np.random.default_rng(n).standard_normal(n) * 3e-9 + 1e-10
+    assert _variance(x) == float(np.var(x))
 
 
 def test_run_experiment_writes_nothing(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@
 import io
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,10 +36,10 @@ from modeheat.config import load_config
 from conftest import DT_FAST, OMEGA_FAST, REPO, single_oscillator, oscillator_pair
 
 
-def _quiet_simulate(model, config, threads=1):
+def _quiet_simulate(model, config, threads=1, coordinates=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LargeStepWarning)
-        return simulate(model, config, threads=threads)
+        return simulate(model, config, threads=threads, coordinates=coordinates)
 
 
 # -- determinism ---------------------------------------------------------------
@@ -50,7 +51,8 @@ def test_same_config_reproduces_bit_identical_trajectories(fast_model):
     b = _quiet_simulate(fast_model, cfg)
     assert len(a) == len(b) == 3
     assert np.array_equal(a.record, b.record)
-    assert np.array_equal(a.times, b.times)
+    assert a.grid == b.grid
+    assert np.array_equal(a[0].times, b[0].times)
     assert a.fingerprint == b.fingerprint == fast_model.fingerprint()
     assert a.labels == fast_model.labels
 
@@ -66,8 +68,9 @@ def test_ensemble_is_a_sequence_of_member_views(fast_model):
         assert np.shares_memory(t.states, ens.record)
         assert np.array_equal(t.states, ens.record[k].T)
         assert np.array_equal(ens[k].states, t.states)
-        assert t.times is ens.times
+        assert t.grid is ens.grid
         assert t.labels == ens.labels
+        assert t.coordinates == ens.coordinates == (0, 1)
     with pytest.raises(IndexError):
         ens[3]
     with pytest.raises(TypeError):
@@ -262,9 +265,21 @@ def test_times_grid_structure(fast_model):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         traj = simulate(fast_model, cfg)[0]
+    assert traj.grid == langevin.RecordGrid(DT_FAST, 7 + 3, 3)
     assert traj.times.shape == (3,)
     assert traj.times[0] == pytest.approx(DT_FAST * (7 + 3), rel=1e-15)
     assert np.allclose(np.diff(traj.times), 3 * DT_FAST, rtol=1e-15)
+
+
+@pytest.mark.parametrize("burn_in, stride, n_rec", [(0, 1, 5), (7, 3, 4), (20000, 1, 1_600_000)])
+def test_derived_times_equal_the_stored_array_they_replace(burn_in, stride, n_rec):
+    # the times array simulate stored, and the spacing Welch read from it
+    dt = 2e-5
+    stored = dt * (burn_in + stride * (1.0 + np.arange(n_rec)))
+    grid = langevin.RecordGrid(dt, burn_in + stride, stride)
+    assert np.array_equal(grid.times(n_rec), stored)
+    if n_rec > 1:
+        assert grid.spacing == float(stored[1] - stored[0])
 
 
 # -- distributional correctness --------------------------------------------------
@@ -596,6 +611,75 @@ def test_trajectory_label_indexing():
     assert np.array_equal(traj.position(1), traj.position("B"))
     with pytest.raises(KeyError):
         traj.position("C")
+
+
+# -- recorded coordinates ---------------------------------------------------------
+
+
+def _pair_ensembles(coordinates):
+    model = oscillator_pair()
+    cfg = SimConfig(dt=DT_FAST, n_steps=300, seed=6, ensemble_size=3, allow_large_step=True)
+    return model, _quiet_simulate(model, cfg), _quiet_simulate(model, cfg, coordinates=coordinates)
+
+
+def test_recorded_coordinate_keeps_its_bits():
+    # the full state is integrated either way; only the stored rows change
+    model, full, only_u_b = _pair_ensembles([2])
+    assert only_u_b.record.shape == (3, 1, 300)
+    assert only_u_b.coordinates == (2,)
+    assert only_u_b.grid == full.grid
+    assert np.array_equal(only_u_b.record[:, 0], full.record[:, 2])
+    assert np.array_equal(only_u_b.series(2), full.series(2))
+    for k, traj in enumerate(only_u_b):
+        assert traj.states.shape == (300, 1)
+        assert np.array_equal(traj.position("B"), full[k].position("B"))
+        assert np.array_equal(traj.times, full[k].times)
+
+
+def test_unrecorded_coordinate_is_refused_not_misaligned():
+    model, _, only_u_b = _pair_ensembles([2])
+    with pytest.raises(KeyError, match="u_A"):
+        only_u_b[0].position("A")
+    with pytest.raises(KeyError, match="u_A"):
+        ensemble_stats(only_u_b)
+    with pytest.raises(KeyError, match="v_B"):
+        direct_heat_flux_mc(only_u_b, model, "B")
+    with pytest.raises(KeyError, match="v_A"):
+        mode_temperature_mc(ensemble_stats(_pair_ensembles([0, 2])[2]), model)
+
+
+def test_reductions_read_coordinates_by_index_in_any_record_order():
+    model, full, permuted = _pair_ensembles([3, 2, 1, 0])
+    assert np.array_equal(permuted.record, full.record[:, ::-1])
+    a, b = ensemble_stats(full), ensemble_stats(permuted)
+    for field in ("mean", "variance", "variance_se", "tau_int"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert direct_heat_flux_mc(full, model, "A") == direct_heat_flux_mc(permuted, model, "A")
+    assert np.array_equal(full[1].position("A"), permuted[1].position("A"))
+
+
+@pytest.mark.parametrize("coordinates", [[], [0, 0], [4], [-1]])
+def test_invalid_coordinates_are_rejected(coordinates):
+    with pytest.raises(ValueError, match="coordinates"):
+        _pair_ensembles(coordinates)
+
+
+def test_one_recorded_position_bounds_the_spectrum_simulate_peak():
+    # the shipped spectrum record, u only: no velocity row and no times array
+    # beside it, and the chunk temporaries (a few arrays of one chunk of the
+    # full state) on top
+    cfg = load_config(REPO / "configs" / "spectrum.json")
+    sim = SimConfig(seed=1, **cfg.sim)
+    record_bytes = 8 * sim.n_steps
+    chunk_bytes = 8 * langevin._CHUNK * 2 * len(cfg.model.oscillators)
+    tracemalloc.start()
+    try:
+        ens = _quiet_simulate(cfg.model, sim, coordinates=[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.record.nbytes == record_bytes == 12_800_000
+    assert peak <= record_bytes + 8 * chunk_bytes
 
 
 # -- table writer ---------------------------------------------------------------

@@ -16,6 +16,7 @@ from modeheat import (
     DegenerateBand,
     LargeStepWarning,
     Psd,
+    RecordGrid,
     RecordTooShort,
     SimConfig,
     Trajectory,
@@ -32,9 +33,10 @@ from conftest import OMEGA_SPEC, single_oscillator
 
 
 def _synthetic_trajectory(u: np.ndarray, dt: float) -> Trajectory:
-    states = np.column_stack([u, np.zeros_like(u)])
-    times = dt * (1.0 + np.arange(u.size))
-    return Trajectory(times=times, states=states, labels=("A",))
+    """A record of the position of oscillator A, sampled every dt from t = dt."""
+    grid = RecordGrid(dt, 1, 1)
+    assert np.array_equal(grid.times(u.size), dt * (1.0 + np.arange(u.size)))
+    return Trajectory(states=u[:, None], labels=("A",), coordinates=(0,), grid=grid)
 
 
 def _lorentz(f, center, fwhm_hz, area, bg=0.0):
@@ -215,22 +217,6 @@ def test_fit_recovers_noiseless_lorentzian_exactly():
     assert fit.background == pytest.approx(bg, rel=1e-6)
     # noiseless data: residuals at machine precision
     assert fit.goodness < 1e-12
-
-
-def test_fit_accepts_explicit_initial_guess():
-    df = 0.5
-    f = df * np.arange(4096)
-    psd = Psd(
-        frequencies=f,
-        values=_lorentz(f, 800.0, 20.0, 1e-18, 0.0),
-        resolution_bandwidth=df,
-        n_segments=64,
-        window="hann",
-    )
-    fit = fit_lorentzian(psd, initial_guess=(790.0, 30.0, 2e-18, 1e-24))
-    assert fit.center == pytest.approx(800.0, rel=1e-6)
-    with pytest.raises(ValueError):
-        fit_lorentzian(psd, initial_guess=(5000.0, 30.0, 2e-18, 0.0), band=(600.0, 1000.0))
 
 
 def test_fit_rejects_degenerate_band():

@@ -30,7 +30,9 @@ Sections:
   ``chain_doc(random.Random(0), N)`` draws, at the ``ensemble`` workload's
   step (dt = 5.0025 ms, 2000 recorded steps after 200 burn-in steps).  Each
   entry is the least process CPU time of ``--repeats`` calls: ``simulate``
-  in µs per member-step (burn-in included), ``ensemble_stats`` in ms.
+  in µs per member-step (burn-in included), ``ensemble_stats`` in ms; and
+  the tracemalloc peak of one further ``simulate`` call, in MB: the record
+  of every coordinate and the integrator's chunk temporaries.
 """
 
 from __future__ import annotations
@@ -207,7 +209,7 @@ def welch(samples, seed: int, repeats: int) -> dict:
 
 
 def simulate_times(dims, members, repeats: int, n_steps: int = SIM_STEPS) -> dict:
-    """simulate µs per member-step and ensemble_stats ms, by 2N and ensemble size."""
+    """simulate µs per member-step and peak MB, and ensemble_stats ms, by 2N and ensemble size."""
     by_dim = {}
     for dim in dims:
         model = model_from_dict(inputs.chain_doc(random.Random(0), dim // 2))
@@ -221,13 +223,15 @@ def simulate_times(dims, members, repeats: int, n_steps: int = SIM_STEPS) -> dic
                 warnings.simplefilter("ignore", LargeStepWarning)
                 sim_s = cpu_seconds(lambda: None, lambda _: simulate(model, sim), repeats)
                 ens = simulate(model, sim)
+                peak = peak_bytes(lambda: simulate(model, sim))
             rows[str(size)] = {
                 "us_per_member_step": 1e6 * sim_s / (size * (SIM_BURN_IN + n_steps)),
                 "ensemble_stats_ms": 1e3 * cpu_seconds(lambda: ens, ensemble_stats, repeats),
+                "peak_mb": peak / 1e6,
             }
         by_dim[str(dim)] = rows
     return {
-        "timer": f"process CPU time, least of {repeats} calls",
+        "timer": f"process CPU time, least of {repeats} calls; tracemalloc peak of one simulate in MB",
         "models": "perfbench/inputs.py chain_doc(random.Random(0), 2N / 2)",
         "steps": f"dt = {SIM_DT} s, {SIM_BURN_IN} burn-in + {n_steps} recorded steps per member",
         "by_dim": by_dim,
@@ -260,12 +264,12 @@ def main(argv=None) -> int:
     print(f"{'samples':>9}{'segments':>10}{'welch ms':>10}{'peak MB':>10}")
     for n, row in result["welch"]["by_samples"].items():
         print(f"{n:>9}{row['n_segments']:>10}{row['cpu_ms']:>10.1f}{row['peak_mb']:>10.1f}")
-    print(f"{'2N':>4}{'members':>9}{'us/member-step':>16}{'stats ms':>10}")
+    print(f"{'2N':>4}{'members':>9}{'us/member-step':>16}{'peak MB':>10}{'stats ms':>10}")
     for dim, rows in result["simulate"]["by_dim"].items():
         for size, row in rows.items():
             print(
                 f"{dim:>4}{size:>9}{row['us_per_member_step']:>16.3f}"
-                f"{row['ensemble_stats_ms']:>10.2f}"
+                f"{row['peak_mb']:>10.2f}{row['ensemble_stats_ms']:>10.2f}"
             )
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {args.out}")
