@@ -4,7 +4,8 @@ Exit codes: 0 success (verdict PASS), 2 configuration problem, 3 numerical
 failure, 4 oracle FAIL (the run completed but a built-in tolerance check
 did not pass).  Error messages go to stderr with a machine-parsable
 `code=` prefix.  Every run directory gets a manifest (config hash, seed,
-versions, RNG algorithm) sufficient to bit-reproduce the data rows.
+versions, RNG algorithm) sufficient to bit-reproduce the data rows, and the
+warnings the run raised.
 Experiments return data; `run` alone writes it, tables via `modeheat.tables`.
 """
 
@@ -16,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -52,14 +54,20 @@ def run(
 
     resolved_seed = seed if seed is not None else cfg.sim.get("seed", DEFAULT_SEED)
 
+    raised: list[warnings.WarningMessage] = []
     try:
-        outcome = run_experiment(cfg, resolved_seed, threads)
+        with warnings.catch_warnings(record=True) as raised:
+            outcome = run_experiment(cfg, resolved_seed, threads)
     except ConfigError as exc:
         print(f"code=2 {exc}", file=sys.stderr)
         return 2
     except ModeheatError as exc:
         print(f"code=3 {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        # recorded for the manifest, then shown as the filters say (stderr by default)
+        for w in raised:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
     mirror = "json" in cfg.output.get("formats", [])
     written = ["verdict.json"]
@@ -112,6 +120,13 @@ def run(
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         # what this run wrote, not whatever an earlier run left in the directory
         "outputs": sorted(written),
+        # each distinct warning once, in the order first raised
+        "warnings": [
+            {"category": category, "message": message}
+            for category, message in dict.fromkeys(
+                (w.category.__name__, str(w.message)) for w in raised
+            )
+        ],
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 

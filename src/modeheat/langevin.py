@@ -31,12 +31,17 @@ Noise comes from counter-based per-member streams (Philox keyed by
 (seed, ensemble_index)), so every trajectory is bit-reproducible on a given
 install regardless of how members are batched or scheduled across threads.
 
-Standard errors account for sample autocorrelation via the integrated
-autocorrelation time (windowed sum of the ensemble-averaged autocorrelation
-function), so the MC-vs-exact comparisons downstream use honest error bars.
-The ensemble sum of the member autocovariances is one inverse FFT of the
-summed member power spectra (Wiener-Khinchin), so a series set costs one
-forward FFT per member and one inverse FFT in all.
+Every trajectory starts at x = 0 and is driven by zero-mean noise with no
+constant force, so the process has mean exactly zero and every MC second
+moment is a pooled mean square about that known mean: ``ensemble_stats``
+makes one reduction per coordinate, ``mode_temperature_mc`` reads its <u^2>
+and <v^2>, and ``direct_heat_flux_mc`` the same <v^2>.  Standard errors
+account for sample autocorrelation via the integrated autocorrelation time
+(windowed sum of the ensemble-averaged autocorrelation function), so the
+MC-vs-exact comparisons downstream use honest error bars.  The ensemble sum
+of the member autocovariances is one inverse FFT of the summed member power
+spectra (Wiener-Khinchin), so a series set costs one forward FFT per member
+and one inverse FFT in all.
 """
 
 from __future__ import annotations
@@ -264,21 +269,21 @@ class McTemperatures:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Pooled per-coordinate mean and variance over an ensemble, with an
-    autocorrelation-aware standard error of the variance.
+    """Pooled per-coordinate variance over an ensemble, with an
+    autocorrelation-aware standard error.
 
-    ``variance`` is the unbiased pooled variance about the pooled ``mean``;
-    ``variance_se`` is the standard error of that estimate; ``tau_int`` is
-    the integrated autocorrelation time, in record units (1 = uncorrelated
-    samples), of the centered-squared series (x - mean)^2 that yields
-    ``variance_se``.  Standard errors are zero only in the degenerate
+    ``variance`` is the variance about the known zero mean of the process,
+    the pooled mean square <x^2>; ``variance_se`` is the standard error of
+    that estimate; ``tau_int`` is the integrated autocorrelation time, in
+    record units (1 = uncorrelated samples), of the squared series x^2 that
+    yields ``variance_se``.  Standard errors are zero only in the degenerate
     zero-variance case.  ``fingerprint`` is the ensemble's, so
-    ``mode_temperature_mc`` refuses a mismatched model.
+    ``mode_temperature_mc`` and ``direct_heat_flux_mc`` refuse a mismatched
+    model.
     """
 
     n_members: int
     n_records: int
-    mean: np.ndarray
     variance: np.ndarray
     variance_se: np.ndarray
     tau_int: np.ndarray
@@ -548,14 +553,6 @@ def _tau_from_acov(acov: np.ndarray) -> float:
     return max(tau, 1.0)
 
 
-def _pooled_mean(series: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Pooled mean of f over the (members, n) series, summed one block of
-    _MEMBER_BLOCK members at a time, so no mapped copy of the whole
-    ensemble is held."""
-    blocks = range(0, len(series), _MEMBER_BLOCK)
-    return sum(float(np.sum(f(series[b : b + _MEMBER_BLOCK]))) for b in blocks) / series.size
-
-
 def _pooled_mean_se(
     series: np.ndarray, f: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[float, float, float]:
@@ -563,18 +560,21 @@ def _pooled_mean_se(
     ensemble-averaged integrated autocorrelation time.  Returns
     (mean, se, tau).  f must return a new array: it is centred in place.
 
-    The member autocovariances are summed in the frequency domain: the
-    centred blocks are transformed, their |F|^2 accumulated, and one inverse
-    FFT gives the summed autocorrelation, divided by the unbiased lag counts
-    n - k and the member count afterwards.
+    Both passes map one block of _MEMBER_BLOCK members at a time, so no
+    mapped copy of the whole ensemble is held.  The member autocovariances
+    are summed in the frequency domain: the centred blocks are transformed,
+    their |F|^2 accumulated, and one inverse FFT gives the summed
+    autocorrelation, divided by the unbiased lag counts n - k and the member
+    count afterwards.
     """
     n_members, n = series.shape
     n_total = series.size
-    mean = _pooled_mean(series, f)
+    blocks = range(0, n_members, _MEMBER_BLOCK)
+    mean = sum(float(np.sum(f(series[b : b + _MEMBER_BLOCK]))) for b in blocks) / n_total
     nfft = 1 << (2 * n - 1).bit_length()
     power = np.zeros(nfft // 2 + 1)
     sum_sq = 0.0
-    for b in range(0, n_members, _MEMBER_BLOCK):
+    for b in blocks:
         block = f(series[b : b + _MEMBER_BLOCK])
         block -= mean
         sum_sq += float(np.vdot(block, block))
@@ -589,36 +589,21 @@ def _pooled_mean_se(
 
 
 def ensemble_stats(ensemble: Ensemble) -> EnsembleStats:
-    """Pooled moments over an ensemble, reduced in member order.
+    """Pooled second moments about the known zero mean, reduced in member order.
 
-    Variances are unbiased and taken about the pooled mean; their standard
-    errors use the integrated autocorrelation time of the centered-squared
-    series, so correlated records do not masquerade as extra information.
-    One autocovariance pass per state coordinate, in state order; a record
-    that lacks a coordinate is refused with KeyError.
+    Each coordinate's variance is its pooled mean square, with the standard
+    error from the integrated autocorrelation time of the squared series, so
+    correlated records do not masquerade as extra information.  One
+    reduction per state coordinate, in state order; a record that lacks a
+    coordinate is refused with KeyError.
     """
     n_members, _, n_rec = ensemble.record.shape
     dim = 2 * len(ensemble.labels)
-    mean = np.empty(dim)
-    variance = np.empty(dim)
-    variance_se = np.empty(dim)
-    tau_int = np.empty(dim)
-    n_total = n_members * n_rec
-
-    for d in range(dim):
-        series = ensemble.series(d)
-        # each block is summed from a contiguous copy: numpy's pairwise sum
-        # over the strided view groups the terms differently and moves the
-        # last bits of the mean
-        mean[d] = _pooled_mean(series, np.ascontiguousarray)
-        m2, se2, tau_int[d] = _pooled_mean_se(series, lambda block, c=mean[d]: (block - c) ** 2)
-        variance[d] = m2 * n_total / max(n_total - 1, 1)
-        variance_se[d] = se2 * n_total / max(n_total - 1, 1)
-
+    moments = [_pooled_mean_se(ensemble.series(d), np.square) for d in range(dim)]
+    variance, variance_se, tau_int = np.array(moments).T
     return EnsembleStats(
         n_members=n_members,
         n_records=n_rec,
-        mean=mean,
         variance=variance,
         variance_se=variance_se,
         tau_int=tau_int,
@@ -649,19 +634,24 @@ def _require_model_match(fingerprint: str, model: SystemModel) -> None:
 
 
 def direct_heat_flux_mc(
-    ensemble: Ensemble, model: SystemModel, oscillator: int | str
+    stats: EnsembleStats, model: SystemModel, oscillator: int | str
 ) -> Estimate:
-    """Work-based bath flux estimate, independent of the flux-gap formula.
+    """Work-based bath flux estimate from the ensemble's <v^2>.
 
-    P_hat = S_0/(2m) - 2 gamma m <v^2>_time (``model.injected_power`` and
-    ``model.damping_coefficient``): the injected-power term is the
-    exact Ito mean (no sampling noise), so all randomness sits in the
-    dissipation average, whose SE comes from the integrated autocorrelation
-    time of the v^2 series.  KeyError when the oscillator's velocity was not
-    recorded.
+    P_hat = S_0/(2m) - 2 gamma m <v^2> (``model.injected_power`` and
+    ``model.damping_coefficient``): the injected-power term is the exact Ito
+    mean (no sampling noise), so all randomness sits in the dissipation
+    average, the velocity's ``stats.variance`` with its ``variance_se``.
+    It reads the same <v^2> as the kinetic mode temperature of
+    ``mode_temperature_mc``.  At the default ``noise_factor`` 4,
+    S_0/(2m) = 2 gamma k_B T, and it equals the flux-gap formula
+    2 gamma k_B (T - T'_kin) on that temperature in value and SE: a second
+    reading of one statistic, not an independent estimate.
     """
-    _require_model_match(ensemble.fingerprint, model)
+    _require_model_match(stats.fingerprint, model)
     i = model.index(oscillator) if isinstance(oscillator, str) else oscillator
-    mean_vsq, se_vsq, _ = _pooled_mean_se(ensemble.series(2 * i + 1), np.square)
     c = float(model.damping_coefficient[i])
-    return Estimate(value=float(model.injected_power[i]) - c * mean_vsq, se=c * se_vsq)
+    return Estimate(
+        value=float(model.injected_power[i]) - c * float(stats.variance[2 * i + 1]),
+        se=c * float(stats.variance_se[2 * i + 1]),
+    )

@@ -142,11 +142,11 @@ def test_criterion_4_flux_gap_model_independence():
         cfg = SimConfig(
             dt=DT_FAST, n_steps=2000, seed=100 + k, ensemble_size=32, allow_large_step=True
         )
-        trajs = _simulate_quiet(model, cfg)
-        mt = mode_temperature_mc(ensemble_stats(trajs), model)
+        stats = ensemble_stats(_simulate_quiet(model, cfg))
+        mt = mode_temperature_mc(stats, model)
         p_gap = flux_from_gap(o.gamma, t_bath, mt.kinetic[0])
         se_gap = 2.0 * o.gamma * BOLTZMANN * mt.kinetic_se[0]
-        direct = direct_heat_flux_mc(trajs, model, 0)
+        direct = direct_heat_flux_mc(stats, model, 0)
 
         for a, b, se in (
             (p_gap, direct.value, math.hypot(se_gap, direct.se)),

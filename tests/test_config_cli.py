@@ -246,6 +246,7 @@ def test_cli_happy_path_writes_manifest_and_verdict(tmp_path, capsys):
         assert (out_dir / name).exists()
     assert "manifest.json" not in manifest["outputs"]
     assert "verdict.json" in manifest["outputs"]
+    assert manifest["warnings"] == []
 
 
 def test_cli_json_mirroring(tmp_path):
@@ -304,6 +305,17 @@ def test_cli_manifest_lists_only_this_runs_outputs(tmp_path):
     assert cli.run(_write(tmp_path, doc, "plain.json"), out=out_dir) == 0
     second = json.loads((out_dir / "manifest.json").read_text())["outputs"]
     assert second == ["comparison.json", "comparison.txt", "paper_numbers.csv", "verdict.json"]
+
+
+def test_cli_manifest_records_the_warnings_raised(tmp_path):
+    # every shipped MC config steps past the spectral step guard: the manifest
+    # records the warning, and the run still shows it
+    out_dir = tmp_path / "out"
+    with pytest.warns(modeheat.LargeStepWarning):
+        assert cli.run(CONFIG_DIR / "coupled_transfer.json", out=out_dir) == 0
+    recorded = json.loads((out_dir / "manifest.json").read_text())["warnings"]
+    assert [w["category"] for w in recorded] == ["LargeStepWarning"]
+    assert recorded[0]["message"].startswith("dt*omega_max = ")
 
 
 def _short_sweep_doc():

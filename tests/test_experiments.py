@@ -13,7 +13,9 @@ from modeheat import ConfigError, LargeStepWarning, coupling_g
 from modeheat import cli
 from modeheat.config import ExperimentConfig, config_from_dict, load_config
 from modeheat.experiments import (
-    _variance,
+    _flux_routes,
+    _routes,
+    _sim_from_config,
     _with_equal_baths,
     run_experiment,
     run_strong_coupling_sweep,
@@ -145,10 +147,18 @@ def test_sweep_holds_one_position_only_psd_record_at_a_time():
     assert peak < 1.5 * record_bytes + slack
 
 
-@pytest.mark.parametrize("n", [1, 7, 128, 129, 65536, 65537, 200_003, 1_600_000])
-def test_record_variance_keeps_the_bits_of_np_var(n):
-    x = np.random.default_rng(n).standard_normal(n) * 3e-9 + 1e-10
-    assert _variance(x) == float(np.var(x))
+def test_gap_and_direct_flux_are_one_statistic():
+    # at noise_factor 4, S_0/(2m) = 2 gamma k_B T: both readings take <v^2>
+    # from the same reduction, so they agree in value and SE to rounding
+    cfg = load_config(REPO / "configs" / "coupled_transfer.json")
+    model = cfg.model
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LargeStepWarning)
+        ss, stats, mc = _routes(model, _sim_from_config(cfg.sim, 1), 1)
+    for i, label in enumerate(model.labels):
+        gap, direct, _ = _flux_routes(model, ss, stats, mc, i, label)
+        assert direct.value == pytest.approx(gap.value, rel=1e-12, abs=0)
+        assert direct.se == pytest.approx(gap.se, rel=1e-12, abs=0)
 
 
 def test_run_experiment_writes_nothing(tmp_path, monkeypatch):

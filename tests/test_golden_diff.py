@@ -73,6 +73,21 @@ def test_cell_bound_is_relative_to_the_column_max(tmp_path, capsys):
     assert golden_diff.main([str(a), str(b)]) == 1
 
 
+def test_every_column_of_a_differing_table_is_reported(tmp_path, capsys):
+    a = _run_dir(tmp_path / "a", table="x,y,z,label\n1.0,2.0,3.0,a\n-4.0,8.0,6.0,b\n")
+    # y moves by 1e-7 and 5e-8 of its column max 8, z by 1e-8 of 6 in row 2
+    table = "x,y,z,label\n1.0,2.0000008,3.0,a\n-4.0,8.0000004,6.00000006,b\n"
+    b = _run_dir(tmp_path / "b", table=table)
+    assert golden_diff.main([str(a), str(b), "--bound", "1e-6"]) == 0
+    out = capsys.readouterr().out
+    assert "within demo/demo.csv: worst 1e-07 x column max at row 1 column y" in out
+    assert "  column x: identical\n" in out
+    assert "  column y: 2 cell(s) differ, worst 1e-07 x column max at row 1\n" in out
+    assert "  column z: 1 cell(s) differ, worst 1e-08 x column max at row 2\n" in out
+    assert "  column label: identical\n" in out
+    assert golden_diff.main([str(a), str(b)]) == 1
+
+
 def test_text_and_shape_changes_fail(tmp_path):
     a = _run_dir(tmp_path / "a")
     text = _run_dir(tmp_path / "b", table="x,label\n1.0,z\n-4.0,b\n")

@@ -295,9 +295,9 @@ def test_exact_scheme_matches_covariance_solve(fast_model):
     assert abs(mt.kinetic[0] - 300.0) < 4 * mt.kinetic_se[0]
     assert abs(mt.positional[0] - 300.0) < 4 * mt.positional_se[0]
     assert mt.kinetic_se[0] > 0
-    # cross-covariance <u v> vanishes in steady state
-    centred = np.concatenate([t.states for t in ens]) - stats.mean
-    uv = float(np.mean(centred[:, 0] * centred[:, 1]))
+    # cross-covariance <u v> about the zero mean vanishes in steady state
+    states = np.concatenate([t.states for t in ens])
+    uv = float(np.mean(states[:, 0] * states[:, 1]))
     cov = solve_stationary(compile(fast_model))
     assert abs(uv) < 4 * math.sqrt(
         cov[0, 0] * cov[1, 1] / (stats.n_members * stats.n_records)
@@ -374,7 +374,7 @@ def test_exact_and_mc_temperatures_share_one_definition():
     ss = steady_state(model)
     var = np.diag(ss.covariance)
     stats = langevin.EnsembleStats(
-        n_members=1, n_records=1, mean=np.zeros_like(var), variance=var,
+        n_members=1, n_records=1, variance=var,
         variance_se=np.zeros_like(var), tau_int=np.ones_like(var),
         fingerprint=model.fingerprint(),
     )
@@ -430,8 +430,8 @@ def test_direct_flux_vanishes_at_equilibrium(fast_model):
     cfg = SimConfig(
         dt=DT_FAST, n_steps=2000, seed=19, ensemble_size=16, allow_large_step=True
     )
-    ens = _quiet_simulate(fast_model, cfg, threads=4)
-    est = direct_heat_flux_mc(ens, fast_model, "A")
+    stats = ensemble_stats(_quiet_simulate(fast_model, cfg, threads=4))
+    est = direct_heat_flux_mc(stats, fast_model, "A")
     assert est.se > 0
     assert abs(est.value) < 4 * est.se
 
@@ -465,36 +465,20 @@ def test_reductions_match_per_member_reference(members):
     cfg = SimConfig(dt=5e-4, n_steps=301, seed=21, ensemble_size=members)
     ens = simulate(_SLOW_PAIR, cfg)
     stats = ensemble_stats(ens)
-    n_total = 301 * members
-    unbias = n_total / (n_total - 1)
-    for d in range(4):
-        series = [t.states[:, d] for t in ens]
-        mean, _, _ = _reference_pooled_mean_se(series)
-        m2, se2, tau = _reference_pooled_mean_se([(s - mean) ** 2 for s in series])
-        got = (stats.mean[d], stats.tau_int[d], stats.variance[d], stats.variance_se[d])
-        want = (mean, tau, m2 * unbias, se2 * unbias)
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    # every second moment is the pooled mean square about the known zero mean
+    ref = [_reference_pooled_mean_se([t.states[:, d] ** 2 for t in ens]) for d in range(4)]
+    for d, (m2, se2, tau) in enumerate(ref):
+        got = (stats.tau_int[d], stats.variance[d], stats.variance_se[d])
+        np.testing.assert_allclose(got, (tau, m2, se2), rtol=1e-13, atol=0)
     o = _SLOW_PAIR.oscillators[0]
-    mean_vsq, se_vsq, _ = _reference_pooled_mean_se([t.states[:, 1] ** 2 for t in ens])
-    est = direct_heat_flux_mc(ens, _SLOW_PAIR, "A")
+    mean_vsq, se_vsq, _ = ref[1]
+    est = direct_heat_flux_mc(stats, _SLOW_PAIR, "A")
     injected = _SLOW_PAIR.thermal_noise_intensity(0) / (2 * o.mass)
     np.testing.assert_allclose(
         (est.value, est.se),
         (injected - 2.0 * o.gamma * o.mass * mean_vsq, 2.0 * o.gamma * o.mass * se_vsq),
         rtol=1e-13, atol=0,
     )
-
-
-def test_raw_mean_keeps_the_bits_of_stacked_member_blocks():
-    # past 1024 records numpy sums a strided (16, n) view of the record in
-    # another order than a contiguous block, and the last bits of the mean move
-    cfg = SimConfig(dt=5e-4, n_steps=1201, seed=21, ensemble_size=33)
-    ens = simulate(_SLOW_PAIR, cfg)
-    stats = ensemble_stats(ens)
-    for d in range(4):
-        series = [t.states[:, d] for t in ens]
-        stacked = sum(float(np.sum(np.stack(series[b : b + 16]))) for b in range(0, 33, 16))
-        assert stats.mean[d] == stacked / (33 * 1201)
 
 
 # -- guard rails ----------------------------------------------------------------
@@ -600,7 +584,7 @@ def test_fingerprint_guards(fast_model):
     with pytest.raises(FingerprintMismatch):
         mode_temperature_mc(stats, other)
     with pytest.raises(FingerprintMismatch):
-        direct_heat_flux_mc(ens, other, "A")
+        direct_heat_flux_mc(stats, other, "A")
 
 
 def test_trajectory_label_indexing():
@@ -643,7 +627,7 @@ def test_unrecorded_coordinate_is_refused_not_misaligned():
     with pytest.raises(KeyError, match="u_A"):
         ensemble_stats(only_u_b)
     with pytest.raises(KeyError, match="v_B"):
-        direct_heat_flux_mc(only_u_b, model, "B")
+        ensemble_stats(_pair_ensembles([0, 1, 2])[2])
     with pytest.raises(KeyError, match="v_A"):
         mode_temperature_mc(ensemble_stats(_pair_ensembles([0, 2])[2]), model)
 
@@ -652,9 +636,9 @@ def test_reductions_read_coordinates_by_index_in_any_record_order():
     model, full, permuted = _pair_ensembles([3, 2, 1, 0])
     assert np.array_equal(permuted.record, full.record[:, ::-1])
     a, b = ensemble_stats(full), ensemble_stats(permuted)
-    for field in ("mean", "variance", "variance_se", "tau_int"):
+    for field in ("variance", "variance_se", "tau_int"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
-    assert direct_heat_flux_mc(full, model, "A") == direct_heat_flux_mc(permuted, model, "A")
+    assert direct_heat_flux_mc(a, model, "A") == direct_heat_flux_mc(b, model, "A")
     assert np.array_equal(full[1].position("A"), permuted[1].position("A"))
 
 

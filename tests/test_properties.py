@@ -9,8 +9,10 @@ Lyapunov residual gate, the global energy balance, the flux-gap relation, the
 exact zero of <u_i v_i>, linearity of C in the noise intensities, and
 normal modes read off the Schur factor that equal the drift's eigenvalues.  On the
 Monte Carlo side, the integrator's block scan equals a step-by-step loop for
-any burn-in, stride, chunk length and block length, and the MC mode
-temperatures and direct bath fluxes lie within 5 SE of the exact ones.
+any burn-in, stride, chunk length and block length, the MC mode
+temperatures and direct bath fluxes lie within 5 SE of the exact ones, and
+the pooled mean of every coordinate lies within 5 SE of the zero that all
+MC second moments are taken about.
 """
 
 import dataclasses
@@ -203,7 +205,8 @@ def test_mc_estimates_within_five_se_of_exact(model):
         warnings.simplefilter("ignore")
         trajs = simulate(model, cfg)
     ss = steady_state(model)
-    mc = mode_temperature_mc(ensemble_stats(trajs), model)
+    stats = ensemble_stats(trajs)
+    mc = mode_temperature_mc(stats, model)
     t_scale = max(o.bath_temperature for o in model.oscillators)
     p_scale = np.sum(np.abs(ss.bath_flux))
     for i in range(len(model.oscillators)):
@@ -211,7 +214,22 @@ def test_mc_estimates_within_five_se_of_exact(model):
             (mc.kinetic[i], mc.kinetic_se[i], ss.mode_temperature_kinetic[i], t_scale),
             (mc.positional[i], mc.positional_se[i], ss.mode_temperature_positional[i], t_scale),
         ]
-        flux = direct_heat_flux_mc(trajs, model, i)
+        flux = direct_heat_flux_mc(stats, model, i)
         pairs.append((flux.value, flux.se, ss.bath_flux[i], p_scale))
         for value, se, exact, scale in pairs:
             assert abs(value - exact) <= 5.0 * se + 1e-9 * scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(stable_networks())
+def test_mc_coordinates_have_zero_mean(model):
+    # x_0 = 0, zero-mean noise and no constant force: every MC second moment is
+    # taken about zero, so the pooled mean of each coordinate must sit within
+    # 5 SE of it (the reduction centres its block in place, so f copies)
+    cfg = SimConfig(dt=DT_FAST, n_steps=4000, seed=5, ensemble_size=16, allow_large_step=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ens = simulate(model, cfg)
+    for d in range(2 * len(model.oscillators)):
+        mean, se, _ = langevin._pooled_mean_se(ens.series(d), np.array)
+        assert abs(mean) <= 5.0 * se

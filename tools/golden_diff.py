@@ -10,8 +10,10 @@ renamed check counts, and no check name may repeat within a run.  The
 `outputs` list of its `manifest.json` must be equal too.  Each table, a CSV
 file or a JSON mirror (a list of row objects), is reported as byte-identical
 or by its worst cell: |after - before| over the largest magnitude in that
-column of BEFORE.  Text cells must match exactly.  Any other output
-(`comparison.json`, `comparison.txt`) must be byte-identical.  The exit
+column of BEFORE; text cells must match exactly.  A table that differs
+also gets one line per column: how many of its cells differ and the worst
+of them, or "identical".  Any other output (`comparison.json`,
+`comparison.txt`) must be byte-identical.  The exit
 status is 1 when a run or file is missing on one side, a verdict, check
 sequence or outputs list differs, a check name repeats, a non-table file
 differs, or a cell exceeds --bound (default 0: every differing number
@@ -99,18 +101,21 @@ def _check_text(check: tuple[str, bool] | None) -> str:
     return "absent" if check is None else f"{check[0]} {'passed' if check[1] else 'failed'}"
 
 
-def worst_cell(rows0: list[list], rows1: list[list]) -> tuple[float, str]:
-    """Largest cell difference relative to its column's max magnitude in
-    `rows0`, and where it sits.  A text or shape mismatch is infinite."""
+def column_diffs(rows0: list[list], rows1: list[list]) -> list[tuple[str, int, float, int]] | None:
+    """Per column, in order: its name, the number of cells that differ, the
+    largest difference relative to the column's max magnitude in `rows0`,
+    and the row where that sits (0 is the header).  A text difference is
+    infinite.  None when the tables differ in shape."""
     if len(rows0) != len(rows1) or any(len(a) != len(b) for a, b in zip(rows0, rows1)):
-        return math.inf, "table shape"
+        return None
     header = rows0[0] if rows0 else []
-    scale = [0.0] * max(map(len, rows0), default=0)
+    width = max(map(len, rows0), default=0)
+    scale = [0.0] * width
     for row in rows0[1:]:
         for j, x in enumerate(row):
             if isinstance(x, float) and math.isfinite(x):
                 scale[j] = max(scale[j], abs(x))
-    worst, where = 0.0, "nowhere (numbers equal, text differs)"
+    count, worst, where = [0] * width, [0.0] * width, [0] * width
     for i, (r0, r1) in enumerate(zip(rows0, rows1)):
         for j, (x, y) in enumerate(zip(r0, r1)):
             numbers = i > 0 and isinstance(x, float) and isinstance(y, float)
@@ -120,9 +125,26 @@ def worst_cell(rows0: list[list], rows1: list[list]) -> tuple[float, str]:
                 rel = math.inf
             else:
                 rel = abs(y - x) / scale[j]
-            if rel >= worst:
-                worst, where = rel, f"row {i} column {header[j] if j < len(header) else j}"
-    return worst, where
+            count[j] += 1
+            if rel >= worst[j]:
+                worst[j], where[j] = rel, i
+    names = [str(header[j]) if j < len(header) else str(j) for j in range(width)]
+    return list(zip(names, count, worst, where))
+
+
+def worst_cell(columns: list[tuple[str, int, float, int]] | None) -> tuple[float, str]:
+    """The largest relative difference over the `column_diffs` of a table,
+    and where it sits.  A shape mismatch is infinite."""
+    if columns is None:
+        return math.inf, "table shape"
+    moved = [(rel, f"row {row} column {name}") for name, n, rel, row in columns if n]
+    return max(moved, key=lambda m: m[0], default=(0.0, "nowhere (numbers equal, text differs)"))
+
+
+def _column_text(name: str, n: int, rel: float, row: int) -> str:
+    if not n:
+        return f"column {name}: identical"
+    return f"column {name}: {n} cell(s) differ, worst {rel:.3g} x column max at row {row}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -161,9 +183,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"DIFF {name}: not byte-identical")
             failed = True
             continue
-        rel, where = worst_cell(rows0, rows1)
+        columns = column_diffs(rows0, rows1)
+        rel, where = worst_cell(columns)
         over = rel > args.bound
         print(f"{'OVER' if over else 'within'} {name}: worst {rel:.3g} x column max at {where}")
+        for column in columns or []:
+            print(f"  {_column_text(*column)}")
         failed |= over
     return 1 if failed else 0
 
