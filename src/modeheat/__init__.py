@@ -11,7 +11,6 @@ from .constants import BOLTZMANN, DEFAULT_SEED, RNG_ALGORITHM
 from .errors import (
     BandOutOfRange,
     ConfigError,
-    DefectiveMatrixWarning,
     DegenerateBand,
     FingerprintMismatch,
     IllConditioned,
@@ -143,7 +142,6 @@ __all__ = [
     "NonPositiveStiffness",
     "NotHurwitz",
     "IllConditioned",
-    "DefectiveMatrixWarning",
     "LargeStepWarning",
     "ShortBurnInWarning",
     "StepTooLarge",

@@ -37,10 +37,6 @@ class IllConditioned(ModeheatError):
         self.residual = residual
 
 
-class DefectiveMatrixWarning(UserWarning):
-    """Drift matrix is numerically non-diagonalizable; eigenvalues are still returned."""
-
-
 # --- stochastic simulation ---------------------------------------------------
 
 class LargeStepWarning(UserWarning):

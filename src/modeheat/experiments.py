@@ -150,12 +150,13 @@ def _flux_routes(model: SystemModel, ss, stats, mc, i: int, tag: str):
     """Oscillator i's bath flux read off the ensemble's <v_i^2> two ways, by
     the gap formula on its MC kinetic temperature and by the direct work
     average, each as an ``Estimate``, with the pairwise 4-SE checks of the
-    two against the exact flux and against each other.  At the default
-    noise_factor the two readings are one number (``direct_heat_flux_mc``),
-    so their mutual check holds by construction there."""
+    two against the exact flux and against each other.  The gap is taken
+    from the equilibrium temperature T_eq, so at every noise_factor the two
+    readings are one number (``direct_heat_flux_mc``) and their mutual check
+    holds by construction."""
     o = model.oscillators[i]
     gap = Estimate(
-        flux_from_gap(o.gamma, o.bath_temperature, mc.kinetic[i], model.boltzmann),
+        flux_from_gap(o.gamma, model.equilibrium_temperature[i], mc.kinetic[i], model.boltzmann),
         flux_gap_slope(o.gamma, model.boltzmann) * mc.kinetic_se[i],
     )
     direct = direct_heat_flux_mc(stats, model, i)
@@ -189,7 +190,7 @@ def run_equipartition(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome
                 "t_mc_kin_se_k": mc.kinetic_se[i],
             }
         )
-        T = o.bath_temperature
+        T = model.equilibrium_temperature[i]
         if T <= 0:
             continue
         checks += [
@@ -216,7 +217,8 @@ def run_cold_damping(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
     for i, o in enumerate(model.oscillators):
         fb = model.feedback(o.label)
         gamma_fb = -fb.velocity_gain / (2.0 * o.mass)
-        predicted = o.bath_temperature * o.gamma / (o.gamma + gamma_fb)
+        t_eq = model.equilibrium_temperature[i]
+        predicted = t_eq * o.gamma / (o.gamma + gamma_fb)
         flux = direct_heat_flux_mc(stats, model, o.label)
         rows.append(
             {
@@ -245,9 +247,7 @@ def run_cold_damping(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
             _check_rel(
                 f"flux_gap_identity_{o.label}",
                 ss.bath_flux[i],
-                flux_from_gap(
-                    o.gamma, o.bath_temperature, ss.mode_temperature_kinetic[i], model.boltzmann
-                ),
+                flux_from_gap(o.gamma, t_eq, ss.mode_temperature_kinetic[i], model.boltzmann),
                 1e-8,
             ),
             _check_rel(
@@ -305,7 +305,6 @@ def run_coupled_transfer(cfg: ExperimentConfig, seed: int, threads: int) -> Outc
 def run_spectrum(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
     model = cfg.model
     o = model.oscillators[0]
-    T = o.bath_temperature
     sim = _sim_from_config(cfg.sim, seed)
     # the oscillator's position is the one coordinate read
     traj = simulate(model, sim, threads, coordinates=(2 * model.index(o.label),))[0]
@@ -327,7 +326,7 @@ def run_spectrum(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
 
     checks = [
         _check_rel("parseval_full_band", area_full, mean_square, 0.01),
-        _check_rel("band_temperature", temp.value, T, 0.05),
+        _check_rel("band_temperature", temp.value, model.equilibrium_temperature[0], 0.05),
         Check(
             "fit_center_within_rbw",
             abs(fit.center - f0) <= psd.resolution_bandwidth,
@@ -345,7 +344,7 @@ def run_spectrum(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
 
     summary = {
         "oscillator": o.label,
-        "bath_temperature_k": T,
+        "bath_temperature_k": o.bath_temperature,
         "band_lo_hz": temp.band[0],
         "band_hi_hz": temp.band[1],
         "t_psd_k": temp.value,

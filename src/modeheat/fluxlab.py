@@ -66,8 +66,11 @@ def flux_from_gap(gamma: float, T: float, T_mode: float, boltzmann: float = BOLT
 
     Holds for any linear coupling and feedback acting on the mode: whatever
     holds the mode temperature away from the bath temperature, the bath
-    responds only to the gap.  ``boltzmann`` is the k_B of the model the
-    temperatures come from (``SystemModel.boltzmann``); SI by default.
+    responds only to the gap.  ``T`` is the temperature the bath alone holds
+    its mode at, ``SystemModel.equilibrium_temperature``: the bath
+    temperature under the default noise_factor 4.  ``boltzmann`` is the k_B
+    of the model the temperatures come from (``SystemModel.boltzmann``); SI
+    by default.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")

@@ -195,6 +195,13 @@ class SystemModel:
         )
 
     @functools.cached_property
+    def equilibrium_temperature(self) -> np.ndarray:
+        """Mode temperature at which each bath alone holds its oscillator, K:
+        (noise_factor / 4) T, the bath temperature itself at the default
+        factor 4.  The flux-gap relation and equipartition read this T_eq."""
+        return _frozen([self.noise_factor / 4.0 * o.bath_temperature for o in self.oscillators])
+
+    @functools.cached_property
     def feedback_noise_power(self) -> np.ndarray:
         """Mean power S_ext/(2m) the feedback force noise injects per oscillator, W
         (zero where an oscillator has no feedback)."""

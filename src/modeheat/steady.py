@@ -15,13 +15,12 @@ modes therefore factors the drift once.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DefectiveMatrixWarning, IllConditioned, NotHurwitz
+from .errors import IllConditioned, NotHurwitz
 from .model import StateMatrices, SystemModel, compile
 
 __all__ = [
@@ -75,7 +74,6 @@ class NormalModes:
 
     frequencies: np.ndarray
     linewidths: np.ndarray
-    defective: bool = False
 
 
 def lyapunov_residual(matrices: StateMatrices, C: np.ndarray) -> float:
@@ -225,37 +223,14 @@ def normal_modes(matrices: StateMatrices) -> NormalModes:
     The eigenvalues are those of the quasi-triangular factor T of
     ``matrices.schur``, which is similar to the drift; a solve of the same
     compiled model has already computed it, and a drift that no solve has
-    seen is factored here.  The eigenvector condition that flags a
-    defective drift is likewise measured in the stiffness-scaled Schur
-    basis, where a lightly damped oscillator at Omega = 2 pi x 100 kHz reads
-    1.00002; its unscaled eigenvectors (1, lambda) read about Omega.
-
-    A non-diagonalizable drift matrix triggers DefectiveMatrixWarning;
-    eigenvalues are still returned.
+    seen is factored here.  Only eigenvalues are taken, so a drift that is
+    not diagonalizable (critical damping, say) needs no special case.
     """
-    lam, vecs = np.linalg.eig(matrices.schur[1])
-    defective = False
-    try:
-        cond = np.linalg.cond(vecs)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if not np.isfinite(cond) or cond > 1e12:
-        defective = True
-        warnings.warn(
-            f"drift matrix is defective or nearly so (eigenvector condition {cond:.2e}, "
-            "measured in the stiffness-scaled Schur basis); frequencies remain valid, "
-            "eigenvectors do not span the state space",
-            DefectiveMatrixWarning,
-        )
-
+    lam = np.linalg.eigvals(matrices.schur[1])
     # One representative per conjugate pair: keep Im >= 0.
     lam_k = lam[lam.imag >= 0]
     lam_k = lam_k[np.argsort(lam_k.imag, kind="stable")]
-    return NormalModes(
-        frequencies=np.abs(lam_k.imag),
-        linewidths=-2.0 * lam_k.real,
-        defective=defective,
-    )
+    return NormalModes(frequencies=np.abs(lam_k.imag), linewidths=-2.0 * lam_k.real)
 
 
 def steady_state(model: SystemModel) -> SteadyState:

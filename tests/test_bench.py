@@ -1,4 +1,4 @@
-"""The timing harness: its exact-route, Welch and simulate sections and the file it writes."""
+"""The timing harness: its exact-route, Welch, simulate and run sections and the file it writes."""
 
 import importlib.util
 import json
@@ -8,6 +8,8 @@ from conftest import REPO
 _spec = importlib.util.spec_from_file_location("bench", REPO / "tools" / "bench.py")
 bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
+
+PAPER_NUMBERS = REPO / "configs" / "paper_numbers.json"
 
 
 def test_exact_route_times_every_size_and_chain():
@@ -53,11 +55,20 @@ def test_simulate_times_every_dimension_and_ensemble_size():
             assert row["peak_mb"] >= int(size) * int(dim) * 50 * 8 / 1e6
 
 
+def test_run_times_a_fresh_modeheat_run_per_config():
+    section = bench.run_times([PAPER_NUMBERS], repeats=2)
+    assert list(section["by_config"]) == ["paper_numbers"]
+    row = section["by_config"]["paper_numbers"]
+    assert row["exit_code"] == 0
+    assert 0 < row["wall_s"] < 60
+
+
 def test_main_writes_machine_and_sections(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "CHAIN_SIZES", (2,))
     monkeypatch.setattr(bench, "WELCH_SAMPLES", (4096,))
     monkeypatch.setattr(bench, "SIM_DIMS", (2,))
     monkeypatch.setattr(bench, "SIM_MEMBERS", (2,))
+    monkeypatch.setattr(bench, "CONFIGS", [PAPER_NUMBERS])
     out = tmp_path / "bench.json"
     assert bench.main(["--out", str(out), "--seeds", "1", "--repeats", "1"]) == 0
     doc = json.loads(out.read_text())
@@ -67,3 +78,4 @@ def test_main_writes_machine_and_sections(tmp_path, monkeypatch):
     assert list(doc["welch"]["by_samples"]) == ["4096"]
     assert list(doc["simulate"]["by_dim"]) == ["2"]
     assert list(doc["simulate"]["by_dim"]["2"]) == ["2"]
+    assert list(doc["run"]["by_config"]) == ["paper_numbers"]

@@ -148,17 +148,19 @@ def test_sweep_holds_one_position_only_psd_record_at_a_time():
 
 
 def test_gap_and_direct_flux_are_one_statistic():
-    # at noise_factor 4, S_0/(2m) = 2 gamma k_B T: both readings take <v^2>
-    # from the same reduction, so they agree in value and SE to rounding
+    # S_0/(2m) = 2 gamma k_B T_eq with T_eq = (noise_factor / 4) T: both
+    # readings take <v^2> from the same reduction, so they agree in value and
+    # SE to rounding at every noise factor
     cfg = load_config(REPO / "configs" / "coupled_transfer.json")
-    model = cfg.model
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LargeStepWarning)
-        ss, stats, mc = _routes(model, _sim_from_config(cfg.sim, 1), 1)
-    for i, label in enumerate(model.labels):
-        gap, direct, _ = _flux_routes(model, ss, stats, mc, i, label)
-        assert direct.value == pytest.approx(gap.value, rel=1e-12, abs=0)
-        assert direct.se == pytest.approx(gap.se, rel=1e-12, abs=0)
+    for noise_factor in (4.0, 8.0):
+        model = dataclasses.replace(cfg.model, noise_factor=noise_factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LargeStepWarning)
+            ss, stats, mc = _routes(model, _sim_from_config(cfg.sim, 1), 1)
+        for i, label in enumerate(model.labels):
+            gap, direct, _ = _flux_routes(model, ss, stats, mc, i, label)
+            assert direct.value == pytest.approx(gap.value, rel=1e-12, abs=0)
+            assert direct.se == pytest.approx(gap.se, rel=1e-12, abs=0)
 
 
 def test_run_experiment_writes_nothing(tmp_path, monkeypatch):
@@ -172,3 +174,16 @@ def test_run_experiment_writes_nothing(tmp_path, monkeypatch):
     assert cli.run(config, out=out_dir) == 0
     written = {p.name for p in out_dir.iterdir()} - {"verdict.json", "manifest.json"}
     assert written == {f"{stem}.csv" for stem in outcome.tables} | set(outcome.texts)
+
+
+@pytest.mark.parametrize("name", ["equipartition", "cold_damping", "coupled_transfer", "spectrum"])
+def test_shipped_config_passes_at_noise_factor_eight(tmp_path, name):
+    # the checks compare with T_eq = 2 T, the temperature the bath alone holds
+    # its mode at under this convention, not with the bath temperature T
+    doc = json.loads((REPO / "configs" / f"{name}.json").read_text())
+    doc["model"]["noise_factor"] = 8.0
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LargeStepWarning)
+        assert cli.run(config, out=tmp_path / "out") == 0

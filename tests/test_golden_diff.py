@@ -1,4 +1,4 @@
-"""The golden-comparison tool: verdict, check and outputs-list equality, cell
+"""The golden-comparison tool: verdict, check, outputs- and warnings-list equality, cell
 bounds for CSV tables and their JSON mirrors, byte equality for other files."""
 
 import importlib.util
@@ -25,6 +25,7 @@ def _run_dir(
     text=None,
     outputs=None,
     checks=None,
+    warnings=None,
 ):
     run = root / "demo"
     run.mkdir(parents=True)
@@ -37,7 +38,8 @@ def _run_dir(
     if text is not None:
         (run / "comparison.txt").write_text(text)
     if outputs is not None:
-        (run / "manifest.json").write_text(json.dumps({"outputs": outputs}))
+        manifest = {"outputs": outputs, "warnings": warnings or []}
+        (run / "manifest.json").write_text(json.dumps(manifest))
     return root
 
 
@@ -144,6 +146,33 @@ def test_manifest_outputs_must_match(tmp_path, capsys):
     b = _full_run_dir(tmp_path / "b", outputs=["demo.csv", "verdict.json"])
     assert golden_diff.main([str(a), str(b), "--bound", "1"]) == 1
     assert "manifest outputs" in capsys.readouterr().out
+
+
+_LARGE_STEP = {"category": "LargeStepWarning", "message": "dt * omega_max = 0.1 > 0.05"}
+
+
+@pytest.mark.parametrize(
+    "before,after",
+    [
+        # a warning no longer raised
+        ([_LARGE_STEP], []),
+        # the same category with another message
+        ([_LARGE_STEP], [{**_LARGE_STEP, "message": "dt * omega_max = 0.2 > 0.05"}]),
+        # a new category
+        ([_LARGE_STEP], [_LARGE_STEP, {"category": "ShortBurnInWarning", "message": "short"}]),
+    ],
+)
+def test_manifest_warnings_must_match(tmp_path, capsys, before, after):
+    a = _full_run_dir(tmp_path / "a", warnings=before)
+    b = _full_run_dir(tmp_path / "b", warnings=after)
+    assert golden_diff.main([str(a), str(b), "--bound", "1"]) == 1
+    assert "manifest warnings" in capsys.readouterr().out
+
+
+def test_equal_manifest_warnings_pass(tmp_path):
+    a = _full_run_dir(tmp_path / "a", warnings=[_LARGE_STEP])
+    b = _full_run_dir(tmp_path / "b", warnings=[_LARGE_STEP])
+    assert golden_diff.main([str(a), str(b)]) == 0
 
 
 def _checks(*names_passed):

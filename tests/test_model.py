@@ -97,6 +97,23 @@ def test_observable_arrays_follow_the_oscillators():
     assert hotter.injected_power[0] == 2 * model.injected_power[0]
 
 
+def test_equilibrium_temperature_scales_the_bath_by_the_noise_factor():
+    model = oscillator_pair(t_a=400.0, t_b=200.0)
+    # the default factor 4 gives the bath temperature to the bit
+    np.testing.assert_array_equal(model.equilibrium_temperature, [400.0, 200.0])
+    doubled = dataclasses.replace(model, noise_factor=8.0)
+    np.testing.assert_array_equal(doubled.equilibrium_temperature, [800.0, 400.0])
+    with pytest.raises(ValueError):
+        doubled.equilibrium_temperature[0] = 0.0
+    # the bath injects S_0/(2m) = 2 gamma k_B T_eq, so it alone holds m<v^2> = k_B T_eq
+    mass = np.array([o.mass for o in doubled.oscillators])
+    np.testing.assert_allclose(
+        doubled.injected_power,
+        doubled.damping_coefficient * doubled.boltzmann * doubled.equilibrium_temperature / mass,
+        rtol=1e-15,
+    )
+
+
 def test_compile_is_kept_with_the_model_and_read_only():
     model = oscillator_pair()
     mats = compile(model)

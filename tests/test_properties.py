@@ -162,7 +162,6 @@ def test_normal_modes_are_the_drift_eigenvalues(model):
     lam = np.linalg.eigvals(compile(model).drift)
     lam = lam[lam.imag >= 0]
     got = -0.5 * modes.linewidths + 1j * modes.frequencies
-    assert not modes.defective
     assert got.shape == lam.shape
     distance = np.abs(got[:, None] - lam[None, :])
     tol = 1e-12 * np.max(np.abs(lam))

@@ -16,7 +16,6 @@ import scipy.linalg
 from modeheat import (
     BOLTZMANN,
     CouplingSpec,
-    DefectiveMatrixWarning,
     FeedbackSpec,
     IllConditioned,
     NotHurwitz,
@@ -239,7 +238,6 @@ def test_normal_modes_single_oscillator():
     assert nm.frequencies.shape == (1,)
     assert nm.frequencies[0] == pytest.approx(math.sqrt(OMEGA_FAST**2 - 10.0**2), rel=1e-12)
     assert nm.linewidths[0] == pytest.approx(2 * 10.0, rel=1e-9)
-    assert not nm.defective
 
 
 def test_normal_mode_splitting_closed_form():
@@ -281,19 +279,19 @@ def test_equal_gamma_normal_modes_match_the_stiffness_closed_form(g_over_gamma):
 
 
 def test_solve_then_normal_modes_factor_the_drift_once(monkeypatch):
-    schur, eig = scipy.linalg.schur, np.linalg.eig
+    schur, eigvals = scipy.linalg.schur, np.linalg.eigvals
     factored, eigen_inputs = [], []
 
     def counted_schur(a, **kwargs):
         factored.append(a)
         return schur(a, **kwargs)
 
-    def recorded_eig(a):
+    def recorded_eigvals(a):
         eigen_inputs.append(np.array(a))
-        return eig(a)
+        return eigvals(a)
 
     monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
-    monkeypatch.setattr(np.linalg, "eig", recorded_eig)
+    monkeypatch.setattr(np.linalg, "eigvals", recorded_eigvals)
     model = oscillator_pair(g_over_gamma=10.0)
     steady_state(model)
     modes = normal_modes(compile(model))
@@ -305,26 +303,22 @@ def test_solve_then_normal_modes_factor_the_drift_once(monkeypatch):
     np.testing.assert_allclose(modes.frequencies, np.sort(lam.imag[lam.imag >= 0]), rtol=1e-12)
 
 
-def test_defective_drift_warns_and_flags():
+def test_normal_modes_ignore_defectiveness_for_frequencies():
+    # a Jordan block and critical damping gamma = Omega, the physical route to
+    # the same non-diagonalizable drift, give their eigenvalues without a warning
     jordan = StateMatrices(
         drift=np.array([[-1.0, 1.0], [0.0, -1.0]]),
         diffusion=np.zeros((2, 2)),
         noise_gain=np.zeros((2, 1)),
     )
-    with pytest.warns(DefectiveMatrixWarning):
-        assert normal_modes(jordan).defective
-
-    # critical damping gamma = Omega is the physical route to the same state
-    critical = single_oscillator(omega=100.0, gamma=100.0)
-    with pytest.warns(DefectiveMatrixWarning):
-        assert normal_modes(compile(critical)).defective
-
-
-def test_normal_modes_ignore_defectiveness_for_frequencies():
     critical = single_oscillator(omega=100.0, gamma=100.0)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DefectiveMatrixWarning)
+        warnings.simplefilter("error")
+        block = normal_modes(jordan)
         nm = normal_modes(compile(critical))
+    # both real eigenvalues -1 are reported, each as a zero-frequency entry
+    np.testing.assert_array_equal(block.frequencies, [0.0, 0.0])
+    np.testing.assert_array_equal(block.linewidths, [2.0, 2.0])
     assert nm.frequencies[0] == pytest.approx(0.0, abs=1e-3)
     assert nm.linewidths[0] == pytest.approx(200.0, rel=1e-6)
 

@@ -33,6 +33,11 @@ Sections:
   in µs per member-step (burn-in included), ``ensemble_stats`` in ms; and
   the tracemalloc peak of one further ``simulate`` call, in MB: the record
   of every coordinate and the integrator's chunk temporaries.
+- ``run``: ``modeheat run CONFIG`` end to end for each shipped
+  ``configs/*.json``, each in a fresh interpreter (``python -m
+  modeheat.cli``, imports included) with the pinned thread settings and its
+  outputs in a temporary directory.  Each entry is the least wall time of
+  ``--repeats`` runs, in s, and the exit code of the last.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ import platform
 import random
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -62,6 +68,7 @@ SIM_MEMBERS = (1, 16, 200)
 SIM_STEPS = 2000
 SIM_BURN_IN = 200
 SIM_DT = 5.0025e-3
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 if __name__ == "__main__":
     # OpenBLAS reads its thread count once, when numpy loads.
@@ -238,6 +245,30 @@ def simulate_times(dims, members, repeats: int, n_steps: int = SIM_STEPS) -> dic
     }
 
 
+def run_times(configs, repeats: int) -> dict:
+    """Least wall seconds of ``modeheat run`` per config, each run in a fresh interpreter."""
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    by_config = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for config in configs:
+            best, code = math.inf, None
+            for k in range(repeats):
+                command = [sys.executable, "-m", "modeheat.cli", "run", str(config),
+                           "--out", str(Path(tmp) / f"{config.stem}-{k}")]
+                start = time.perf_counter()
+                code = subprocess.run(
+                    command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+                ).returncode
+                best = min(best, time.perf_counter() - start)
+            by_config[config.stem] = {"wall_s": best, "exit_code": code}
+    return {
+        "unit": "s",
+        "timer": f"wall time of a fresh `python -m modeheat.cli run CONFIG`, least of {repeats}",
+        "by_config": by_config,
+    }
+
+
 def main(argv=None) -> int:
     today = datetime.date.today().isoformat()
     parser = argparse.ArgumentParser(
@@ -256,6 +287,7 @@ def main(argv=None) -> int:
         "exact_route": exact_route(CHAIN_SIZES, args.seeds, args.repeats),
         "welch": welch(WELCH_SAMPLES, WELCH_SEED, args.repeats),
         "simulate": simulate_times(SIM_DIMS, SIM_MEMBERS, args.repeats),
+        "run": run_times(CONFIGS, args.repeats),
     }
     print(f"{'N':>5}" + "".join(f"{key + ' s':>24}" for key in ROUTES))
     for n, times in result["exact_route"]["by_n"].items():
@@ -271,6 +303,9 @@ def main(argv=None) -> int:
                 f"{dim:>4}{size:>9}{row['us_per_member_step']:>16.3f}"
                 f"{row['peak_mb']:>10.2f}{row['ensemble_stats_ms']:>10.2f}"
             )
+    print(f"{'config':>22}{'wall s':>9}{'exit':>6}")
+    for name, row in result["run"]["by_config"].items():
+        print(f"{name:>22}{row['wall_s']:>9.2f}{row['exit_code']:>6}")
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0

@@ -7,17 +7,18 @@ BEFORE and AFTER are directories holding run directories, found at any
 depth by their `verdict.json`.  For each run the verdict must be equal, the
 checks must form the same sequence of (name, pass/fail), so a reordered or
 renamed check counts, and no check name may repeat within a run.  The
-`outputs` list of its `manifest.json` must be equal too.  Each table, a CSV
-file or a JSON mirror (a list of row objects), is reported as byte-identical
-or by its worst cell: |after - before| over the largest magnitude in that
-column of BEFORE; text cells must match exactly.  A table that differs
-also gets one line per column: how many of its cells differ and the worst
-of them, or "identical".  Any other output (`comparison.json`,
-`comparison.txt`) must be byte-identical.  The exit
+`outputs` and `warnings` lists of its `manifest.json` must be equal too: the
+files the run wrote, and the category and message of each warning it
+raised.  Each table, a CSV file or a JSON mirror (a list of row objects), is
+reported as byte-identical or by its worst cell: |after - before| over the
+largest magnitude in that column of BEFORE; text cells must match exactly.
+A table that differs also gets one line per column: how many of its cells
+differ and the worst of them, or "identical".  Any other output
+(`comparison.json`, `comparison.txt`) must be byte-identical.  The exit
 status is 1 when a run or file is missing on one side, a verdict, check
-sequence or outputs list differs, a check name repeats, a non-table file
-differs, or a cell exceeds --bound (default 0: every differing number
-fails), else 0.
+sequence, outputs list or warnings list differs, a check name repeats, a
+non-table file differs, or a cell exceeds --bound (default 0: every
+differing number fails), else 0.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from pathlib import Path
 
 # Compared per run, not file by file: the manifest carries a timestamp.
 _RUN_FILES = {"verdict.json", "manifest.json"}
+_MANIFEST_LISTS = ("outputs", "warnings")
 
 
 def _runs(root: Path) -> set[Path]:
@@ -50,8 +52,10 @@ def _checks(path: Path) -> tuple[str, list[tuple[str, bool]]]:
     return doc["verdict"], [(c["name"], c["passed"]) for c in doc["checks"]]
 
 
-def _outputs(path: Path) -> list[str] | None:
-    return json.loads(path.read_text())["outputs"] if path.is_file() else None
+def _manifest(path: Path) -> dict:
+    """The compared lists of a run's manifest, by key; None where absent."""
+    doc = json.loads(path.read_text()) if path.is_file() else {}
+    return {key: doc.get(key) for key in _MANIFEST_LISTS}
 
 
 def _number(cell: str) -> float | None:
@@ -163,9 +167,10 @@ def main(argv: list[str] | None = None) -> int:
     for run in sorted(runs0 & runs1):
         a, b = args.before / run, args.after / run
         diffs = compare_verdicts(a / "verdict.json", b / "verdict.json")
-        out0, out1 = _outputs(a / "manifest.json"), _outputs(b / "manifest.json")
-        if out0 != out1:
-            diffs.append(f"manifest outputs {out0} -> {out1}")
+        m0, m1 = _manifest(a / "manifest.json"), _manifest(b / "manifest.json")
+        for key in _MANIFEST_LISTS:
+            if m0[key] != m1[key]:
+                diffs.append(f"manifest {key} {m0[key]} -> {m1[key]}")
         print(f"{'DIFF' if diffs else 'same'} verdict {run}" + "".join(f"\n  {d}" for d in diffs))
         failed |= bool(diffs)
 
