@@ -49,6 +49,7 @@ from .langevin import (
     ensemble_stats,
     mode_temperature_mc,
     simulate,
+    simulate_stats,
 )
 from .model import (
     CouplingSpec,
@@ -114,6 +115,7 @@ __all__ = [
     "Estimate",
     "McTemperatures",
     "simulate",
+    "simulate_stats",
     "ensemble_stats",
     "mode_temperature_mc",
     "direct_heat_flux_mc",

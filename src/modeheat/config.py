@@ -141,7 +141,10 @@ CONFIG_SCHEMA = {
     "$id": "modeheat-experiment-config",
     "title": "modeheat experiment configuration",
     "type": "object",
-    "required": ["experiment", "model"],
+    "required": ["experiment"],
+    # paper_numbers reads only its analysis block; every other experiment runs the model
+    "if": {"properties": {"experiment": {"const": "paper_numbers"}}},
+    "else": {"required": ["model"]},
     "additionalProperties": False,
     "properties": {
         "experiment": {"enum": list(EXPERIMENTS)},
@@ -169,11 +172,12 @@ class ExperimentConfig:
 
     ``sim`` and ``analysis`` stay as plain dicts here; each experiment
     resolves them against its own defaults (e.g. the sweep builds several
-    SimConfigs from one block).
+    SimConfigs from one block).  ``model`` is None only for ``paper_numbers``,
+    the one experiment that may omit the block.
     """
 
     experiment: str
-    model: SystemModel
+    model: SystemModel | None
     sim: dict = field(default_factory=dict)
     analysis: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
@@ -194,7 +198,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if error is not None:
         raise ConfigError(f"config does not match the schema: {error.message}") from error
     try:
-        model = model_from_dict(doc["model"])
+        model = model_from_dict(doc["model"]) if "model" in doc else None
     except (ValueError, KeyError, UnknownLabel) as exc:
         raise ConfigError(f"invalid model: {exc}") from exc
     return ExperimentConfig(

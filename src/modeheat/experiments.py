@@ -39,9 +39,9 @@ from .langevin import (
     Estimate,
     SimConfig,
     direct_heat_flux_mc,
-    ensemble_stats,
     mode_temperature_mc,
     simulate,
+    simulate_stats,
 )
 from .model import SystemModel, _with_coupling
 from .spectra import fit_lorentzian, psd_table, temperature_from_area, welch_psd
@@ -128,9 +128,10 @@ def _table(records: list[dict]) -> Table:
 
 def _routes(model: SystemModel, sim: SimConfig, threads: int):
     """Both routes on one model: the exact steady state, the second moments
-    of the simulated ensemble and its MC mode temperatures."""
+    of the simulated ensemble, reduced without holding its record, and its MC
+    mode temperatures."""
     ss = steady_state(model)
-    stats = ensemble_stats(simulate(model, sim, threads))
+    stats = simulate_stats(model, sim, threads)
     return ss, stats, mode_temperature_mc(stats, model)
 
 
@@ -507,7 +508,7 @@ def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) ->
         t_psd, t_psd_se = _psd_temperature(model, psd_sim, a_label, threads)
 
         equal_model = _with_equal_baths(model, osc_a.bath_temperature)
-        equal_stats = ensemble_stats(simulate(equal_model, sim, threads))
+        equal_stats = simulate_stats(equal_model, sim, threads)
         equal_direct = direct_heat_flux_mc(equal_stats, equal_model, a_label)
 
         rows.append(

@@ -18,9 +18,14 @@ Members are integrated in batches: the scan carries a leading member axis,
 and each product is a stacked matmul, one GEMM per member of the same shape
 as for a lone member.  The chunk length fixes each member's summation order;
 the batch size does not enter it, so every member's bits are those of a
-member integrated alone.  All members write into one (members, coordinates,
-records) array, the ``Ensemble``'s record: each member's coordinate series is
-a contiguous row, and the reductions read blocks of members from it in place.
+member integrated alone.  ``simulate`` writes all members into one (members,
+coordinates, records) array, the ``Ensemble``'s record: each member's
+coordinate series is a contiguous row, and the reductions read blocks of
+members from it in place.  ``simulate_stats`` never makes that record: it
+integrates one block of 16 members at a time into one reused buffer and
+reduces each block as soon as it is integrated.  A batch's chunk temporaries
+(noise, scan products) and the reduction's squared block and spectra live in
+scratch buffers that a call allocates once per thread and reuses.
 
 The record keeps only what a caller reads.  The integrator always advances
 the full state, but only the state coordinates named at ``simulate`` time
@@ -41,14 +46,23 @@ account for sample autocorrelation via the integrated autocorrelation time
 MC-vs-exact comparisons downstream use honest error bars.  The ensemble sum
 of the member autocovariances is one inverse FFT of the summed member power
 spectra (Wiener-Khinchin), so a series set costs one forward FFT per member
-and one inverse FFT in all.
+and one inverse FFT in all.  A member's series is complete once its block is
+integrated; only the centring on the pooled mean mu needs every member.  So
+each block is centred on a provisional constant c, the first block's mean,
+and the sums are moved to mu at the end by an exact identity: with
+delta = mu - c and W the spectrum of a series of ones,
+sum |F(y - mu)|^2 = sum |F(y - c)|^2 - 2 delta Re(conj(W) sum F(y - c))
++ M delta^2 |W|^2 over M members (``_PooledMoments``).  The variance, a sum
+of x^2 per block in member order, keeps its bits either way.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import math
 import operator
+import threading
 import warnings
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
@@ -74,6 +88,7 @@ __all__ = [
     "Estimate",
     "McTemperatures",
     "simulate",
+    "simulate_stats",
     "ensemble_stats",
     "mode_temperature_mc",
     "direct_heat_flux_mc",
@@ -293,6 +308,24 @@ class EnsembleStats:
 # -- integration kernel ---------------------------------------------------------
 
 
+class _Scratch:
+    """Named flat buffers that a call's batches reuse.  ``take(name, shape)``
+    is a C-contiguous view of the leading elements of buffer ``name``, which
+    grows when a larger shape asks for it; a call's first chunk and batch are
+    its largest, so each buffer is allocated once.  One thread owns a scratch:
+    batches that run at the same time never share one."""
+
+    def __init__(self):
+        self._buffers: dict = {}
+
+    def take(self, name, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+
 def _scan_operators(E: np.ndarray, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Block-scan operators (T, F) per level for chunks of up to m steps.
 
@@ -309,8 +342,10 @@ def _scan_operators(E: np.ndarray, m: int) -> list[tuple[np.ndarray, np.ndarray]
         powers = [np.eye(n)]
         for _ in range(L):
             powers.append(P @ powers[-1])
-        zero = np.zeros((n, n))
-        T = np.block([[powers[l - k].T if l >= k else zero for l in range(L)] for k in range(L)])
+        T = np.zeros((L * n, L * n))
+        for k in range(L):
+            for l in range(k, L):
+                T[k * n : (k + 1) * n, l * n : (l + 1) * n] = powers[l - k].T
         F = np.hstack([p.T for p in powers[1:]])
         ops.append((T, F))
         P = powers[L]
@@ -318,9 +353,11 @@ def _scan_operators(E: np.ndarray, m: int) -> list[tuple[np.ndarray, np.ndarray]
     return ops
 
 
-def _block_scan(W: np.ndarray, ops, level: int = 0) -> np.ndarray:
+def _block_scan(W: np.ndarray, ops, scratch: _Scratch, level: int = 0) -> np.ndarray:
     """Inclusive scan s_k = sum_{j<=k} P^(k-j) w_j along axis 1 of W, one
-    (m, n) series per member on axis 0, with P the propagator of ``ops[level]``."""
+    (m, n) series per member on axis 0, with P the propagator of ``ops[level]``.
+    The level's products are written into ``scratch``, so the result is a view
+    of it, valid until the next scan."""
     G, m, n = W.shape
     if m == 1:
         return W
@@ -328,14 +365,19 @@ def _block_scan(W: np.ndarray, ops, level: int = 0) -> np.ndarray:
     L = T.shape[0] // n
     B = -(-m // L)
     if B * L != m:
-        W = np.concatenate([W, np.zeros((G, B * L - m, n))], axis=1)
-    S = W.reshape(G, B, L * n) @ T
-    carries = _block_scan(S[:, :, -n:], ops, level + 1)
-    S[:, 1:] += carries[:, :-1] @ F
+        padded = scratch.take(("padded", level), (G, B * L, n))
+        padded[:, :m] = W
+        padded[:, m:] = 0.0
+        W = padded
+    S = np.matmul(W.reshape(G, B, L * n), T, out=scratch.take(("scan", level), (G, B, L * n)))
+    carries = _block_scan(S[:, :, -n:], ops, scratch, level + 1)
+    S[:, 1:] += np.matmul(
+        carries[:, :-1], F, out=scratch.take(("carry", level), (G, B - 1, L * n))
+    )
     return S.reshape(G, B * L, n)[:, :m]
 
 
-def _advance_chunk(E, ops, Lq, Z, x):
+def _advance_chunk(E, ops, Lq, Z, x, scratch: _Scratch):
     """States after each of the m steps x_{k+1} = E x_k + Lq z_k, per member.
 
     Z is (G, m, channels) and x the (G, n) start states.  Two-level block
@@ -346,10 +388,12 @@ def _advance_chunk(E, ops, Lq, Z, x):
     state back.  ``ops`` comes from ``_scan_operators(E, ...)``.  The stacked
     products are one BLAS call per member, of the shape a lone member gets
     (E x stays a matrix-vector product), so the batch size moves no bit.
+    The states returned are a view of ``scratch``.
     """
-    W = Z @ Lq.T
+    G, m, _ = Z.shape
+    W = np.matmul(Z, Lq.T, out=scratch.take("w", (G, m, E.shape[0])))
     W[:, 0] += (E @ x[:, :, None])[:, :, 0]
-    return _block_scan(W, ops)
+    return _block_scan(W, ops, scratch)
 
 
 def _noise_factor_matrix(Q: np.ndarray) -> np.ndarray:
@@ -420,47 +464,121 @@ def _resolve_burn_in(model: SystemModel, config: SimConfig) -> int:
             f"burn-in of {burn_in * config.dt:.3g} s is shorter than five damping "
             f"times ({5.0 / min(gammas):.3g} s); stationary averages may be biased",
             ShortBurnInWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     return burn_in
 
 
-def _integrate_batch(E, ops, Lq, config: SimConfig, burn_in: int, cols, first: int, rec) -> None:
-    """Integrate members first, first + 1, ... into ``rec``, their
-    (G, len(cols), n_records) slice of the ensemble record; ``cols`` indexes
-    the recorded coordinates of the state."""
-    G = rec.shape[0]
-    rngs = [
-        np.random.Generator(
-            np.random.Philox(key=np.array([config.seed, first + g], dtype=np.uint64))
-        )
-        for g in range(G)
-    ]
-    nchan = Lq.shape[1]
-    stride = config.record_stride
-    x = np.zeros((G, E.shape[0]))
-    total = burn_in + config.n_steps
-    k0 = 0
-    while k0 < total:
-        m = min(_CHUNK, total - k0)
-        Z = np.empty((G, m, nchan))
-        for rng, z in zip(rngs, Z):
-            rng.standard_normal(out=z)
-        states = _advance_chunk(E, ops, Lq, Z, x)
-        # record j is step burn_in + stride*(j+1); this chunk holds steps k0+1..k0+m
-        j0 = max(0, (k0 - burn_in) // stride)
-        j1 = max(0, (k0 + m - burn_in) // stride)
-        picked = states[:, burn_in + stride * (j0 + 1) - k0 - 1 :: stride, cols]
-        rec[:, :, j0:j1] = picked.transpose(0, 2, 1)
-        x = states[:, -1]
-        k0 += m
-        finite = np.all(np.isfinite(x), axis=1)
-        if not np.all(finite):
-            raise NonFiniteState(
-                f"state diverged near step {k0} of member {first + int(np.argmin(finite))}; "
-                "the one-step propagator amplifies the state instead of damping it "
-                "(check the feedback gains)"
+class _Integrator:
+    """The member-batch integrator of one ``simulate`` or ``simulate_stats``
+    call: its checked inputs (``coordinates`` and the step guard as in
+    ``simulate``), the one-step and scan operators, and one ``_Scratch`` per
+    thread, which every batch that thread integrates reuses."""
+
+    def __init__(self, model: SystemModel, config: SimConfig, coordinates: Sequence[int] | None):
+        dim = 2 * len(model.oscillators)
+        if coordinates is None:
+            self.recorded = tuple(range(dim))
+            self.cols = slice(None)
+        else:
+            self.recorded = tuple(operator.index(d) for d in coordinates)
+            if not self.recorded or len(set(self.recorded)) != len(self.recorded):
+                raise ValueError(
+                    f"coordinates must be distinct and not empty, got {self.recorded}"
+                )
+            if not all(0 <= d < dim for d in self.recorded):
+                raise ValueError(f"coordinates must lie in [0, {dim}), got {self.recorded}")
+            self.cols = list(self.recorded)
+        omega_max = max(o.omega for o in model.oscillators)
+        if config.dt * omega_max > MAX_STEP_PRODUCT:
+            if not config.allow_large_step:
+                raise StepTooLarge(
+                    f"dt*omega_max = {config.dt * omega_max:.3g} exceeds {MAX_STEP_PRODUCT}; "
+                    "set allow_large_step=True if only stationary moments are needed"
+                )
+            warnings.warn(
+                f"dt*omega_max = {config.dt * omega_max:.3g} > {MAX_STEP_PRODUCT}: exact in "
+                "distribution, but spectra from these samples alias the resonance",
+                LargeStepWarning,
+                stacklevel=3,
             )
+        self.config = config
+        self.E, self.Lq = _one_step_operators(model, config)
+        self.burn_in = _resolve_burn_in(model, config)
+        chunk = min(_CHUNK, self.burn_in + config.n_steps)
+        self.ops = _scan_operators(self.E, chunk)
+        self.batch = max(1, _BATCH_STEPS // chunk)
+        self.n_records = config.n_steps // config.record_stride
+        self.grid = RecordGrid(
+            float(config.dt), self.burn_in + config.record_stride, config.record_stride
+        )
+        self._local = threading.local()
+
+    def scratch(self) -> _Scratch:
+        """The calling thread's scratch, made on its first call."""
+        try:
+            return self._local.scratch
+        except AttributeError:
+            self._local.scratch = _Scratch()
+            return self._local.scratch
+
+    def integrate(self, first: int, out: np.ndarray, pool=None) -> None:
+        """Integrate members first, first + 1, ... into ``out``, their
+        (members, len(recorded), n_records) slice of a record, one batch at a
+        time, or spread over the threads of ``pool`` when one is given."""
+
+        def batch(b: int) -> None:
+            self._integrate_batch(first + b, out[b : b + self.batch])
+
+        starts = range(0, len(out), self.batch)
+        if pool is not None and len(starts) > 1:
+            list(pool.map(batch, starts))
+        else:
+            for b in starts:
+                batch(b)
+
+    def _integrate_batch(self, first: int, rec: np.ndarray) -> None:
+        config, E, Lq, burn_in = self.config, self.E, self.Lq, self.burn_in
+        scratch = self.scratch()
+        G = rec.shape[0]
+        rngs = [
+            np.random.Generator(
+                np.random.Philox(key=np.array([config.seed, first + g], dtype=np.uint64))
+            )
+            for g in range(G)
+        ]
+        nchan = Lq.shape[1]
+        stride = config.record_stride
+        x = np.zeros((G, E.shape[0]))
+        total = burn_in + config.n_steps
+        k0 = 0
+        while k0 < total:
+            m = min(_CHUNK, total - k0)
+            Z = scratch.take("noise", (G, m, nchan))
+            for rng, z in zip(rngs, Z):
+                rng.standard_normal(out=z)
+            states = _advance_chunk(E, self.ops, Lq, Z, x, scratch)
+            # record j is step burn_in + stride*(j+1); this chunk holds steps k0+1..k0+m
+            j0 = max(0, (k0 - burn_in) // stride)
+            j1 = max(0, (k0 + m - burn_in) // stride)
+            picked = states[:, burn_in + stride * (j0 + 1) - k0 - 1 :: stride, self.cols]
+            rec[:, :, j0:j1] = picked.transpose(0, 2, 1)
+            x = states[:, -1].copy()
+            k0 += m
+            finite = np.all(np.isfinite(x), axis=1)
+            if not np.all(finite):
+                raise NonFiniteState(
+                    f"state diverged near step {k0} of member {first + int(np.argmin(finite))}; "
+                    "the one-step propagator amplifies the state instead of damping it "
+                    "(check the feedback gains)"
+                )
+
+
+def _pool(threads: int):
+    """A pool of ``threads`` threads for the member batches, or no pool."""
+    if threads > 1:
+        return concurrent.futures.ThreadPoolExecutor(max_workers=threads)
+    return contextlib.nullcontext()
 
 
 def simulate(
@@ -482,58 +600,43 @@ def simulate(
     on thread count, batching or scheduling, so reruns are bit-identical.
     Raises StepTooLarge when dt*omega_max > 0.05 unless config.allow_large_step.
     """
-    dim = 2 * len(model.oscillators)
-    if coordinates is None:
-        recorded = tuple(range(dim))
-        cols = slice(None)
-    else:
-        recorded = tuple(operator.index(d) for d in coordinates)
-        if not recorded or len(set(recorded)) != len(recorded):
-            raise ValueError(f"coordinates must be distinct and not empty, got {recorded}")
-        if not all(0 <= d < dim for d in recorded):
-            raise ValueError(f"coordinates must lie in [0, {dim}), got {recorded}")
-        cols = list(recorded)
-    omega_max = max(o.omega for o in model.oscillators)
-    if config.dt * omega_max > MAX_STEP_PRODUCT:
-        if not config.allow_large_step:
-            raise StepTooLarge(
-                f"dt*omega_max = {config.dt * omega_max:.3g} exceeds {MAX_STEP_PRODUCT}; "
-                "set allow_large_step=True if only stationary moments are needed"
-            )
-        warnings.warn(
-            f"dt*omega_max = {config.dt * omega_max:.3g} > {MAX_STEP_PRODUCT}: exact in "
-            "distribution, but spectra from these samples alias the resonance",
-            LargeStepWarning,
-            stacklevel=2,
-        )
-
-    E, Lq = _one_step_operators(model, config)
-    burn_in = _resolve_burn_in(model, config)
-    chunk = min(_CHUNK, burn_in + config.n_steps)
-    ops = _scan_operators(E, chunk)
-    n_rec = config.n_steps // config.record_stride
-    record = np.empty((config.ensemble_size, len(recorded), n_rec))
-    batch = max(1, _BATCH_STEPS // chunk)
-
-    def integrate(first: int) -> None:
-        _integrate_batch(
-            E, ops, Lq, config, burn_in, cols, first, record[first : first + batch]
-        )
-
-    starts = range(0, config.ensemble_size, batch)
-    if threads > 1 and len(starts) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(integrate, starts))
-    else:
-        for first in starts:
-            integrate(first)
+    integrator = _Integrator(model, config, coordinates)
+    record = np.empty((config.ensemble_size, len(integrator.recorded), integrator.n_records))
+    with _pool(threads) as pool:
+        integrator.integrate(0, record, pool)
     return Ensemble(
         record=record,
         labels=model.labels,
-        coordinates=recorded,
-        grid=RecordGrid(float(config.dt), burn_in + config.record_stride, config.record_stride),
+        coordinates=integrator.recorded,
+        grid=integrator.grid,
         fingerprint=model.fingerprint(),
     )
+
+
+def simulate_stats(model: SystemModel, config: SimConfig, threads: int = 1) -> EnsembleStats:
+    """``ensemble_stats(simulate(model, config, threads))`` without the record.
+
+    The members are integrated one block of _MEMBER_BLOCK at a time into one
+    reused (block, 2N, n_records) buffer, and each block is fed to the
+    reduction as soon as it is integrated, so memory does not grow with the
+    ensemble.  ``variance`` has the bits of the stored route; ``variance_se``
+    and ``tau_int`` agree with it to rounding (``_PooledMoments``).  The
+    members' bits, the step guard and the warnings are those of ``simulate``,
+    at any thread count.
+    """
+    integrator = _Integrator(model, config, None)
+    n_members, dim, n_rec = config.ensemble_size, len(integrator.recorded), integrator.n_records
+    block = np.empty((min(_MEMBER_BLOCK, n_members), dim, n_rec))
+    moments = [_PooledMoments(n_rec) for _ in range(dim)]
+    scratch = integrator.scratch()
+    with _pool(threads) as pool:
+        for b in range(0, n_members, _MEMBER_BLOCK):
+            members = block[: min(_MEMBER_BLOCK, n_members - b)]
+            integrator.integrate(b, members, pool)
+            for d, acc in enumerate(moments):
+                squares = scratch.take("squares", (len(members), n_rec))
+                acc.add(np.square(members[:, d], out=squares), scratch)
+    return _stats(n_members, n_rec, [acc.result() for acc in moments], model.fingerprint())
 
 
 # -- autocorrelation-aware reductions -------------------------------------------
@@ -553,39 +656,98 @@ def _tau_from_acov(acov: np.ndarray) -> float:
     return max(tau, 1.0)
 
 
+class _PooledMoments:
+    """Pooled mean of equal-length series fed in blocks of members, with an
+    SE inflated by the ensemble-averaged integrated autocorrelation time.
+
+    Each block's sum joins a running total in feeding order, so the mean has
+    the bits of one ``np.sum`` per block added in member order.  The member
+    autocovariances are summed in the frequency domain, and one block is read
+    once, as soon as it exists: every block y is centred on one provisional
+    constant c, the mean of the first block, and the accumulator keeps
+    sum (y - c)^2, the member sum of the zero-padded spectra F(y - c) and the
+    sum of |F(y - c)|^2.  ``result`` moves the centre to the pooled mean mu
+    exactly.  With delta = mu - c, M members, N samples in all and W the
+    spectrum of n ones,
+
+        sum |F(y - mu)|^2 = sum |F(y - c)|^2 - 2 delta Re(conj(W) sum F(y - c))
+                            + M delta^2 |W|^2,
+        sum (y - mu)^2 = sum (y - c)^2 - N delta^2,
+
+    and one inverse FFT of the first gives the summed autocovariance, divided
+    by the unbiased lag counts n - k and the member count afterwards.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.nfft = 1 << (2 * n - 1).bit_length()
+        self.members = 0
+        self.total = 0.0
+        self.shift = 0.0
+        self.sum_sq = 0.0
+        self.spectrum = np.zeros(self.nfft // 2 + 1, complex)
+        self.power = np.zeros(self.nfft // 2 + 1)
+
+    def add(self, y: np.ndarray, scratch: _Scratch) -> None:
+        """Feed a (members, n) block."""
+        g, n = y.shape
+        self.total += float(np.sum(y))
+        if self.members == 0:
+            self.shift = self.total / y.size
+        self.members += g
+        # the centred block, zero-padded to nfft: rfft pads a short input row
+        # by row, which costs more than the transform of a padded block
+        padded = scratch.take("padded", (g, self.nfft))
+        np.subtract(y, self.shift, out=padded[:, :n])
+        padded[:, n:] = 0.0
+        self.sum_sq += float(np.vdot(padded, padded))
+        spec = np.fft.rfft(padded, out=scratch.take("spectrum", (g, self.nfft // 2 + 1), complex))
+        self.spectrum += spec.sum(axis=0)
+        self.power += np.einsum("ij,ij->j", spec.real, spec.real)
+        self.power += np.einsum("ij,ij->j", spec.imag, spec.imag)
+
+    def result(self) -> tuple[float, float, float]:
+        """(mean, se, tau) of everything fed."""
+        n, members = self.n, self.members
+        n_total = members * n
+        mean = self.total / n_total
+        delta = mean - self.shift
+        ones = np.fft.rfft(np.ones(n), self.nfft)
+        power = (
+            self.power
+            - 2.0 * delta * (ones.real * self.spectrum.real + ones.imag * self.spectrum.imag)
+            + members * delta**2 * (ones.real**2 + ones.imag**2)
+        )
+        acov = np.fft.irfft(power, self.nfft)[:n] / np.arange(n, 0, -1) / members
+        tau = _tau_from_acov(acov)
+        var = (self.sum_sq - n_total * delta**2) / max(n_total - 1, 1)
+        return mean, math.sqrt(max(var, 0.0) * tau / n_total), tau
+
+
 def _pooled_mean_se(
     series: np.ndarray, f: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[float, float, float]:
-    """Pooled mean of f over the (members, n) series, SE inflated by the
-    ensemble-averaged integrated autocorrelation time.  Returns
-    (mean, se, tau).  f must return a new array: it is centred in place.
+    """Pooled mean of f over the (members, n) series, with its SE and tau
+    (``_PooledMoments``), fed one block of _MEMBER_BLOCK members at a time,
+    so no mapped copy of the whole ensemble is held."""
+    acc = _PooledMoments(series.shape[1])
+    scratch = _Scratch()
+    for b in range(0, series.shape[0], _MEMBER_BLOCK):
+        acc.add(f(series[b : b + _MEMBER_BLOCK]), scratch)
+    return acc.result()
 
-    Both passes map one block of _MEMBER_BLOCK members at a time, so no
-    mapped copy of the whole ensemble is held.  The member autocovariances
-    are summed in the frequency domain: the centred blocks are transformed,
-    their |F|^2 accumulated, and one inverse FFT gives the summed
-    autocorrelation, divided by the unbiased lag counts n - k and the member
-    count afterwards.
-    """
-    n_members, n = series.shape
-    n_total = series.size
-    blocks = range(0, n_members, _MEMBER_BLOCK)
-    mean = sum(float(np.sum(f(series[b : b + _MEMBER_BLOCK]))) for b in blocks) / n_total
-    nfft = 1 << (2 * n - 1).bit_length()
-    power = np.zeros(nfft // 2 + 1)
-    sum_sq = 0.0
-    for b in blocks:
-        block = f(series[b : b + _MEMBER_BLOCK])
-        block -= mean
-        sum_sq += float(np.vdot(block, block))
-        spec = np.fft.rfft(block, nfft)
-        power += np.einsum("ij,ij->j", spec.real, spec.real)
-        power += np.einsum("ij,ij->j", spec.imag, spec.imag)
-    acov = np.fft.irfft(power, nfft)[:n] / np.arange(n, 0, -1) / n_members
-    tau = _tau_from_acov(acov)
-    var = sum_sq / max(n_total - 1, 1)
-    se = math.sqrt(max(var, 0.0) * tau / n_total)
-    return mean, se, tau
+
+def _stats(n_members: int, n_rec: int, moments, fingerprint: str) -> EnsembleStats:
+    """EnsembleStats from one (mean square, se, tau) per state coordinate."""
+    variance, variance_se, tau_int = np.array(moments).T
+    return EnsembleStats(
+        n_members=n_members,
+        n_records=n_rec,
+        variance=variance,
+        variance_se=variance_se,
+        tau_int=tau_int,
+        fingerprint=fingerprint,
+    )
 
 
 def ensemble_stats(ensemble: Ensemble) -> EnsembleStats:
@@ -595,20 +757,13 @@ def ensemble_stats(ensemble: Ensemble) -> EnsembleStats:
     error from the integrated autocorrelation time of the squared series, so
     correlated records do not masquerade as extra information.  One
     reduction per state coordinate, in state order; a record that lacks a
-    coordinate is refused with KeyError.
+    coordinate is refused with KeyError.  ``simulate_stats`` makes the same
+    reduction without holding the record.
     """
     n_members, _, n_rec = ensemble.record.shape
     dim = 2 * len(ensemble.labels)
     moments = [_pooled_mean_se(ensemble.series(d), np.square) for d in range(dim)]
-    variance, variance_se, tau_int = np.array(moments).T
-    return EnsembleStats(
-        n_members=n_members,
-        n_records=n_rec,
-        variance=variance,
-        variance_se=variance_se,
-        tau_int=tau_int,
-        fingerprint=ensemble.fingerprint,
-    )
+    return _stats(n_members, n_rec, moments, ensemble.fingerprint)
 
 
 def mode_temperature_mc(stats: EnsembleStats, model: SystemModel) -> McTemperatures:

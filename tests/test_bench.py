@@ -49,10 +49,16 @@ def test_simulate_times_every_dimension_and_ensemble_size():
     for dim, rows in section["by_dim"].items():
         assert list(rows) == ["1", "3"]
         for size, row in rows.items():
-            assert set(row) == {"us_per_member_step", "ensemble_stats_ms", "peak_mb"}
+            assert set(row) == {
+                "us_per_member_step", "ensemble_stats_ms", "peak_mb",
+                "simulate_stats_ms", "simulate_stats_peak_mb",
+            }
             assert row["us_per_member_step"] >= 0 and row["ensemble_stats_ms"] >= 0
+            assert row["simulate_stats_ms"] >= 0
             # the record of every coordinate (members x 2N x 50 float64), at least
             assert row["peak_mb"] >= int(size) * int(dim) * 50 * 8 / 1e6
+            # one block of up to 16 members of that record, at least
+            assert row["simulate_stats_peak_mb"] >= min(16, int(size)) * int(dim) * 50 * 8 / 1e6
 
 
 def test_run_times_a_fresh_modeheat_run_per_config():

@@ -69,7 +69,8 @@ def test_config_from_dict_happy_path():
     "mutate",
     [
         lambda d: d.__setitem__("experiment", "warp_drive"),
-        lambda d: d.pop("model"),
+        # only paper_numbers may omit the model
+        lambda d: (d.__setitem__("experiment", "equipartition"), d.pop("model")),
         lambda d: d["model"]["oscillators"][0].__setitem__("mass", -1.0),
         lambda d: d["model"]["oscillators"][0].pop("gamma"),
         lambda d: d.__setitem__("frobnicate", 1),
@@ -217,6 +218,27 @@ def test_cli_paper_numbers_zero_quoted_flux_exits_2(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert "code=2 invalid analysis block" in err and key in err
     assert not (out_dir / "verdict.json").exists()
+
+
+def test_cli_only_paper_numbers_runs_without_a_model(tmp_path, capsys):
+    # paper_numbers never reads its model: without the block it writes the
+    # same files, byte for byte
+    with_model, without_model = tmp_path / "with", tmp_path / "without"
+    assert cli.run(_write(tmp_path, copy.deepcopy(GOOD_DOC), "a.json"), out=with_model) == 0
+    doc = copy.deepcopy(GOOD_DOC)
+    doc.pop("model")
+    assert cli.run(_write(tmp_path, doc, "b.json"), out=without_model) == 0
+    outputs = json.loads((with_model / "manifest.json").read_text())["outputs"]
+    assert outputs == json.loads((without_model / "manifest.json").read_text())["outputs"]
+    for name in outputs:
+        assert (with_model / name).read_bytes() == (without_model / name).read_bytes()
+    # every other experiment runs the model, and names the missing block
+    doc["experiment"] = "equipartition"
+    capsys.readouterr()
+    assert cli.run(_write(tmp_path, doc, "c.json"), out=tmp_path / "other") == 2
+    assert "code=2 config does not match the schema: 'model' is a required property" in (
+        capsys.readouterr().err
+    )
 
 
 def test_cli_happy_path_writes_manifest_and_verdict(tmp_path, capsys):

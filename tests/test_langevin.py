@@ -28,6 +28,7 @@ from modeheat import (
     ensemble_stats,
     mode_temperature_mc,
     simulate,
+    simulate_stats,
     solve_stationary,
     steady_state,
 )
@@ -479,6 +480,64 @@ def test_reductions_match_per_member_reference(members):
         (injected - 2.0 * o.gamma * o.mass * mean_vsq, 2.0 * o.gamma * o.mass * se_vsq),
         rtol=1e-13, atol=0,
     )
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("n_steps", [1, 301])
+@pytest.mark.parametrize("members", [1, 15, 16, 17, 33])
+def test_streamed_stats_equal_the_stored_reduction(members, n_steps, threads, monkeypatch):
+    # block edges on both sides, one record and an odd record count; at 4
+    # threads, batches of 3 members put several batches of one block in flight
+    cfg = SimConfig(dt=5e-4, n_steps=n_steps, seed=21, ensemble_size=members)
+    if threads > 1:
+        chunk = langevin._resolve_burn_in(_SLOW_PAIR, cfg) + n_steps
+        monkeypatch.setattr(langevin, "_BATCH_STEPS", 3 * chunk)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        streamed = simulate_stats(_SLOW_PAIR, cfg, threads)
+    finally:
+        sys.setswitchinterval(interval)
+    stored = ensemble_stats(simulate(_SLOW_PAIR, cfg))
+    assert (streamed.n_members, streamed.n_records) == (members, n_steps)
+    assert streamed.fingerprint == stored.fingerprint
+    # the per-block sums of x^2 in the same order: the same bits
+    assert np.array_equal(streamed.variance, stored.variance)
+    np.testing.assert_allclose(streamed.variance_se, stored.variance_se, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(streamed.tau_int, stored.tau_int, rtol=1e-13, atol=0)
+
+
+def test_recentring_is_exact_when_the_first_block_is_far_off():
+    # the first block's mean is the provisional centre; the later blocks, of
+    # other sizes, sit 50 standard deviations away, so the correction carries
+    # the whole shift
+    rng = np.random.default_rng(3)
+    series = rng.standard_normal((40, 257))
+    series[3:] += 50.0
+    acc = langevin._PooledMoments(257)
+    scratch = langevin._Scratch()
+    for block in np.split(series, [3, 19]):
+        acc.add(block, scratch)
+    got = acc.result()
+    np.testing.assert_allclose(got, _reference_pooled_mean_se(list(series)), rtol=1e-13, atol=0)
+
+
+def test_streamed_stats_hold_less_than_half_the_record():
+    # the shipped 200-member pair, 2N = 4 x 2000 records: the record of
+    # 12.8 MB is never made; one 16-member block and its scratch are
+    cfg = load_config(REPO / "configs" / "coupled_transfer.json")
+    sim = SimConfig(seed=1, **cfg.sim)
+    record_bytes = 8 * sim.ensemble_size * 2 * len(cfg.model.oscillators) * sim.n_steps
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LargeStepWarning)
+        tracemalloc.start()
+        try:
+            simulate_stats(cfg.model, sim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert record_bytes == 12_800_000
+    assert peak < record_bytes / 2
 
 
 # -- guard rails ----------------------------------------------------------------

@@ -25,14 +25,16 @@ Sections:
   uses.  Each entry is the least process CPU time of ``--repeats`` calls, in
   ms, and the tracemalloc peak of one further call, in MB: the estimator's
   own working set, on top of the record.
-- ``simulate``: ``simulate`` and ``ensemble_stats`` by state dimension 2N
-  and ensemble size, on the chain of N oscillators that
+- ``simulate``: ``simulate``, ``ensemble_stats`` and ``simulate_stats`` by
+  state dimension 2N and ensemble size, on the chain of N oscillators that
   ``chain_doc(random.Random(0), N)`` draws, at the ``ensemble`` workload's
   step (dt = 5.0025 ms, 2000 recorded steps after 200 burn-in steps).  Each
   entry is the least process CPU time of ``--repeats`` calls: ``simulate``
-  in µs per member-step (burn-in included), ``ensemble_stats`` in ms; and
-  the tracemalloc peak of one further ``simulate`` call, in MB: the record
-  of every coordinate and the integrator's chunk temporaries.
+  in µs per member-step (burn-in included), ``ensemble_stats`` and
+  ``simulate_stats`` (the two together, without the record) in ms; and the
+  tracemalloc peak of one further call, in MB: for ``simulate`` the record
+  of every coordinate and the integrator's chunk temporaries, for
+  ``simulate_stats`` one 16-member block of it and the scratch.
 - ``run``: ``modeheat run CONFIG`` end to end for each shipped
   ``configs/*.json``, each in a fresh interpreter (``python -m
   modeheat.cli``, imports included) with the pinned thread settings and its
@@ -81,7 +83,7 @@ import scipy  # noqa: E402
 
 from modeheat.config import load_config  # noqa: E402
 from modeheat.errors import LargeStepWarning  # noqa: E402
-from modeheat.langevin import SimConfig, ensemble_stats, simulate  # noqa: E402
+from modeheat.langevin import SimConfig, ensemble_stats, simulate, simulate_stats  # noqa: E402
 from modeheat.model import compile, model_from_dict  # noqa: E402
 from modeheat.spectra import welch_psd  # noqa: E402
 from modeheat.steady import normal_modes, steady_state  # noqa: E402
@@ -216,7 +218,8 @@ def welch(samples, seed: int, repeats: int) -> dict:
 
 
 def simulate_times(dims, members, repeats: int, n_steps: int = SIM_STEPS) -> dict:
-    """simulate µs per member-step and peak MB, and ensemble_stats ms, by 2N and ensemble size."""
+    """simulate µs per member-step and peak MB, ensemble_stats ms, and simulate_stats ms and
+    peak MB, by 2N and ensemble size."""
     by_dim = {}
     for dim in dims:
         model = model_from_dict(inputs.chain_doc(random.Random(0), dim // 2))
@@ -231,14 +234,18 @@ def simulate_times(dims, members, repeats: int, n_steps: int = SIM_STEPS) -> dic
                 sim_s = cpu_seconds(lambda: None, lambda _: simulate(model, sim), repeats)
                 ens = simulate(model, sim)
                 peak = peak_bytes(lambda: simulate(model, sim))
+                stats_s = cpu_seconds(lambda: None, lambda _: simulate_stats(model, sim), repeats)
+                stats_peak = peak_bytes(lambda: simulate_stats(model, sim))
             rows[str(size)] = {
                 "us_per_member_step": 1e6 * sim_s / (size * (SIM_BURN_IN + n_steps)),
                 "ensemble_stats_ms": 1e3 * cpu_seconds(lambda: ens, ensemble_stats, repeats),
                 "peak_mb": peak / 1e6,
+                "simulate_stats_ms": 1e3 * stats_s,
+                "simulate_stats_peak_mb": stats_peak / 1e6,
             }
         by_dim[str(dim)] = rows
     return {
-        "timer": f"process CPU time, least of {repeats} calls; tracemalloc peak of one simulate in MB",
+        "timer": f"process CPU time, least of {repeats} calls; tracemalloc peak of one call in MB",
         "models": "perfbench/inputs.py chain_doc(random.Random(0), 2N / 2)",
         "steps": f"dt = {SIM_DT} s, {SIM_BURN_IN} burn-in + {n_steps} recorded steps per member",
         "by_dim": by_dim,
@@ -296,12 +303,16 @@ def main(argv=None) -> int:
     print(f"{'samples':>9}{'segments':>10}{'welch ms':>10}{'peak MB':>10}")
     for n, row in result["welch"]["by_samples"].items():
         print(f"{n:>9}{row['n_segments']:>10}{row['cpu_ms']:>10.1f}{row['peak_mb']:>10.1f}")
-    print(f"{'2N':>4}{'members':>9}{'us/member-step':>16}{'peak MB':>10}{'stats ms':>10}")
+    print(
+        f"{'2N':>4}{'members':>9}{'us/member-step':>16}{'peak MB':>10}{'stats ms':>10}"
+        f"{'streamed ms':>13}{'peak MB':>10}"
+    )
     for dim, rows in result["simulate"]["by_dim"].items():
         for size, row in rows.items():
             print(
                 f"{dim:>4}{size:>9}{row['us_per_member_step']:>16.3f}"
                 f"{row['peak_mb']:>10.2f}{row['ensemble_stats_ms']:>10.2f}"
+                f"{row['simulate_stats_ms']:>13.2f}{row['simulate_stats_peak_mb']:>10.2f}"
             )
     print(f"{'config':>22}{'wall s':>9}{'exit':>6}")
     for name, row in result["run"]["by_config"].items():
