@@ -6,11 +6,13 @@ import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import jsonschema
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, UnknownLabel
 from .model import SystemModel, model_from_dict
+
+if TYPE_CHECKING:
+    import jsonschema
 
 __all__ = ["ExperimentConfig", "CONFIG_SCHEMA", "load_config", "config_from_dict"]
 
@@ -188,11 +190,15 @@ def _validator() -> jsonschema.protocols.Validator:
     """Validator for CONFIG_SCHEMA, built on first use.  Unlike
     ``jsonschema.validate`` it does not check the schema against its
     metaschema on every load; the test suite checks it once."""
+    import jsonschema  # deferred: a slow import, paid only by callers that validate
+
     return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document and build the config objects."""
+    import jsonschema  # deferred: see _validator
+
     # best_match picks the error jsonschema.validate would raise.
     error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
     if error is not None:

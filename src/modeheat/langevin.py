@@ -24,8 +24,9 @@ coordinate series is a contiguous row, and the reductions read blocks of
 members from it in place.  ``simulate_stats`` never makes that record: it
 integrates one block of 16 members at a time into one reused buffer and
 reduces each block as soon as it is integrated.  A batch's chunk temporaries
-(noise, scan products) and the reduction's squared block and spectra live in
-scratch buffers that a call allocates once per thread and reuses.
+(noise, scan products), its members' noise generators and the reduction's
+squared block and spectra live in scratch that a call allocates once per
+thread and reuses.
 
 The record keeps only what a caller reads.  The integrator always advances
 the full state, but only the state coordinates named at ``simulate`` time
@@ -68,7 +69,6 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     FingerprintMismatch,
@@ -309,14 +309,16 @@ class EnsembleStats:
 
 
 class _Scratch:
-    """Named flat buffers that a call's batches reuse.  ``take(name, shape)``
-    is a C-contiguous view of the leading elements of buffer ``name``, which
-    grows when a larger shape asks for it; a call's first chunk and batch are
-    its largest, so each buffer is allocated once.  One thread owns a scratch:
-    batches that run at the same time never share one."""
+    """Named flat buffers and noise generators that a call's batches reuse.
+    ``take(name, shape)`` is a C-contiguous view of the leading elements of
+    buffer ``name``, which grows when a larger shape asks for it; a call's
+    first chunk and batch are its largest, so each buffer is allocated once.
+    One thread owns a scratch: batches that run at the same time never share
+    one."""
 
     def __init__(self):
         self._buffers: dict = {}
+        self._generators: list[np.random.Generator] = []
 
     def take(self, name, shape: tuple[int, ...], dtype=float) -> np.ndarray:
         size = math.prod(shape)
@@ -324,6 +326,28 @@ class _Scratch:
         if buffer is None or buffer.size < size:
             buffer = self._buffers[name] = np.empty(size, dtype)
         return buffer[:size].reshape(shape)
+
+    def generators(self, seed: int, first: int, count: int) -> list[np.random.Generator]:
+        """The noise streams of members first, ..., first + count - 1: kept
+        generators, each reset to the state a fresh ``Philox(key=[seed,
+        member])`` starts in (counter 0, empty buffer).  Building a Philox
+        from a key draws a seed from OS entropy first and discards it; the
+        reset skips that."""
+        while len(self._generators) < count:
+            self._generators.append(np.random.Generator(np.random.Philox(0)))
+        for g, rng in enumerate(self._generators[:count]):
+            rng.bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {
+                    "counter": np.zeros(4, np.uint64),
+                    "key": np.array([seed, first + g], dtype=np.uint64),
+                },
+                "buffer": np.zeros(4, np.uint64),
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        return self._generators[:count]
 
 
 def _scan_operators(E: np.ndarray, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -430,6 +454,8 @@ def _one_step_operators(model: SystemModel, config: SimConfig):
     E <- E E, sums of positive semi-definite terms in which nothing cancels.
     Valid for any dt and for gamma=0.
     """
+    import scipy.linalg  # deferred: a slow import, paid only by callers that integrate
+
     mats = compile(model)
     M, D = mats.drift, mats.diffusion
     n = M.shape[0]
@@ -541,12 +567,7 @@ class _Integrator:
         config, E, Lq, burn_in = self.config, self.E, self.Lq, self.burn_in
         scratch = self.scratch()
         G = rec.shape[0]
-        rngs = [
-            np.random.Generator(
-                np.random.Philox(key=np.array([config.seed, first + g], dtype=np.uint64))
-            )
-            for g in range(G)
-        ]
+        rngs = scratch.generators(config.seed, first, G)
         nchan = Lq.shape[1]
         stride = config.record_stride
         x = np.zeros((G, E.shape[0]))

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .constants import BOLTZMANN
 from .errors import NonPositiveStiffness, UnknownLabel, UnknownPair, UnstableFeedback
@@ -285,6 +284,8 @@ class StateMatrices:
         conjugate pair.  T is similar to M; ``solve_stationary`` and
         ``normal_modes`` both read it, so one O(n^3) factorization serves both.
         """
+        import scipy.linalg  # deferred: a slow import, paid only by callers that factor M
+
         M = self.drift
         dim = M.shape[0]
         scale = np.ones(dim)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IllConditioned, NotHurwitz
 from .model import StateMatrices, SystemModel, compile
@@ -126,6 +125,8 @@ def solve_stationary(matrices: StateMatrices) -> np.ndarray:
     Raises NotHurwitz when no stationary state exists, IllConditioned when
     the refined residual stays above 1e-10 relative.
     """
+    import scipy.linalg  # deferred: a slow import, paid only by callers that solve
+
     M, D = matrices.drift, matrices.diffusion
     # Bartels-Stewart: one real Schur form M_s = U T U^T serves every solve.
     scale, T, U = matrices.schur

@@ -1,4 +1,5 @@
-"""The timing harness: its exact-route, Welch, simulate and run sections and the file it writes."""
+"""The timing harness: its exact-route, Welch, simulate, import and run sections and the file
+it writes."""
 
 import importlib.util
 import json
@@ -69,6 +70,17 @@ def test_run_times_a_fresh_modeheat_run_per_config():
     assert 0 < row["wall_s"] < 60
 
 
+def test_import_times_every_start_up_command():
+    section = bench.import_times([PAPER_NUMBERS], repeats=1)
+    assert section["configs"] == ["paper_numbers"]
+    assert list(section["by_command"]) == [
+        "python", "import_modeheat", "load_configs", "cli_version", "cli_schema",
+    ]
+    for row in section["by_command"].values():
+        assert row["exit_code"] == 0
+        assert 0 < row["wall_s"] < 60
+
+
 def test_main_writes_machine_and_sections(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "CHAIN_SIZES", (2,))
     monkeypatch.setattr(bench, "WELCH_SAMPLES", (4096,))
@@ -84,4 +96,5 @@ def test_main_writes_machine_and_sections(tmp_path, monkeypatch):
     assert list(doc["welch"]["by_samples"]) == ["4096"]
     assert list(doc["simulate"]["by_dim"]) == ["2"]
     assert list(doc["simulate"]["by_dim"]["2"]) == ["2"]
+    assert doc["import"]["configs"] == ["paper_numbers"]
     assert list(doc["run"]["by_config"]) == ["paper_numbers"]

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -156,6 +157,48 @@ def test_cli_version_and_schema(capsys):
     assert cli.main(["schema"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out) == CONFIG_SCHEMA
+
+
+_IMPORT_BOUNDARY_PROBE = """
+import glob, sys, tempfile, warnings
+import modeheat, modeheat.cli
+from modeheat.config import load_config
+
+def loaded():
+    return [m for m in ("scipy.linalg", "jsonschema") if m in sys.modules]
+
+assert modeheat.cli.main(["version"]) == 0
+assert modeheat.cli.main(["schema"]) == 0
+assert not loaded(), loaded()
+configs = sorted(glob.glob(sys.argv[1]))
+assert len(configs) == 6, configs
+for path in configs:
+    load_config(path)
+with tempfile.TemporaryDirectory() as out:
+    assert modeheat.cli.run(sys.argv[2], out=out) == 0
+assert loaded() == ["jsonschema"], loaded()
+model = modeheat.SystemModel(oscillators=(modeheat.OscillatorSpec("A", 1e-12, 1e3, 10.0, 300.0),))
+modeheat.steady_state(model)
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    modeheat.simulate(model, modeheat.SimConfig(dt=1e-5, n_steps=10, seed=1))
+assert loaded() == ["scipy.linalg", "jsonschema"], loaded()
+"""
+
+
+def test_cli_loads_scipy_linalg_and_jsonschema_only_where_used():
+    # version and schema load neither; loading configs and the paper_numbers
+    # run, which solves nothing, load no scipy.linalg; a solve and a simulation do
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(modeheat.__file__)), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BOUNDARY_PROBE, str(CONFIG_DIR / "*.json"),
+         str(CONFIG_DIR / "paper_numbers.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_cli_bad_config_exits_2(tmp_path, capsys):

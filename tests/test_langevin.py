@@ -247,6 +247,25 @@ def test_every_batched_member_matches_its_reference_loop(scheme, monkeypatch):
             assert np.all(np.abs(t.states - loop) <= 1e-12 * scale)
 
 
+def test_reused_generators_follow_each_member_across_chunks():
+    # at the real chunk length a 66000-step member spans two chunks and makes
+    # its own batch, so member 1 draws from the generator member 0 left
+    # part-way through a Philox block
+    cfg = SimConfig(
+        dt=1e-3, n_steps=66_000, seed=9, burn_in=0, ensemble_size=2, record_stride=1000,
+        allow_large_step=True,
+    )
+    assert cfg.n_steps > langevin._CHUNK >= langevin._BATCH_STEPS
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ens = simulate(_SLOW_PAIR, cfg)
+        for k, t in enumerate(ens):
+            loop = _reference_loop(_SLOW_PAIR, cfg, index=k)
+            assert t.states.shape == loop.shape == (66, 4)
+            scale = np.max(np.abs(loop), axis=0)
+            assert np.all(np.abs(t.states - loop) <= 1e-12 * scale)
+
+
 def test_record_stride_subsamples_the_stride_one_stream(fast_model):
     base = SimConfig(dt=DT_FAST, n_steps=30, seed=4, allow_large_step=True)
     thin = SimConfig(

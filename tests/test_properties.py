@@ -224,7 +224,8 @@ def test_mc_estimates_within_five_se_of_exact(model):
 def test_mc_coordinates_have_zero_mean(model):
     # x_0 = 0, zero-mean noise and no constant force: every MC second moment is
     # taken about zero, so the pooled mean of each coordinate must sit within
-    # 5 SE of it (the reduction centres its block in place, so f copies)
+    # 5 SE of it (the reduction centres a copy of each block in its own
+    # scratch, so f may return a view of the record)
     cfg = SimConfig(dt=DT_FAST, n_steps=4000, seed=5, ensemble_size=16, allow_large_step=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -35,6 +35,12 @@ Sections:
   tracemalloc peak of one further call, in MB: for ``simulate`` the record
   of every coordinate and the integrator's chunk temporaries, for
   ``simulate_stats`` one 16-member block of it and the scratch.
+- ``import``: start-up in fresh interpreters with the pinned thread
+  settings: a bare ``python -c pass``, ``import modeheat``, ``import
+  modeheat, modeheat.cli`` plus ``load_config`` of every shipped config, and
+  ``python -m modeheat.cli version`` and ``schema``.  Each entry is the
+  least wall time of ``--repeats`` interpreters, interpreter start-up
+  included, in s, and the exit code of the last.
 - ``run``: ``modeheat run CONFIG`` end to end for each shipped
   ``configs/*.json``, each in a fresh interpreter (``python -m
   modeheat.cli``, imports included) with the pinned thread settings and its
@@ -252,23 +258,58 @@ def simulate_times(dims, members, repeats: int, n_steps: int = SIM_STEPS) -> dic
     }
 
 
-def run_times(configs, repeats: int) -> dict:
-    """Least wall seconds of ``modeheat run`` per config, each run in a fresh interpreter."""
+def fresh_wall_seconds(args, repeats: int) -> dict:
+    """Least wall seconds of ``repeats`` fresh ``python ARGS`` interpreters, with the
+    pinned thread settings and this checkout's ``src`` first on the path, and the exit
+    code of the last."""
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    best, code = math.inf, None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        code = subprocess.run(
+            [sys.executable, *args], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+        ).returncode
+        best = min(best, time.perf_counter() - start)
+    return {"wall_s": best, "exit_code": code}
+
+
+LOAD_CONFIGS = """
+import sys
+import modeheat, modeheat.cli
+from modeheat.config import load_config
+for path in sys.argv[1:]:
+    load_config(path)
+"""
+
+
+def import_times(configs, repeats: int) -> dict:
+    """Least wall seconds of fresh interpreters that import modeheat, load the configs
+    or print the version or the schema."""
+    commands = {
+        "python": ["-c", "pass"],
+        "import_modeheat": ["-c", "import modeheat"],
+        "load_configs": ["-c", LOAD_CONFIGS, *map(str, configs)],
+        "cli_version": ["-m", "modeheat.cli", "version"],
+        "cli_schema": ["-m", "modeheat.cli", "schema"],
+    }
+    return {
+        "unit": "s",
+        "timer": f"wall time of a fresh interpreter, start-up included, least of {repeats}",
+        "configs": [config.stem for config in configs],
+        "by_command": {name: fresh_wall_seconds(args, repeats) for name, args in commands.items()},
+    }
+
+
+def run_times(configs, repeats: int) -> dict:
+    """Least wall seconds of ``modeheat run`` per config, each run in a fresh interpreter."""
     by_config = {}
     with tempfile.TemporaryDirectory() as tmp:
         for config in configs:
-            best, code = math.inf, None
-            for k in range(repeats):
-                command = [sys.executable, "-m", "modeheat.cli", "run", str(config),
-                           "--out", str(Path(tmp) / f"{config.stem}-{k}")]
-                start = time.perf_counter()
-                code = subprocess.run(
-                    command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
-                ).returncode
-                best = min(best, time.perf_counter() - start)
-            by_config[config.stem] = {"wall_s": best, "exit_code": code}
+            by_config[config.stem] = fresh_wall_seconds(
+                ["-m", "modeheat.cli", "run", str(config), "--out", str(Path(tmp) / config.stem)],
+                repeats,
+            )
     return {
         "unit": "s",
         "timer": f"wall time of a fresh `python -m modeheat.cli run CONFIG`, least of {repeats}",
@@ -294,6 +335,7 @@ def main(argv=None) -> int:
         "exact_route": exact_route(CHAIN_SIZES, args.seeds, args.repeats),
         "welch": welch(WELCH_SAMPLES, WELCH_SEED, args.repeats),
         "simulate": simulate_times(SIM_DIMS, SIM_MEMBERS, args.repeats),
+        "import": import_times(CONFIGS, args.repeats),
         "run": run_times(CONFIGS, args.repeats),
     }
     print(f"{'N':>5}" + "".join(f"{key + ' s':>24}" for key in ROUTES))
@@ -314,6 +356,9 @@ def main(argv=None) -> int:
                 f"{row['peak_mb']:>10.2f}{row['ensemble_stats_ms']:>10.2f}"
                 f"{row['simulate_stats_ms']:>13.2f}{row['simulate_stats_peak_mb']:>10.2f}"
             )
+    print(f"{'start-up':>22}{'wall s':>9}{'exit':>6}")
+    for name, row in result["import"]["by_command"].items():
+        print(f"{name:>22}{row['wall_s']:>9.3f}{row['exit_code']:>6}")
     print(f"{'config':>22}{'wall s':>9}{'exit':>6}")
     for name, row in result["run"]["by_config"].items():
         print(f"{name:>22}{row['wall_s']:>9.2f}{row['exit_code']:>6}")
