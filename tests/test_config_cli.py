@@ -181,7 +181,7 @@ model = modeheat.SystemModel(oscillators=(modeheat.OscillatorSpec("A", 1e-12, 1e
 modeheat.steady_state(model)
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
-    modeheat.simulate(model, modeheat.SimConfig(dt=1e-5, n_steps=10, seed=1))
+    modeheat.simulate(model, modeheat.SimConfig(dt=1e-5, n_steps=10, seed=1, burn_in=0))
 assert loaded() == ["scipy.linalg", "jsonschema"], loaded()
 """
 
