@@ -1,5 +1,5 @@
-"""The timing harness: its exact-route, Welch, simulate, import and run sections and the file
-it writes."""
+"""The timing harness: its exact-route, Welch, simulate, import, run and tier-1 sections and
+the file it writes."""
 
 import importlib.util
 import json
@@ -11,6 +11,13 @@ bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
 
 PAPER_NUMBERS = REPO / "configs" / "paper_numbers.json"
+# Stands in for the test suite, which must not run itself: it checks the working
+# directory and the path the suite gets, and prints a pytest summary line.
+FAKE_TIER1 = [
+    "-c",
+    "import os, sys; import modeheat.config; assert os.path.isdir('src/modeheat');"
+    " print('..F'); print('1 failed, 2 passed, 1 warning in 0.50s'); sys.exit(1)",
+]
 
 
 def test_exact_route_times_every_size_and_chain():
@@ -81,12 +88,21 @@ def test_import_times_every_start_up_command():
         assert 0 < row["wall_s"] < 60
 
 
+def test_tier1_time_reads_the_counts_of_the_summary_line():
+    section = bench.tier1_time(FAKE_TIER1)
+    assert section["exit_code"] == 1
+    assert (section["passed"], section["failed"]) == (2, 1)
+    assert section["summary"] == "1 failed, 2 passed, 1 warning in 0.50s"
+    assert 0 < section["wall_s"] < 60
+
+
 def test_main_writes_machine_and_sections(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "CHAIN_SIZES", (2,))
     monkeypatch.setattr(bench, "WELCH_SAMPLES", (4096,))
     monkeypatch.setattr(bench, "SIM_DIMS", (2,))
     monkeypatch.setattr(bench, "SIM_MEMBERS", (2,))
     monkeypatch.setattr(bench, "CONFIGS", [PAPER_NUMBERS])
+    monkeypatch.setattr(bench, "TIER1", FAKE_TIER1)
     out = tmp_path / "bench.json"
     assert bench.main(["--out", str(out), "--seeds", "1", "--repeats", "1"]) == 0
     doc = json.loads(out.read_text())
@@ -98,3 +114,4 @@ def test_main_writes_machine_and_sections(tmp_path, monkeypatch):
     assert list(doc["simulate"]["by_dim"]["2"]) == ["2"]
     assert doc["import"]["configs"] == ["paper_numbers"]
     assert list(doc["run"]["by_config"]) == ["paper_numbers"]
+    assert (doc["tier1"]["passed"], doc["tier1"]["failed"]) == (2, 1)

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -14,9 +15,9 @@ import jsonschema
 import pytest
 
 import modeheat
-from modeheat.config import CONFIG_SCHEMA, config_from_dict, load_config
+from modeheat.config import CONFIG_SCHEMA, KEYWORDS, config_from_dict, load_config
 from modeheat.errors import ConfigError
-from modeheat import cli, experiments
+from modeheat import cli, config, experiments
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO / "configs"
@@ -98,6 +99,122 @@ def test_config_schema_passes_its_metaschema():
     jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
 
 
+# -- the schema interpreter against jsonschema --------------------------------------
+
+SHIPPED_TEXTS = [path.read_text() for path in sorted(CONFIG_DIR.glob("*.json"))]
+
+
+def _property_names(schema):
+    for name, subschema in schema.get("properties", {}).items():
+        yield name
+        yield from _property_names(subschema)
+    for key in ("items", "additionalProperties", "if", "else"):
+        if isinstance(schema.get(key), dict):
+            yield from _property_names(schema[key])
+
+
+# keys that a mutation adds: every name the schema knows, at any level, and some it does not
+MUTATION_KEYS = sorted(set(_property_names(CONFIG_SCHEMA)) | {"frobnicate", "A", "Z", ""})
+# values that a mutation sets or adds: bools next to 0 and 1, 1.0, bounds and their
+# neighbours, enum members and strangers, empty and repeated lists, objects
+MUTATION_VALUES = [
+    None, True, False, 0, 1, 2, -1, 0.5, 1.0, 2.0, 0.9, 0.95, 1e-12, -0.0,
+    "", "A", "B", "hann", "rectangular", "csv", "json", "yaml", "paper_numbers", "spectrum",
+    [], ["A"], ["A", "B"], ["A", "A"], ["csv", "csv"], [1.0, 2.0], [1.0, 1.0], [1, 1.0],
+    [True, 1], [False, 0], [0.5, 0], [[1], [1]],
+    {}, {"A": {}}, {"velocity_gain": True}, {"Z": {"noise_psd": -1}},
+]
+
+
+def _containers(node):
+    yield node
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (dict, list)):
+            yield from _containers(child)
+
+
+def _mutate(doc, rng):
+    """Set a value, drop a key or an item, add a key or an item, or repeat an item,
+    in an object or array picked anywhere in ``doc``."""
+    target = rng.choice(list(_containers(doc)))
+    keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+    op = rng.randrange(4)
+    value = copy.deepcopy(rng.choice(MUTATION_VALUES))
+    if op == 0 and keys:
+        target[rng.choice(keys)] = value
+    elif op == 1 and keys:
+        target.pop(rng.choice(keys))
+    elif isinstance(target, dict):
+        target[rng.choice(MUTATION_KEYS)] = value
+    else:
+        target.append(copy.deepcopy(rng.choice(target)) if target and op == 3 else value)
+
+
+def _schema_verdict(doc):
+    """None if ``config_from_dict`` accepts ``doc``'s schema, else the message it raises."""
+    try:
+        config_from_dict(doc)
+    except ConfigError as exc:
+        prefix = "config does not match the schema: "
+        return str(exc).removeprefix(prefix) if str(exc).startswith(prefix) else None
+    return None
+
+
+def test_schema_verdicts_match_jsonschema_on_mutated_configs():
+    # 20 000 seeded documents, one to three mutations of a shipped config each; every
+    # verdict and message must be best_match's over jsonschema's own Draft 7 validator
+    reference = jsonschema.Draft7Validator(CONFIG_SCHEMA)
+    rng = random.Random(20191219)
+    mismatches, rejected = [], 0
+    for _ in range(20_000):
+        doc = json.loads(rng.choice(SHIPPED_TEXTS))
+        for _ in range(rng.randint(1, 3)):
+            _mutate(doc, rng)
+        best = jsonschema.exceptions.best_match(reference.iter_errors(doc))
+        expected = None if best is None else best.message
+        rejected += expected is not None
+        if _schema_verdict(doc) != expected:
+            mismatches.append((doc, expected, _schema_verdict(doc)))
+    assert not mismatches, mismatches[:3]
+    # both verdicts are well represented
+    assert 1000 < rejected < 19_000, rejected
+
+
+def test_schema_errors_on_one_path_prefer_a_schema_whose_type_the_value_fails(monkeypatch):
+    # With additionalProperties ahead of if/else, a document without a model and with
+    # an unknown key gives two errors at the root; best_match takes else's, whose
+    # schema has no type, over the root schema's, whose type the document matches.
+    reordered = {k: v for k, v in CONFIG_SCHEMA.items() if k not in ("if", "else")}
+    reordered.update({"if": CONFIG_SCHEMA["if"], "else": CONFIG_SCHEMA["else"]})
+    monkeypatch.setattr(config, "CONFIG_SCHEMA", reordered)
+    doc = {"experiment": "spectrum", "frobnicate": 1}
+    best = jsonschema.exceptions.best_match(jsonschema.Draft7Validator(reordered).iter_errors(doc))
+    assert best.message == "'model' is a required property"
+    with pytest.raises(ConfigError) as got:
+        config_from_dict(doc)
+    assert str(got.value) == f"config does not match the schema: {best.message}"
+
+
+def _unimplemented(schema):
+    """The keywords of ``schema`` and its subschemas that the interpreter lacks."""
+    missing = set(schema) - KEYWORDS - {"$schema", "$id", "title"}
+    for subschema in schema.get("properties", {}).values():
+        missing |= _unimplemented(subschema)
+    for key in ("items", "additionalProperties", "if", "else"):
+        if isinstance(schema.get(key), dict):
+            missing |= _unimplemented(schema[key])
+    return missing
+
+
+def test_schema_uses_only_keywords_the_interpreter_implements():
+    # a keyword it does not know would otherwise go unchecked
+    assert _unimplemented(CONFIG_SCHEMA) == set()
+    edited = copy.deepcopy(CONFIG_SCHEMA)
+    edited["properties"]["sim"]["properties"]["dt"]["multipleOf"] = 1e-6
+    edited["then"] = {"required": ["analysis"]}
+    assert _unimplemented(edited) == {"multipleOf", "then"}
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.json")
@@ -176,19 +293,19 @@ for path in configs:
     load_config(path)
 with tempfile.TemporaryDirectory() as out:
     assert modeheat.cli.run(sys.argv[2], out=out) == 0
-assert loaded() == ["jsonschema"], loaded()
+assert not loaded(), loaded()
 model = modeheat.SystemModel(oscillators=(modeheat.OscillatorSpec("A", 1e-12, 1e3, 10.0, 300.0),))
 modeheat.steady_state(model)
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     modeheat.simulate(model, modeheat.SimConfig(dt=1e-5, n_steps=10, seed=1, burn_in=0))
-assert loaded() == ["scipy.linalg", "jsonschema"], loaded()
+assert loaded() == ["scipy.linalg"], loaded()
 """
 
 
-def test_cli_loads_scipy_linalg_and_jsonschema_only_where_used():
-    # version and schema load neither; loading configs and the paper_numbers
-    # run, which solves nothing, load no scipy.linalg; a solve and a simulation do
+def test_cli_loads_scipy_linalg_only_where_used_and_never_jsonschema():
+    # version, schema, loading configs and the paper_numbers run, which solves
+    # nothing, load neither; a solve and a simulation load scipy.linalg alone
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.dirname(os.path.dirname(modeheat.__file__)), env.get("PYTHONPATH")])
@@ -199,6 +316,31 @@ def test_cli_loads_scipy_linalg_and_jsonschema_only_where_used():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ("cold_damping", "mass"),
+        ("cold_damping", "omega"),
+        ("cold_damping", "gamma"),
+        ("cold_damping", "bath_temperature"),
+        ("spectrum", "dt"),
+    ],
+)
+def test_cli_non_finite_number_exits_2(tmp_path, capsys, config, field, token):
+    # json reads these tokens (and overflows 1e999) to floats that pass every bound
+    doc = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+    block = doc["sim"] if field == "dt" else doc["model"]["oscillators"][0]
+    block[field] = "@"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc).replace('"@"', token))
+    out_dir = tmp_path / "out"
+    assert cli.run(path, out=out_dir) == 2
+    err = capsys.readouterr().err
+    assert "code=2" in err and f"{token} is not a finite number" in err
+    assert not out_dir.exists()
 
 
 def test_cli_bad_config_exits_2(tmp_path, capsys):

@@ -46,6 +46,11 @@ Sections:
   modeheat.cli``, imports included) with the pinned thread settings and its
   outputs in a temporary directory.  Each entry is the least wall time of
   ``--repeats`` runs, in s, and the exit code of the last.
+- ``tier1``: one run of the tier-1 test suite in a subprocess, with the
+  invocation ``ROADMAP.md`` gives (``PYTHONPATH=src python -m pytest -q
+  --continue-on-collection-errors``, from the checkout's root, with the
+  pinned thread settings): its wall time in s, its exit code, the passed
+  and failed counts of pytest's summary line, and that line.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ import math
 import os
 import platform
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -77,6 +83,7 @@ SIM_STEPS = 2000
 SIM_BURN_IN = 200
 SIM_DT = 5.0025e-3
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 if __name__ == "__main__":
     # OpenBLAS reads its thread count once, when numpy loads.
@@ -258,12 +265,18 @@ def simulate_times(dims, members, repeats: int, n_steps: int = SIM_STEPS) -> dic
     }
 
 
-def fresh_wall_seconds(args, repeats: int) -> dict:
-    """Least wall seconds of ``repeats`` fresh ``python ARGS`` interpreters, with the
-    pinned thread settings and this checkout's ``src`` first on the path, and the exit
-    code of the last."""
+def child_env() -> dict:
+    """This environment with the pinned thread settings and this checkout's ``src``
+    first on the path."""
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def fresh_wall_seconds(args, repeats: int) -> dict:
+    """Least wall seconds of ``repeats`` fresh ``python ARGS`` interpreters, with
+    ``child_env``, and the exit code of the last."""
+    env = child_env()
     best, code = math.inf, None
     for _ in range(repeats):
         start = time.perf_counter()
@@ -317,6 +330,28 @@ def run_times(configs, repeats: int) -> dict:
     }
 
 
+def tier1_time(args) -> dict:
+    """Wall seconds, exit code and outcome counts of one ``python ARGS`` run of the
+    test suite from the checkout's root, with ``child_env``."""
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=child_env(), capture_output=True, text=True
+    )
+    wall = time.perf_counter() - start
+    lines = result.stdout.strip().splitlines()
+    summary = lines[-1] if lines else ""
+    counts = dict.fromkeys(("passed", "failed"), 0)
+    for count, outcome in re.findall(r"(\d+) (passed|failed)\b", summary):
+        counts[outcome] = int(count)
+    return {
+        "command": f"PYTHONPATH=src python {' '.join(args)}",
+        "wall_s": wall,
+        "exit_code": result.returncode,
+        **counts,
+        "summary": summary,
+    }
+
+
 def main(argv=None) -> int:
     today = datetime.date.today().isoformat()
     parser = argparse.ArgumentParser(
@@ -337,6 +372,7 @@ def main(argv=None) -> int:
         "simulate": simulate_times(SIM_DIMS, SIM_MEMBERS, args.repeats),
         "import": import_times(CONFIGS, args.repeats),
         "run": run_times(CONFIGS, args.repeats),
+        "tier1": tier1_time(TIER1),
     }
     print(f"{'N':>5}" + "".join(f"{key + ' s':>24}" for key in ROUTES))
     for n, times in result["exact_route"]["by_n"].items():
@@ -362,6 +398,8 @@ def main(argv=None) -> int:
     print(f"{'config':>22}{'wall s':>9}{'exit':>6}")
     for name, row in result["run"]["by_config"].items():
         print(f"{name:>22}{row['wall_s']:>9.2f}{row['exit_code']:>6}")
+    tier1 = result["tier1"]
+    print(f"{'tier-1':>22}{tier1['wall_s']:>9.2f}{tier1['exit_code']:>6}  {tier1['summary']}")
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0
