@@ -1,12 +1,13 @@
 """Experiment configuration: JSON schema, validation, loading.
 
 Configs are checked against ``CONFIG_SCHEMA`` by a small interpreter of the
-Draft 7 keywords that schema uses, not by the jsonschema library: importing
-jsonschema (with attrs, referencing, rpds and its format libraries) took
-80-105 ms, more than validating ever did, and was the largest single cost of
-``modeheat run``'s start-up.  The interpreter gives jsonschema's verdicts and
-the message ``jsonschema.validate`` would raise; the test suite checks both
-against jsonschema on a seeded corpus of mutated configs.
+Draft 7 keywords that schema uses, not by a JSON Schema library: importing
+the reference library (the ``test`` extra in ``pyproject.toml``), with attrs,
+referencing, rpds and its format libraries, took 80-105 ms, far more than
+validating, and was the largest single cost of ``modeheat run``'s start-up.
+The interpreter gives that library's verdicts and the message its
+``validate`` would raise; the test suite, which keeps the library as its
+reference, checks both on a seeded corpus of mutated configs.
 """
 
 from __future__ import annotations
@@ -194,9 +195,9 @@ class ExperimentConfig:
 
 # -- a Draft 7 interpreter for the keywords CONFIG_SCHEMA uses ----------------------
 #
-# Each keyword behaves, and words its message, as in jsonschema 4.x: a bool is
-# neither a number nor an integer, an integral float is an integer, and enum,
-# const and uniqueItems tell True from 1.
+# Each keyword behaves, and words its message, as in the reference library's
+# Draft7Validator (4.x): a bool is neither a number nor an integer, an integral
+# float is an integer, and enum, const and uniqueItems tell True from 1.
 
 _ANNOTATIONS = frozenset({"$schema", "$id", "title"})
 
@@ -232,7 +233,7 @@ def _equal(one, two) -> bool:
 
 
 def _unique(items: list) -> bool:
-    # jsonschema compares neighbours after a sort, and every pair when the items do not sort
+    # the reference compares neighbours after a sort, and every pair when the items do not sort
     try:
         ordered = sorted(map(_unbool, items))
         pairs = zip(ordered, ordered[1:])
@@ -288,7 +289,7 @@ KEYWORDS = _CHECKS.keys() | {
 
 
 def _schema_errors(instance, schema: dict, path: tuple = ()):
-    """Yield ``(path, message, typed)`` for every error jsonschema's Draft 7 validator
+    """Yield ``(path, message, typed)`` for every error the reference Draft 7 validator
     finds in ``instance``, in its order.  ``path`` leads from the document to the
     value at fault; ``typed`` says whether ``schema`` has a ``type`` that the value
     matches.  A keyword outside ``KEYWORDS`` raises KeyError."""
@@ -333,7 +334,7 @@ def _schema_errors(instance, schema: dict, path: tuple = ()):
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document and build the config objects."""
-    # The error jsonschema.validate would raise, as best_match picks it: the first of
+    # The error the reference's validate would raise, as best_match picks it: the first of
     # those at the shallowest path, then at the last path in sorted order, then of a
     # schema whose type the value fails (or that has none) over one whose type it matches.
     error = max(

@@ -318,6 +318,16 @@ def test_cli_loads_scipy_linalg_only_where_used_and_never_jsonschema():
     assert result.returncode == 0, result.stderr
 
 
+def test_cli_integer_too_long_to_parse_exits_2(tmp_path, capsys):
+    # int() refuses more than 4300 digits with a ValueError that is not a JSONDecodeError
+    doc = copy.deepcopy(GOOD_DOC)
+    doc["sim"]["n_steps"] = "@"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc).replace('"@"', "1" * 5000))
+    assert cli.run(path, out=tmp_path / "out") == 2
+    assert "code=2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
 @pytest.mark.parametrize(
     "config, field",
