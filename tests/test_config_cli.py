@@ -330,7 +330,7 @@ def test_cli_integer_too_long_to_parse_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
 @pytest.mark.parametrize(
-    "config, field",
+    "shipped, field",
     [
         ("cold_damping", "mass"),
         ("cold_damping", "omega"),
@@ -339,9 +339,9 @@ def test_cli_integer_too_long_to_parse_exits_2(tmp_path, capsys):
         ("spectrum", "dt"),
     ],
 )
-def test_cli_non_finite_number_exits_2(tmp_path, capsys, config, field, token):
+def test_cli_non_finite_number_exits_2(tmp_path, capsys, shipped, field, token):
     # json reads these tokens (and overflows 1e999) to floats that pass every bound
-    doc = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+    doc = json.loads((CONFIG_DIR / f"{shipped}.json").read_text())
     block = doc["sim"] if field == "dt" else doc["model"]["oscillators"][0]
     block[field] = "@"
     path = tmp_path / "config.json"
