@@ -45,7 +45,6 @@ from .langevin import (
     RecordGrid,
     SimConfig,
     Trajectory,
-    direct_heat_flux_mc,
     ensemble_stats,
     mode_temperature_mc,
     simulate,
@@ -118,7 +117,6 @@ __all__ = [
     "simulate_stats",
     "ensemble_stats",
     "mode_temperature_mc",
-    "direct_heat_flux_mc",
     # spectra
     "Psd",
     "PeakFit",

@@ -332,6 +332,23 @@ def _schema_errors(instance, schema: dict, path: tuple = ()):
                     yield path, message, typed
 
 
+def _non_finite(value, path: tuple = ()):
+    """``(path, value)`` of the first float in the document that is not
+    finite, in document order; None if there is none.  The schema's bounds
+    pass nan and inf (``nan <= 0`` is False), so they are looked for apart."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return path, value
+    if isinstance(value, dict):
+        children = value.items()
+    else:
+        children = enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        found = _non_finite(child, (*path, key))
+        if found is not None:
+            return found
+    return None
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document and build the config objects."""
     # The error the reference's validate would raise, as best_match picks it: the first of
@@ -342,6 +359,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     )
     if error is not None:
         raise ConfigError(f"config does not match the schema: {error[1]}")
+    # after the schema's verdict, so that its message stays the reference's
+    bad = _non_finite(doc)
+    if bad is not None:
+        where = "/".join(map(str, bad[0]))
+        raise ConfigError(f"invalid config: {where} = {bad[1]} is not a finite number")
     try:
         model = model_from_dict(doc["model"]) if "model" in doc else None
     except (ValueError, KeyError, UnknownLabel) as exc:

@@ -6,6 +6,11 @@ checks and any verbatim text files.  Experiments write nothing; the runner
 turns the tables into files and the checks into the verdict file.  A PASS
 verdict means every single check passed.
 
+An MC bath flux is read one way, by the flux-gap formula on the MC kinetic
+temperature (``_gap_flux``), and checked against the exact flux.  The work
+average S_0/(2m) - 2 gamma m <v^2> is the same statistic, so no experiment
+reads it a second time.
+
 All randomness is rooted in the config seed; data rows never contain
 timestamps or environment-dependent values, so reruns are bit-identical.
 """
@@ -38,7 +43,6 @@ from .fluxlab import (
 from .langevin import (
     Estimate,
     SimConfig,
-    direct_heat_flux_mc,
     mode_temperature_mc,
     simulate,
     simulate_stats,
@@ -127,56 +131,42 @@ def _table(records: list[dict]) -> Table:
 
 
 def _routes(model: SystemModel, sim: SimConfig, threads: int):
-    """Both routes on one model: the exact steady state, the second moments
-    of the simulated ensemble, reduced without holding its record, and its MC
-    mode temperatures."""
-    ss = steady_state(model)
-    stats = simulate_stats(model, sim, threads)
-    return ss, stats, mode_temperature_mc(stats, model)
+    """Both routes on one model: the exact steady state and the MC mode
+    temperatures of the simulated ensemble, reduced without holding its
+    record."""
+    return steady_state(model), mode_temperature_mc(simulate_stats(model, sim, threads), model)
 
 
 def _ensemble(cfg: ExperimentConfig, seed: int, threads: int):
     """``_routes`` on the config's model, with the two checks every ensemble
     experiment opens with."""
     model = cfg.model
-    ss, stats, mc = _routes(model, _sim_from_config(cfg.sim, seed), threads)
+    ss, mc = _routes(model, _sim_from_config(cfg.sim, seed), threads)
     checks = [
         Check("lyapunov_residual", ss.residual <= 1e-10, f"residual={ss.residual:.3e}"),
         _balance_check(ss),
     ]
-    return model, ss, stats, mc, checks
+    return model, ss, mc, checks
 
 
-def _flux_routes(model: SystemModel, ss, stats, mc, i: int, tag: str):
-    """Oscillator i's bath flux read off the ensemble's <v_i^2> two ways, by
-    the gap formula on its MC kinetic temperature and by the direct work
-    average, each as an ``Estimate``, with the pairwise 4-SE checks of the
-    two against the exact flux and against each other.  The gap is taken
-    from the equilibrium temperature T_eq, so at every noise_factor the two
-    readings are one number (``direct_heat_flux_mc``) and their mutual check
-    holds by construction."""
+def _gap_flux(model: SystemModel, mc, i: int) -> Estimate:
+    """Oscillator i's MC bath flux, the one MC reading of it: the flux-gap
+    formula 2 gamma k_B (T_eq - T'_kin) on its MC kinetic temperature, with
+    that temperature's SE carried through the slope 2 gamma k_B.  The gap is
+    taken from the equilibrium temperature T_eq, so at every noise_factor it
+    equals the work average S_0/(2m) - 2 gamma m <v^2> of the same <v^2>."""
     o = model.oscillators[i]
-    gap = Estimate(
+    return Estimate(
         flux_from_gap(o.gamma, model.equilibrium_temperature[i], mc.kinetic[i], model.boltzmann),
         flux_gap_slope(o.gamma, model.boltzmann) * mc.kinetic_se[i],
     )
-    direct = direct_heat_flux_mc(stats, model, i)
-    exact = ss.bath_flux[i]
-    checks = [
-        _check_within_se(f"p_gap_vs_lyap_{tag}", gap.value, exact, gap.se),
-        _check_within_se(f"p_direct_vs_lyap_{tag}", direct.value, exact, direct.se),
-        _check_within_se(
-            f"p_direct_vs_gap_{tag}", direct.value, gap.value, math.hypot(direct.se, gap.se)
-        ),
-    ]
-    return gap, direct, checks
 
 
 # -- equipartition ---------------------------------------------------------------
 
 
 def run_equipartition(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
-    model, ss, _, mc, checks = _ensemble(cfg, seed, threads)
+    model, ss, mc, checks = _ensemble(cfg, seed, threads)
     rows = []
     for i, o in enumerate(model.oscillators):
         rows.append(
@@ -213,14 +203,14 @@ def run_equipartition(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome
 
 
 def run_cold_damping(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
-    model, ss, stats, mc, checks = _ensemble(cfg, seed, threads)
+    model, ss, mc, checks = _ensemble(cfg, seed, threads)
     rows = []
     for i, o in enumerate(model.oscillators):
         fb = model.feedback(o.label)
         gamma_fb = -fb.velocity_gain / (2.0 * o.mass)
         t_eq = model.equilibrium_temperature[i]
         predicted = t_eq * o.gamma / (o.gamma + gamma_fb)
-        flux = direct_heat_flux_mc(stats, model, o.label)
+        flux = _gap_flux(model, mc, i)
         rows.append(
             {
                 "oscillator": o.label,
@@ -233,8 +223,8 @@ def run_cold_damping(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
                 "t_kin_mc_se_k": mc.kinetic_se[i],
                 "p_bath_lyap_w": ss.bath_flux[i],
                 "p_fb_lyap_w": ss.feedback_flux[i],
-                "p_direct_mc_w": flux.value,
-                "p_direct_mc_se_w": flux.se,
+                "p_gap_mc_w": flux.value,
+                "p_gap_mc_se_w": flux.se,
             }
         )
         checks += [
@@ -254,9 +244,7 @@ def run_cold_damping(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
             _check_rel(
                 f"feedback_balances_bath_{o.label}", ss.feedback_flux[i], -ss.bath_flux[i], 1e-8
             ),
-            _check_within_se(
-                f"p_direct_mc_4se_{o.label}", flux.value, ss.bath_flux[i], flux.se
-            ),
+            _check_within_se(f"p_gap_mc_4se_{o.label}", flux.value, ss.bath_flux[i], flux.se),
         ]
     return Outcome({"cold_damping": _table(rows)}, checks)
 
@@ -267,13 +255,13 @@ def run_cold_damping(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
 def run_coupled_transfer(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
     if len(cfg.model.oscillators) != 2:
         raise ConfigError("coupled_transfer expects exactly two oscillators")
-    model, ss, stats, mc, checks = _ensemble(cfg, seed, threads)
+    model, ss, mc, checks = _ensemble(cfg, seed, threads)
     checks.append(_check_rel("antisymmetry_lyap", ss.bath_flux[0], -ss.bath_flux[1], 1e-10))
     rows = []
-    direct = []
+    gaps = []
     for i, o in enumerate(model.oscillators):
-        gap, flux_direct, flux_checks = _flux_routes(model, ss, stats, mc, i, o.label)
-        direct.append(flux_direct)
+        gap = _gap_flux(model, mc, i)
+        gaps.append(gap)
         rows.append(
             {
                 "oscillator": o.label,
@@ -284,17 +272,14 @@ def run_coupled_transfer(cfg: ExperimentConfig, seed: int, threads: int) -> Outc
                 "p_lyap_w": ss.bath_flux[i],
                 "p_gap_mc_w": gap.value,
                 "p_gap_mc_se_w": gap.se,
-                "p_direct_mc_w": flux_direct.value,
-                "p_direct_mc_se_w": flux_direct.se,
             }
         )
-        checks += flux_checks
+        checks.append(
+            _check_within_se(f"p_gap_vs_lyap_{o.label}", gap.value, ss.bath_flux[i], gap.se)
+        )
     checks.append(
         _check_within_se(
-            "antisymmetry_mc",
-            direct[0].value,
-            -direct[1].value,
-            math.hypot(direct[0].se, direct[1].se),
+            "antisymmetry_mc", gaps[0].value, -gaps[1].value, math.hypot(gaps[0].se, gaps[1].se)
         )
     )
     return Outcome({"coupled_transfer": _table(rows)}, checks)
@@ -443,9 +428,9 @@ def _psd_temperature(model: SystemModel, sim: SimConfig, label: str, threads: in
 def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
     """Sweep the coupling rate on a two-oscillator model; at each point
     estimate the mode temperature of the pair's first oscillator three ways (exact,
-    time-domain MC, spectral) and its bath flux three ways (gap formula on
-    MC data, direct work-based MC, exact), plus the exact energy-balance
-    residual and an equal-bath control flux.
+    time-domain MC, spectral) and its bath flux two ways (exact, and the gap
+    formula on its MC kinetic temperature), plus the exact energy-balance
+    residual and the gap flux of an equal-bath control, which must vanish.
 
     ``analysis.g_over_gamma`` sets the coupling rates in units of that
     oscillator's gamma.  The spectral estimate averages ``psd_ensemble``
@@ -499,17 +484,17 @@ def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) ->
         g = r * osc_a.gamma
         tag = f"g{g / osc_a.gamma:g}"
         model = _with_coupling(template, pair, g)
-        ss, stats, mc = _routes(model, sim, threads)
+        ss, mc = _routes(model, sim, threads)
         t_lyap = ss.mode_temperature_positional[ia]
         balance = _rel(*_energy_imbalance(ss))
         t_mc, t_mc_se = mc.positional[ia], mc.positional_se[ia]
-        gap, direct, flux_checks = _flux_routes(model, ss, stats, mc, ia, tag)
+        gap = _gap_flux(model, mc, ia)
 
         t_psd, t_psd_se = _psd_temperature(model, psd_sim, a_label, threads)
 
         equal_model = _with_equal_baths(model, osc_a.bath_temperature)
-        equal_stats = simulate_stats(equal_model, sim, threads)
-        equal_direct = direct_heat_flux_mc(equal_stats, equal_model, a_label)
+        equal_mc = mode_temperature_mc(simulate_stats(equal_model, sim, threads), equal_model)
+        equal = _gap_flux(equal_model, equal_mc, ia)
 
         rows.append(
             {
@@ -521,12 +506,10 @@ def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) ->
                 "T_prime_A_psd_se": t_psd_se,
                 "P_A_gap": gap.value,
                 "P_A_gap_se": gap.se,
-                "P_A_direct": direct.value,
-                "P_A_direct_se": direct.se,
                 "P_A_lyap": ss.bath_flux[ia],
                 "balance_residual": balance,
-                "P_A_equal_direct": equal_direct.value,
-                "P_A_equal_direct_se": equal_direct.se,
+                "P_A_equal_gap": equal.value,
+                "P_A_equal_gap_se": equal.se,
             }
         )
         checks += [
@@ -535,9 +518,9 @@ def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) ->
             _check_within_se(
                 f"t_psd_vs_mc_{tag}", t_psd, t_mc, math.hypot(t_psd_se, t_mc_se)
             ),
-            *flux_checks,
+            _check_within_se(f"p_gap_vs_lyap_{tag}", gap.value, ss.bath_flux[ia], gap.se),
             Check(f"balance_{tag}", balance < 1e-8, f"balance_residual={balance:.3e}"),
-            _check_within_se(f"equal_bath_control_{tag}", equal_direct.value, 0.0, equal_direct.se),
+            _check_within_se(f"equal_bath_control_{tag}", equal.value, 0.0, equal.se),
         ]
     return Outcome({"strong_coupling_sweep": _table(rows)}, checks)
 

@@ -40,18 +40,19 @@ install regardless of how members are batched or scheduled across threads.
 Every trajectory starts at x = 0 and is driven by zero-mean noise with no
 constant force, so the process has mean exactly zero and every MC second
 moment is a pooled mean square about that known mean: ``ensemble_stats``
-makes one reduction per coordinate, ``mode_temperature_mc`` reads its <u^2>
-and <v^2>, and ``direct_heat_flux_mc`` the same <v^2>.  Standard errors
-account for sample autocorrelation via the integrated autocorrelation time
-(windowed sum of the ensemble-averaged autocorrelation function), so the
-MC-vs-exact comparisons downstream use honest error bars.  The ensemble sum
-of the member autocovariances is one inverse FFT of the summed member power
-spectra (Wiener-Khinchin), so a series set costs one forward FFT per member
-and one inverse FFT in all.  A member's series is complete once its block is
-integrated; only the centring on the pooled mean mu needs every member.  So
-each block is centred on a provisional constant c, the first block's mean,
-and the sums are moved to mu at the end by an exact identity: with
-delta = mu - c and W the spectrum of a series of ones,
+makes one reduction per coordinate and ``mode_temperature_mc`` reads its
+<u^2> and <v^2>.  The MC bath flux is the flux-gap formula on that kinetic
+temperature (``fluxlab.flux_from_gap``), the one reading of <v^2>.
+Standard errors account for sample autocorrelation via the integrated
+autocorrelation time (windowed sum of the ensemble-averaged autocorrelation
+function), so the MC-vs-exact comparisons downstream use honest error bars.
+The ensemble sum of the member autocovariances is one inverse FFT of the
+summed member power spectra (Wiener-Khinchin), so a series set costs one
+forward FFT per member and one inverse FFT in all.  A member's series is
+complete once its block is integrated; only the centring on the pooled mean
+mu needs every member.  So each block is centred on a provisional constant
+c, the first block's mean, and the sums are moved to mu at the end by an
+exact identity: with delta = mu - c and W the spectrum of a series of ones,
 sum |F(y - mu)|^2 = sum |F(y - c)|^2 - 2 delta Re(conj(W) sum F(y - c))
 + M delta^2 |W|^2 over M members (``_PooledMoments``).  The variance, a sum
 of x^2 per block in member order, keeps its bits either way.
@@ -91,7 +92,6 @@ __all__ = [
     "simulate_stats",
     "ensemble_stats",
     "mode_temperature_mc",
-    "direct_heat_flux_mc",
 ]
 
 MAX_STEP_PRODUCT = 0.05
@@ -171,9 +171,9 @@ class RecordGrid:
 
     def times(self, n: int) -> np.ndarray:
         """Absolute simulation times of the first n records, in s."""
-        t = np.arange(n, dtype=float)
-        t *= self.stride
-        t += self.start
+        # integers below 2**53 until the one multiply, so two passes over the
+        # array give the bits of dt * (start + stride * k)
+        t = np.arange(self.start, self.start + self.stride * n, self.stride, dtype=float)
         t *= self.dt
         return t
 
@@ -293,8 +293,7 @@ class EnsembleStats:
     record units (1 = uncorrelated samples), of the squared series x^2 that
     yields ``variance_se``.  Standard errors are zero only in the degenerate
     zero-variance case.  ``fingerprint`` is the ensemble's, so
-    ``mode_temperature_mc`` and ``direct_heat_flux_mc`` refuse a mismatched
-    model.
+    ``mode_temperature_mc`` refuses a mismatched model.
     """
 
     n_members: int
@@ -808,26 +807,3 @@ def _require_model_match(fingerprint: str, model: SystemModel) -> None:
             f"data fingerprint {fingerprint} does not match the model ({expect})"
         )
 
-
-def direct_heat_flux_mc(
-    stats: EnsembleStats, model: SystemModel, oscillator: int | str
-) -> Estimate:
-    """Work-based bath flux estimate from the ensemble's <v^2>.
-
-    P_hat = S_0/(2m) - 2 gamma m <v^2> (``model.injected_power`` and
-    ``model.damping_coefficient``): the injected-power term is the exact Ito
-    mean (no sampling noise), so all randomness sits in the dissipation
-    average, the velocity's ``stats.variance`` with its ``variance_se``.
-    It reads the same <v^2> as the kinetic mode temperature of
-    ``mode_temperature_mc``.  At the default ``noise_factor`` 4,
-    S_0/(2m) = 2 gamma k_B T, and it equals the flux-gap formula
-    2 gamma k_B (T - T'_kin) on that temperature in value and SE: a second
-    reading of one statistic, not an independent estimate.
-    """
-    _require_model_match(stats.fingerprint, model)
-    i = model.index(oscillator) if isinstance(oscillator, str) else oscillator
-    c = float(model.damping_coefficient[i])
-    return Estimate(
-        value=float(model.injected_power[i]) - c * float(stats.variance[2 * i + 1]),
-        se=c * float(stats.variance_se[2 * i + 1]),
-    )

@@ -353,6 +353,21 @@ def test_cli_non_finite_number_exits_2(tmp_path, capsys, shipped, field, token):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["mass", "omega", "gamma", "bath_temperature", "dt"])
+def test_config_from_dict_rejects_non_finite_numbers(field, value):
+    # from Python the schema sees nan and inf, which pass every bound of these
+    # fields (-inf fails their lower bounds)
+    doc = json.loads((CONFIG_DIR / "cold_damping.json").read_text())
+    if field == "dt":
+        block, where = doc["sim"], "sim"
+    else:
+        block, where = doc["model"]["oscillators"][0], "model/oscillators/0"
+    block[field] = value
+    with pytest.raises(ConfigError, match=f"{where}/{field} = {value} is not a finite number"):
+        config_from_dict(doc)
+
+
 def test_cli_bad_config_exits_2(tmp_path, capsys):
     doc = copy.deepcopy(GOOD_DOC)
     doc["experiment"] = "warp_drive"

@@ -9,12 +9,18 @@ import warnings
 import numpy as np
 import pytest
 
-from modeheat import ConfigError, LargeStepWarning, coupling_g
+from modeheat import (
+    BOLTZMANN,
+    ConfigError,
+    LargeStepWarning,
+    coupling_g,
+    mode_temperature_mc,
+    simulate_stats,
+)
 from modeheat import cli
 from modeheat.config import ExperimentConfig, config_from_dict, load_config
 from modeheat.experiments import (
-    _flux_routes,
-    _routes,
+    _gap_flux,
     _sim_from_config,
     _with_equal_baths,
     run_experiment,
@@ -93,9 +99,9 @@ def test_sweep_table_layout():
         "T_prime_A_mc",
         "T_prime_A_psd",
         "P_A_gap",
-        "P_A_direct",
         "P_A_lyap",
         "balance_residual",
+        "P_A_equal_gap",
     ):
         assert column in header
     assert len(rows) == 1
@@ -114,14 +120,15 @@ def test_sweep_requires_a_pair():
 
 def test_sweep_gap_flux_uses_the_model_boltzmann():
     # natural units (k_B = 1): the gap route must report its flux and SE in the
-    # units of the exact and direct routes, not in SI
-    model = dataclasses.replace(oscillator_pair(t_a=400.0, t_b=200.0), boltzmann=1.0)
-    table, checks = _run_sweep(_short_sweep(model))
-    row = dict(zip(table.columns, table.rows[0]))
-    assert row["P_A_gap_se"] == pytest.approx(row["P_A_direct_se"], rel=0.1)
-    passed = {c.name: c.passed for c in checks}
-    assert passed["p_gap_vs_lyap_g10"]
-    assert passed["p_direct_vs_gap_g10"]
+    # units of the exact route, not in SI, so both scale by 1/k_B from an SI run
+    si = oscillator_pair(t_a=400.0, t_b=200.0)
+    rows = []
+    for model in (si, dataclasses.replace(si, boltzmann=1.0)):
+        table, checks = _run_sweep(_short_sweep(model))
+        rows.append(dict(zip(table.columns, table.rows[0])))
+        assert {c.name: c.passed for c in checks}["p_gap_vs_lyap_g10"]
+    for column in ("P_A_lyap", "P_A_gap", "P_A_gap_se", "P_A_equal_gap_se"):
+        assert rows[1][column] * BOLTZMANN == pytest.approx(rows[0][column], rel=1e-6)
 
 
 def test_sweep_holds_one_position_only_psd_record_at_a_time():
@@ -147,20 +154,23 @@ def test_sweep_holds_one_position_only_psd_record_at_a_time():
     assert peak < 1.5 * record_bytes + slack
 
 
-def test_gap_and_direct_flux_are_one_statistic():
-    # S_0/(2m) = 2 gamma k_B T_eq with T_eq = (noise_factor / 4) T: both
-    # readings take <v^2> from the same reduction, so they agree in value and
-    # SE to rounding at every noise factor
+def test_gap_flux_is_the_work_average_of_the_same_moment():
+    # S_0/(2m) = 2 gamma k_B T_eq with T_eq = (noise_factor / 4) T, so the gap
+    # reading equals the work average S_0/(2m) - 2 gamma m <v^2> of the
+    # kinetic temperature's <v^2>, in value and SE, at every noise factor
     cfg = load_config(REPO / "configs" / "coupled_transfer.json")
     for noise_factor in (4.0, 8.0):
         model = dataclasses.replace(cfg.model, noise_factor=noise_factor)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LargeStepWarning)
-            ss, stats, mc = _routes(model, _sim_from_config(cfg.sim, 1), 1)
-        for i, label in enumerate(model.labels):
-            gap, direct, _ = _flux_routes(model, ss, stats, mc, i, label)
-            assert direct.value == pytest.approx(gap.value, rel=1e-12, abs=0)
-            assert direct.se == pytest.approx(gap.se, rel=1e-12, abs=0)
+            stats = simulate_stats(model, _sim_from_config(cfg.sim, 1), 1)
+        mc = mode_temperature_mc(stats, model)
+        for i in range(len(model.labels)):
+            gap = _gap_flux(model, mc, i)
+            c = model.damping_coefficient[i]
+            work = model.injected_power[i] - c * stats.variance[2 * i + 1]
+            assert gap.value == pytest.approx(work, rel=1e-12, abs=0)
+            assert gap.se == pytest.approx(c * stats.variance_se[2 * i + 1], rel=1e-12, abs=0)
 
 
 def test_run_experiment_writes_nothing(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """The golden-comparison tool: verdict, check, outputs- and warnings-list equality, cell
-bounds for CSV tables and their JSON mirrors, byte equality for other files."""
+bounds for CSV tables and their JSON mirrors, column by header name, byte equality for
+other files."""
 
 import importlib.util
 import json
@@ -88,6 +89,35 @@ def test_every_column_of_a_differing_table_is_reported(tmp_path, capsys):
     assert "  column z: 1 cell(s) differ, worst 1e-08 x column max at row 2\n" in out
     assert "  column label: identical\n" in out
     assert golden_diff.main([str(a), str(b)]) == 1
+
+
+def test_a_column_on_one_side_only_is_named_and_fails(tmp_path, capsys):
+    a = _run_dir(tmp_path / "a", table="x,y,label\n1.0,2.0,a\n-4.0,8.0,b\n")
+    b = _run_dir(tmp_path / "b", table="x,label,z\n1.0,a,2.0\n-4.0,b,8.0\n")
+    assert golden_diff.main([str(a), str(b), "--bound", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "OVER demo/demo.csv: worst inf x column max at column y only in before" in out
+    assert "  column y: only in before\n" in out
+    assert "  column z: only in after\n" in out
+
+
+def test_shared_columns_are_compared_across_a_dropped_column(tmp_path, capsys):
+    a = _run_dir(tmp_path / "a", table="x,y,z,label\n1.0,2.0,3.0,a\n-4.0,8.0,6.0,b\n")
+    # y is dropped; z moves by 1e-8 of its column max 6 in row 2
+    b = _run_dir(tmp_path / "b", table="x,z,label\n1.0,3.0,a\n-4.0,6.00000006,b\n")
+    assert golden_diff.main([str(a), str(b), "--bound", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "  column x: identical\n" in out
+    assert "  column y: only in before\n" in out
+    assert "  column z: 1 cell(s) differ, worst 1e-08 x column max at row 2\n" in out
+    assert "  column label: identical\n" in out
+
+
+def test_reordered_columns_fail_as_a_shape_change(tmp_path, capsys):
+    a = _run_dir(tmp_path / "a")
+    b = _run_dir(tmp_path / "b", table="label,x\na,1.0\nb,-4.0\n")
+    assert golden_diff.main([str(a), str(b), "--bound", "1"]) == 1
+    assert "OVER demo/demo.csv: worst inf x column max at table shape" in capsys.readouterr().out
 
 
 def test_text_and_shape_changes_fail(tmp_path):

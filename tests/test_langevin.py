@@ -24,7 +24,6 @@ from modeheat import (
     StepTooLarge,
     SystemModel,
     compile,
-    direct_heat_flux_mc,
     ensemble_stats,
     mode_temperature_mc,
     simulate,
@@ -33,6 +32,7 @@ from modeheat import (
     steady_state,
 )
 from modeheat.config import load_config
+from modeheat.experiments import _gap_flux
 
 from conftest import DT_FAST, OMEGA_FAST, REPO, single_oscillator, oscillator_pair
 
@@ -446,12 +446,12 @@ def test_tau_int_counts_correlated_records(fast_model):
     assert np.all(stats.tau_int > 3.0)
 
 
-def test_direct_flux_vanishes_at_equilibrium(fast_model):
+def test_gap_flux_vanishes_at_equilibrium(fast_model):
     cfg = SimConfig(
         dt=DT_FAST, n_steps=2000, seed=19, ensemble_size=16, allow_large_step=True
     )
     stats = ensemble_stats(_quiet_simulate(fast_model, cfg, threads=4))
-    est = direct_heat_flux_mc(stats, fast_model, "A")
+    est = _gap_flux(fast_model, mode_temperature_mc(stats, fast_model), 0)
     assert est.se > 0
     assert abs(est.value) < 4 * est.se
 
@@ -492,7 +492,7 @@ def test_reductions_match_per_member_reference(members):
         np.testing.assert_allclose(got, (tau, m2, se2), rtol=1e-13, atol=0)
     o = _SLOW_PAIR.oscillators[0]
     mean_vsq, se_vsq, _ = ref[1]
-    est = direct_heat_flux_mc(stats, _SLOW_PAIR, "A")
+    est = _gap_flux(_SLOW_PAIR, mode_temperature_mc(stats, _SLOW_PAIR), 0)
     injected = _SLOW_PAIR.thermal_noise_intensity(0) / (2 * o.mass)
     np.testing.assert_allclose(
         (est.value, est.se),
@@ -661,8 +661,6 @@ def test_fingerprint_guards(fast_model):
     stats = ensemble_stats(ens)
     with pytest.raises(FingerprintMismatch):
         mode_temperature_mc(stats, other)
-    with pytest.raises(FingerprintMismatch):
-        direct_heat_flux_mc(stats, other, "A")
 
 
 def test_trajectory_label_indexing():
@@ -716,7 +714,6 @@ def test_reductions_read_coordinates_by_index_in_any_record_order():
     a, b = ensemble_stats(full), ensemble_stats(permuted)
     for field in ("variance", "variance_se", "tau_int"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
-    assert direct_heat_flux_mc(a, model, "A") == direct_heat_flux_mc(b, model, "A")
     assert np.array_equal(full[1].position("A"), permuted[1].position("A"))
 
 

@@ -33,7 +33,6 @@ from modeheat import (  # noqa: E402
     SimConfig,
     SystemModel,
     compile,
-    direct_heat_flux_mc,
     ensemble_stats,
     flux_from_gap,
     mode_temperature_mc,
@@ -42,6 +41,7 @@ from modeheat import (  # noqa: E402
     solve_stationary,
     steady_state,
 )
+from modeheat.experiments import _gap_flux  # noqa: E402
 from modeheat.steady import REQUIRED_RESIDUAL, lyapunov_residual  # noqa: E402
 
 from conftest import DT_FAST, OMEGA_FAST  # noqa: E402
@@ -213,7 +213,7 @@ def test_mc_estimates_within_five_se_of_exact(model):
             (mc.kinetic[i], mc.kinetic_se[i], ss.mode_temperature_kinetic[i], t_scale),
             (mc.positional[i], mc.positional_se[i], ss.mode_temperature_positional[i], t_scale),
         ]
-        flux = direct_heat_flux_mc(stats, model, i)
+        flux = _gap_flux(model, mc, i)
         pairs.append((flux.value, flux.se, ss.bath_flux[i], p_scale))
         for value, se, exact, scale in pairs:
             assert abs(value - exact) <= 5.0 * se + 1e-9 * scale

@@ -12,13 +12,17 @@ files the run wrote, and the category and message of each warning it
 raised.  Each table, a CSV file or a JSON mirror (a list of row objects), is
 reported as byte-identical or by its worst cell: |after - before| over the
 largest magnitude in that column of BEFORE; text cells must match exactly.
-A table that differs also gets one line per column: how many of its cells
-differ and the worst of them, or "identical".  Any other output
-(`comparison.json`, `comparison.txt`) must be byte-identical.  The exit
-status is 1 when a run or file is missing on one side, a verdict, check
-sequence, outputs list or warnings list differs, a check name repeats, a
-non-table file differs, or a cell exceeds --bound (default 0: every
-differing number fails), else 0.
+Columns are matched by header name, so a column dropped, added or renamed
+on one side is named as such and the columns both sides have are still
+compared cell by cell.  A table that differs also gets one line per column:
+how many of its cells differ and the worst of them, "identical", or the
+side it is only on.  Any other output (`comparison.json`,
+`comparison.txt`) must be byte-identical.  The exit status is 1 when a run
+or file is missing on one side, a verdict, check sequence, outputs list or
+warnings list differs, a check name repeats, a non-table file differs, a
+table has a column on one side only, another row count or another column
+order, or a cell exceeds --bound (default 0: every differing number fails),
+else 0.
 """
 
 from __future__ import annotations
@@ -105,47 +109,74 @@ def _check_text(check: tuple[str, bool] | None) -> str:
     return "absent" if check is None else f"{check[0]} {'passed' if check[1] else 'failed'}"
 
 
-def column_diffs(rows0: list[list], rows1: list[list]) -> list[tuple[str, int, float, int]] | None:
-    """Per column, in order: its name, the number of cells that differ, the
-    largest difference relative to the column's max magnitude in `rows0`,
-    and the row where that sits (0 is the header).  A text difference is
-    infinite.  None when the tables differ in shape."""
-    if len(rows0) != len(rows1) or any(len(a) != len(b) for a, b in zip(rows0, rows1)):
+def _cell_diffs(col0: list, col1: list) -> tuple[int, float, int]:
+    """How many cells of one column differ, the largest difference relative
+    to the column's max magnitude in `col0`, and the row where that sits
+    (1 is the first data row).  A text difference is infinite."""
+    scale = max((abs(x) for x in col0 if isinstance(x, float) and math.isfinite(x)), default=0.0)
+    count, worst, where = 0, 0.0, 0
+    for i, (x, y) in enumerate(zip(col0, col1), start=1):
+        numbers = isinstance(x, float) and isinstance(y, float)
+        if x == y or (numbers and x != x and y != y):
+            continue
+        if not numbers or not math.isfinite(x - y) or scale == 0:
+            rel = math.inf
+        else:
+            rel = abs(y - x) / scale
+        count += 1
+        if rel >= worst:
+            worst, where = rel, i
+    return count, worst, where
+
+
+Column = tuple[str, int, float, int, str]
+
+
+def column_diffs(rows0: list[list], rows1: list[list]) -> list[Column] | None:
+    """Per column, matched by header name: those of `rows0` in order, then
+    those only `rows1` has.  Each is its name, the `_cell_diffs` of its cells
+    and the side it is only on ("before" or "after", "" for a shared column);
+    a one-sided column differs in every row, infinitely, at its header.  None
+    when the tables differ in row count or in the order of their shared
+    columns, or a header repeats a name or is not as wide as its rows."""
+    if len(rows0) != len(rows1):
         return None
-    header = rows0[0] if rows0 else []
-    width = max(map(len, rows0), default=0)
-    scale = [0.0] * width
-    for row in rows0[1:]:
-        for j, x in enumerate(row):
-            if isinstance(x, float) and math.isfinite(x):
-                scale[j] = max(scale[j], abs(x))
-    count, worst, where = [0] * width, [0.0] * width, [0] * width
-    for i, (r0, r1) in enumerate(zip(rows0, rows1)):
-        for j, (x, y) in enumerate(zip(r0, r1)):
-            numbers = i > 0 and isinstance(x, float) and isinstance(y, float)
-            if x == y or (numbers and x != x and y != y):
-                continue
-            if not numbers or not math.isfinite(x - y) or scale[j] == 0:
-                rel = math.inf
-            else:
-                rel = abs(y - x) / scale[j]
-            count[j] += 1
-            if rel >= worst[j]:
-                worst[j], where[j] = rel, i
-    names = [str(header[j]) if j < len(header) else str(j) for j in range(width)]
-    return list(zip(names, count, worst, where))
+    headers = [[str(h) for h in rows[0]] if rows else [] for rows in (rows0, rows1)]
+    for rows, header in zip((rows0, rows1), headers):
+        if len(set(header)) != len(header) or any(len(r) != len(header) for r in rows):
+            return None
+    header0, header1 = headers
+    if [h for h in header0 if h in header1] != [h for h in header1 if h in header0]:
+        return None
+    n = max(len(rows0) - 1, 0)
+    columns = []
+    for j, name in enumerate(header0):
+        if name not in header1:
+            columns.append((name, n, math.inf, 0, "before"))
+            continue
+        k = header1.index(name)
+        cells = _cell_diffs([r[j] for r in rows0[1:]], [r[k] for r in rows1[1:]])
+        columns.append((name, *cells, ""))
+    columns += [(name, n, math.inf, 0, "after") for name in header1 if name not in header0]
+    return columns
 
 
-def worst_cell(columns: list[tuple[str, int, float, int]] | None) -> tuple[float, str]:
+def worst_cell(columns: list[Column] | None) -> tuple[float, str]:
     """The largest relative difference over the `column_diffs` of a table,
     and where it sits.  A shape mismatch is infinite."""
     if columns is None:
         return math.inf, "table shape"
-    moved = [(rel, f"row {row} column {name}") for name, n, rel, row in columns if n]
+    moved = [
+        (rel, f"column {name} only in {side}" if side else f"row {row} column {name}")
+        for name, n, rel, row, side in columns
+        if n or side
+    ]
     return max(moved, key=lambda m: m[0], default=(0.0, "nowhere (numbers equal, text differs)"))
 
 
-def _column_text(name: str, n: int, rel: float, row: int) -> str:
+def _column_text(name: str, n: int, rel: float, row: int, side: str) -> str:
+    if side:
+        return f"column {name}: only in {side}"
     if not n:
         return f"column {name}: identical"
     return f"column {name}: {n} cell(s) differ, worst {rel:.3g} x column max at row {row}"
