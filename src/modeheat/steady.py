@@ -11,6 +11,12 @@ Both read one real Schur form of the stiffness-scaled drift,
 and its Hurwitz test use it, and ``normal_modes`` takes the eigenvalues of
 its quasi-triangular factor.  Solving a model and then asking for its normal
 modes therefore factors the drift once.
+
+The solve is Bartels-Stewart, with the quasi-triangular Lyapunov equation
+solved by recursive blocking (``_lyapunov``), so that most of its work is
+matrix products.  scipy's ``solve_continuous_lyapunov`` instead makes one
+unblocked LAPACK ``trsyl`` call on the whole factor, which this solve
+matches only up to ``_LEAF`` states.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ _MAX_REFINEMENTS = 6
 # eigenvalues are purely imaginary, come out of the Schur form between -5.1e-5
 # and +1.25 of that unit; damped ones lie below -3.8e10.
 _HURWITZ_ROUNDING = 1e3
+# Order up to which a Lyapunov or Sylvester block goes to LAPACK trsyl whole.
+_LEAF = 32
 
 
 @dataclass(frozen=True)
@@ -98,21 +106,79 @@ def _structural_zeros(M: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndar
     return rows, np.argmax(M[rows] != 0, axis=1)
 
 
+def _split(T: np.ndarray) -> int:
+    """A split point near the middle of T that does not cut a 2x2 block."""
+    k = T.shape[0] // 2
+    return k + 1 if T[k, k - 1] != 0 else k
+
+
+def _sylvester(trsyl, A: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
+    """Overwrite C with the X of A X + X B^T = C; A and B upper quasi-triangular.
+
+    Recursive blocked (Jonsson & Kagstrom): the larger side is halved, the
+    trailing half solved first, and its contribution to the leading half
+    removed by one matrix product.
+    """
+    m, n = C.shape
+    if max(m, n) <= _LEAF:
+        X, s, _ = trsyl(A, B, C, tranb="T")
+        C[...] = X / s
+    elif m >= n:
+        k = _split(A)
+        _sylvester(trsyl, A[k:, k:], B, C[k:])
+        C[:k] -= A[:k, k:] @ C[k:]
+        _sylvester(trsyl, A[:k, :k], B, C[:k])
+    else:
+        k = _split(B)
+        _sylvester(trsyl, A, B[k:, k:], C[:, k:])
+        C[:, :k] -= C[:, k:] @ B[:k, k:].T
+        _sylvester(trsyl, A, B[:k, :k], C[:, :k])
+
+
+def _lyapunov(trsyl, T: np.ndarray, C: np.ndarray) -> None:
+    """Overwrite C with the X of T X + X T^T = C; T upper quasi-triangular, C symmetric.
+
+    Recursive blocked (Jonsson & Kagstrom, ACM TOMS 28, 2002): with T split
+    into [[T11, T12], [0, T22]], the trailing Lyapunov block X22 comes first,
+    then the Sylvester block X12 from T11 X12 + X12 T22^T = C12 - T12 X22,
+    then the leading Lyapunov block X11 from T11 X11 + X11 T11^T =
+    C11 - T12 X12^T - X12 T12^T.  X21 is X12^T, never solved.  Blocks of
+    order at most _LEAF go to LAPACK ``trsyl`` whole.
+    """
+    n = T.shape[0]
+    if n <= _LEAF:
+        X, s, _ = trsyl(T, T, C, tranb="T")
+        C[...] = X / s
+        return
+    k = _split(T)
+    _lyapunov(trsyl, T[k:, k:], C[k:, k:])
+    C[:k, k:] -= T[:k, k:] @ C[k:, k:]
+    _sylvester(trsyl, T[:k, :k], T[k:, k:], C[:k, k:])
+    W = T[:k, k:] @ C[:k, k:].T
+    C[:k, :k] -= W + W.T
+    _lyapunov(trsyl, T[:k, :k], C[:k, :k])
+    C[k:, :k] = C[:k, k:].T
+
+
 def solve_stationary(matrices: StateMatrices) -> np.ndarray:
     """Stationary covariance of dx = Mx dt + L dW by a Schur-based solve.
 
-    The Bartels-Stewart method (the algorithm behind scipy's
-    ``solve_continuous_lyapunov``: a real Schur form, then LAPACK ``trsyl``)
-    is applied with positions rescaled by the per-oscillator stiffness
-    frequency, so that position and velocity rows carry comparable
-    magnitudes (``StateMatrices.schur``, factored on first use and kept);
-    a few rounds of iterative refinement against the unscaled
-    residual, each reusing the same Schur form, then push the solution to
-    near machine precision.  Each iterate's residual R = M C + C M^T + D is
-    formed once: its norm decides whether to refine, and R itself is the
-    right-hand side of the next correction.  Entries the equation forces to
-    zero (``_structural_zeros``) are set exactly after every solve.  Cost is
-    O(n^3) time and O(n^2) memory in the 2N states.
+    The Bartels-Stewart method (a real Schur form, then a solve of the
+    triangular Lyapunov equation) is applied with positions rescaled by the
+    per-oscillator stiffness frequency, so that position and velocity rows
+    carry comparable magnitudes (``StateMatrices.schur``, factored on first
+    use and kept).  The triangular equation is solved by the recursive
+    blocked algorithm of Jonsson and Kagstrom (``_lyapunov``): halves of the
+    quasi-triangular factor are solved as smaller Lyapunov and Sylvester
+    equations, coupled by matrix products, down to blocks of order _LEAF
+    that go to LAPACK ``trsyl``; a system of at most _LEAF states is one
+    ``trsyl`` call.  A few rounds of iterative refinement against the
+    unscaled residual, each reusing the same Schur form, then push the
+    solution to near machine precision.  Each iterate's residual R = M C +
+    C M^T + D is formed once: its norm decides whether to refine, and R
+    itself is the right-hand side of the next correction.  Entries the
+    equation forces to zero (``_structural_zeros``) are set exactly after
+    every solve.  Cost is O(n^3) time and O(n^2) memory in the 2N states.
 
     The Hurwitz test reads the eigenvalues off the same Schur form T: each
     1x1 block of T is a real eigenvalue and each standardized 2x2 block
@@ -125,6 +191,12 @@ def solve_stationary(matrices: StateMatrices) -> np.ndarray:
     Raises NotHurwitz when no stationary state exists, IllConditioned when
     the refined residual stays above 1e-10 relative.
     """
+    return _solve_stationary(matrices)[0]
+
+
+def _solve_stationary(matrices: StateMatrices) -> tuple[np.ndarray, float, int]:
+    """``solve_stationary``'s C, with its ``lyapunov_residual`` and the refinement
+    rounds made (corrections solved, whether kept or not)."""
     import scipy.linalg  # deferred: a slow import, paid only by callers that solve
 
     M, D = matrices.drift, matrices.diffusion
@@ -144,8 +216,9 @@ def solve_stationary(matrices: StateMatrices) -> np.ndarray:
         """Symmetric X with M X + X M^T + Q = 0."""
         # trsyl's info = 1 (near-singular, coefficients perturbed) is left to
         # the residual gate below.
-        Y, y_scale, _ = trsyl(T, T, U.T @ (-(scale[:, None] * Q * scale) @ U), tranb="T")
-        X = inv[:, None] * (U @ (Y / y_scale) @ U.T) * inv
+        Y = U.T @ (-(scale[:, None] * Q * scale) @ U)
+        _lyapunov(trsyl, T, Y)
+        X = inv[:, None] * (U @ Y @ U.T) * inv
         X = 0.5 * (X + X.T)
         X[rows, cols] = 0.0
         X[cols, rows] = 0.0
@@ -153,9 +226,9 @@ def solve_stationary(matrices: StateMatrices) -> np.ndarray:
 
     best_C = solve(D)
     best_R, best_res = _residual(M, D, best_C)
-    for _ in range(_MAX_REFINEMENTS):
-        if best_res <= _TARGET_RESIDUAL:
-            break
+    rounds = 0
+    while rounds < _MAX_REFINEMENTS and not best_res <= _TARGET_RESIDUAL:
+        rounds += 1
         C_new = best_C + solve(best_R)
         R_new, res_new = _residual(M, D, C_new)
         if not res_new < best_res:
@@ -168,7 +241,7 @@ def solve_stationary(matrices: StateMatrices) -> np.ndarray:
             f"(required {REQUIRED_RESIDUAL:.0e})",
             residual=best_res,
         )
-    return best_C
+    return best_C, best_res, rounds
 
 
 def mode_temperatures(C: np.ndarray, model: SystemModel) -> tuple[np.ndarray, np.ndarray]:
@@ -236,8 +309,7 @@ def normal_modes(matrices: StateMatrices) -> NormalModes:
 
 def steady_state(model: SystemModel) -> SteadyState:
     """Compile, solve, and assemble every stationary quantity in one call."""
-    matrices = compile(model)
-    C = solve_stationary(matrices)
+    C, residual, _ = _solve_stationary(compile(model))
     t_pos, t_kin = mode_temperatures(C, model)
     return SteadyState(
         covariance=C,
@@ -245,5 +317,5 @@ def steady_state(model: SystemModel) -> SteadyState:
         mode_temperature_kinetic=t_kin,
         bath_flux=bath_heat_flux(C, model),
         feedback_flux=feedback_heat_flux(C, model),
-        residual=lyapunov_residual(matrices, C),
+        residual=residual,
     )

@@ -24,21 +24,29 @@ def test_exact_route_times_every_size_and_chain():
     section = bench.exact_route(sizes=(2, 5), seeds=2, repeats=1)
     assert list(section["by_n"]) == ["2", "5"]
     for times in section["by_n"].values():
-        assert list(times) == ["steady_state", "normal_modes", "steady_then_modes"]
+        assert list(times) == [
+            "steady_state", "normal_modes", "steady_then_modes", "solve_stationary", "refinements",
+        ]
         assert all(len(t) == 2 and min(t) >= 0 for t in times.values())
+        assert all(isinstance(rounds, int) for rounds in times["refinements"])
 
 
 def test_exact_route_builds_a_fresh_model_for_every_call(monkeypatch):
-    built = []
+    built, factored = [], []
 
     def record(setup, call, repeats):
-        built.extend(setup() for _ in range(repeats))
+        made = [setup() for _ in range(repeats)]
+        built.extend(made)
+        if call is bench.solve_stationary:
+            factored.extend(made)
         return 0.0
 
     monkeypatch.setattr(bench, "cpu_seconds", record)
     bench.exact_route(sizes=(2,), seeds=1, repeats=2)
-    # three entries, two calls each, and no model or compiled matrices shared
-    assert len(built) == 6 and len({id(obj) for obj in built}) == 6
+    # four entries, two calls each, and no model or compiled matrices shared
+    assert len(built) == 8 and len({id(obj) for obj in built}) == 8
+    # the solve alone gets matrices whose Schur factor is cached before the timer starts
+    assert len(factored) == 2 and all("schur" in vars(matrices) for matrices in factored)
 
 
 def test_welch_times_and_traces_every_record_length():
@@ -109,6 +117,7 @@ def test_main_writes_machine_and_sections(tmp_path, monkeypatch):
     assert set(doc["machine"]) >= {"cpu", "nproc", "numpy", "scipy", "blas", "threads"}
     assert set(doc["machine"]["threads"]) == set(bench.THREAD_VARS)
     assert list(doc["exact_route"]["by_n"]) == ["2"]
+    assert len(doc["exact_route"]["by_n"]["2"]["refinements"]) == 1
     assert list(doc["welch"]["by_samples"]) == ["4096"]
     assert list(doc["simulate"]["by_dim"]) == ["2"]
     assert list(doc["simulate"]["by_dim"]["2"]) == ["2"]

@@ -6,8 +6,9 @@ random subset.  Oscillator 0 always has a warm bath and a noiseless cooling
 feedback, so every network draws net power from its baths and the relative
 energy balance has a nonzero scale.  The identities checked hold for any such network: the
 Lyapunov residual gate, the global energy balance, the flux-gap relation, the
-exact zero of <u_i v_i>, linearity of C in the noise intensities, and
-normal modes read off the Schur factor that equal the drift's eigenvalues.  On the
+exact zero of <u_i v_i>, linearity of C in the noise intensities, the
+recursive Lyapunov kernel against a dense Kronecker solve, and normal modes
+read off the Schur factor that equal the drift's eigenvalues.  On the
 Monte Carlo side, the integrator's block scan equals a step-by-step loop for
 any burn-in, stride, chunk length and block length, the MC mode
 temperatures and direct bath fluxes lie within 5 SE of the exact ones, and
@@ -41,11 +42,13 @@ from modeheat import (  # noqa: E402
     solve_stationary,
     steady_state,
 )
+from modeheat import steady  # noqa: E402
 from modeheat.experiments import _gap_flux  # noqa: E402
 from modeheat.steady import REQUIRED_RESIDUAL, lyapunov_residual  # noqa: E402
 
 from conftest import DT_FAST, OMEGA_FAST  # noqa: E402
 from test_langevin import _reference_loop  # noqa: E402
+from test_steady import balanced, kronecker_oracle  # noqa: E402
 
 unit = st.floats(0.0, 1.0)
 # Noise sources are either off or at least 1% of a 300 K thermal drive, so
@@ -151,6 +154,30 @@ def test_exact_zeros_and_linearity_in_noise(model):
     s[0::2] = np.sqrt(-mats.drift[1::2, 0::2].sum(axis=1))
     B, B2 = np.outer(s, s) * C, np.outer(s, s) * C2
     np.testing.assert_allclose(B2, 2.0 * B, rtol=1e-12, atol=1e-12 * np.max(np.abs(2.0 * B)))
+
+
+@_PROPERTY
+@given(stable_networks())
+def test_recursive_kernel_matches_the_kronecker_oracle(model):
+    # A leaf of 2 or 3 makes every network of more than one oscillator recurse,
+    # through Sylvester blocks on both sides and splits moved off 2x2 blocks.
+    # Compared in balanced coordinates, where every entry carries weight: with
+    # the unblocked solve (one trsyl call at the default leaf) to 1e-12 of the
+    # largest entry, and with the dense Kronecker solve to 1e-10, since that
+    # oracle's own distance from the unblocked solve reaches 2.9e-11 on these
+    # draws.
+    mats = compile(model)
+    s = balanced(mats)[0]
+    unblocked = np.outer(s, s) * solve_stationary(mats)
+    oracle = np.outer(s, s) * kronecker_oracle(mats)
+    for leaf in (2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(steady, "_LEAF", leaf)
+            C = solve_stationary(mats)
+        assert lyapunov_residual(mats, C) <= REQUIRED_RESIDUAL
+        B = np.outer(s, s) * C
+        np.testing.assert_allclose(B, unblocked, rtol=0, atol=1e-12 * np.max(np.abs(unblocked)))
+        np.testing.assert_allclose(B, oracle, rtol=0, atol=1e-10 * np.max(np.abs(oracle)))
 
 
 @_PROPERTY

@@ -31,6 +31,7 @@ from modeheat import (
     solve_stationary,
     steady_state,
 )
+from modeheat import steady
 from modeheat.steady import REQUIRED_RESIDUAL, lyapunov_residual
 
 from conftest import OMEGA_FAST, cold_damped, oscillator_pair, single_oscillator
@@ -56,37 +57,51 @@ FIXTURES = [
 ]
 
 
+def balanced(mats):
+    """Positions scaled by their stiffness frequency: the scale s, S M S^-1 and S D S.
+
+    On the raw first-order form the eigenvalue sums (~ -2 gamma) are ~1e-11 of
+    the matrix norm (~ Omega^2) and any direct solve loses digits; scaled, the
+    position and velocity rows carry comparable magnitudes.
+    """
+    s = np.ones(mats.drift.shape[0])
+    s[0::2] = np.sqrt(-np.diag(mats.drift, -1)[0::2])
+    return s, s[:, None] * mats.drift / s, s[:, None] * mats.diffusion * s
+
+
+def kronecker_oracle(mats):
+    """C from the vectorized equation (I (x) M_s + M_s (x) I) vec(C_s) = -vec(D_s), solved
+    densely in the balanced coordinates (a 2N^2 x 2N^2 system: small N only)."""
+    s, M_s, D_s = balanced(mats)
+    eye = np.eye(len(s))
+    vec = np.linalg.solve(np.kron(eye, M_s) + np.kron(M_s, eye), -D_s.ravel())
+    return vec.reshape(M_s.shape) / np.outer(s, s)
+
+
 @pytest.mark.parametrize("model", FIXTURES)
 def test_solve_matches_scipy_lyapunov(model):
     mats = compile(model)
     C = solve_stationary(mats)
-    # Independent reference: the vectorized equation
-    # (I (x) M_s + M_s (x) I) vec(C_s) = -vec(D_s), solved densely (at most
-    # 36 x 36 here).  Positions are scaled by the local stiffness frequency
-    # first: on the raw first-order form the eigenvalue sums (~ -2 gamma) are
-    # ~1e-11 of the matrix norm (~ Omega^2) and any direct solve loses digits.
-    s = np.ones(mats.drift.shape[0])
-    for i in range(len(model.oscillators)):
-        s[2 * i] = math.sqrt(-mats.drift[2 * i + 1, 2 * i])
-    S, Si = np.diag(s), np.diag(1.0 / s)
-    M_s, D_s = S @ mats.drift @ Si, S @ mats.diffusion @ S
-    eye = np.eye(len(s))
-    vec = np.linalg.solve(np.kron(eye, M_s) + np.kron(M_s, eye), -D_s.ravel())
-    oracle = Si @ vec.reshape(M_s.shape) @ Si
+    # Independent reference: a dense Kronecker-product solve (at most 36 x 36 here).
+    oracle = kronecker_oracle(mats)
     np.testing.assert_allclose(C, oracle, rtol=1e-9, atol=1e-9 * np.max(np.abs(oracle)))
-    # scipy's own solver shares the algorithm, not the code: it catches a
-    # defect in the package's scaling, refinement or structural zeros.
-    plain = Si @ scipy.linalg.solve_continuous_lyapunov(M_s, -D_s) @ Si
+    # scipy's solver is the unblocked Bartels-Stewart method, a Schur form and
+    # one trsyl call.  These fixtures have at most 6 states, below the
+    # package's _LEAF, so its recursive kernel is one trsyl call too: the two
+    # share the algorithm, not the code, and the comparison catches a defect in
+    # the package's scaling, refinement or structural zeros.  The recursion
+    # itself is checked against the Kronecker oracle with a small leaf
+    # (test_properties) and against scipy on a 100-oscillator chain.
+    s, M_s, D_s = balanced(mats)
+    plain = scipy.linalg.solve_continuous_lyapunov(M_s, -D_s) / np.outer(s, s)
     np.testing.assert_allclose(C, plain, rtol=1e-9, atol=1e-9 * np.max(np.abs(plain)))
     assert lyapunov_residual(mats, C) <= REQUIRED_RESIDUAL
 
 
-def test_sixty_oscillator_chain_solves_with_exact_zeros():
-    # 120 states, twenty times the largest fixture: nearest-neighbour chain with
-    # hybridizing springs, baths from 100 to 500 K and every fourth
-    # oscillator under velocity or position feedback.
-    rng = np.random.default_rng(60)
-    n = 60
+def feedback_chain(n, seed=None):
+    """Nearest-neighbour chain of n oscillators with hybridizing springs, baths from
+    100 to 500 K and every fourth oscillator under velocity or position feedback."""
+    rng = np.random.default_rng(n if seed is None else seed)
     oscillators = tuple(
         OscillatorSpec(
             f"o{i}",
@@ -108,12 +123,72 @@ def test_sixty_oscillator_chain_solves_with_exact_zeros():
         for i, o in enumerate(oscillators)
         if i % 4 == 0
     }
-    mats = compile(SystemModel(oscillators, couplings, feedbacks))
+    return SystemModel(oscillators, couplings, feedbacks)
+
+
+def test_sixty_oscillator_chain_solves_with_exact_zeros():
+    # 120 states, twenty times the largest fixture
+    n = 60
+    mats = compile(feedback_chain(n))
     C = solve_stationary(mats)
     assert lyapunov_residual(mats, C) <= REQUIRED_RESIDUAL
     for i in range(n):
         assert C[2 * i, 2 * i + 1] == 0.0
         assert C[2 * i + 1, 2 * i] == 0.0
+
+
+def test_hundred_oscillator_chain_matches_scipy():
+    # 200 states: the recursive kernel splits T down three levels to its trsyl leaves
+    n = 100
+    mats = compile(feedback_chain(n))
+    C = solve_stationary(mats)
+    assert lyapunov_residual(mats, C) <= REQUIRED_RESIDUAL
+    assert np.all(np.diag(C, 1)[0::2] == 0.0) and np.all(np.diag(C, -1)[0::2] == 0.0)
+    s, M_s, D_s = balanced(mats)
+    plain = scipy.linalg.solve_continuous_lyapunov(M_s, -D_s)
+    assert np.linalg.norm(np.outer(s, s) * C - plain) <= 1e-10 * np.linalg.norm(plain)
+
+
+def block_across_the_middle():
+    """Order-6 T in standardized real Schur form whose second 2x2 block, rows 2-3,
+    straddles n // 2 = 3, and a symmetric right-hand side C."""
+    rng = np.random.default_rng(6)
+    T = np.triu(rng.uniform(-1.0, 1.0, (6, 6)))
+    # a standardized block [[a, b], [c, a]] with b c < 0 holds a ± i sqrt(-b c)
+    for k, a, b, c in ((0, -0.5, 2.0, -0.7), (2, -0.3, 1.5, -3.0)):
+        T[k, k] = T[k + 1, k + 1] = a
+        T[k, k + 1], T[k + 1, k] = b, c
+    T[4, 4], T[5, 5] = -1.2, -0.4
+    C = rng.standard_normal((6, 6))
+    return T, C + C.T
+
+
+@pytest.mark.parametrize("leaf", [2, 3])
+def test_kernel_never_splits_a_two_by_two_block(monkeypatch, leaf):
+    T, C = block_across_the_middle()
+    assert T[3, 2] != 0
+    monkeypatch.setattr(steady, "_LEAF", leaf)
+    (trsyl,) = scipy.linalg.get_lapack_funcs(("trsyl",), (T,))
+    X = C.copy()
+    steady._lyapunov(trsyl, T, X)
+    want = scipy.linalg.solve_continuous_lyapunov(T, C)
+    np.testing.assert_allclose(X, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_kernel_up_to_the_leaf_is_one_trsyl_call():
+    # every shipped config (at most 4 states) keeps the bits of the unblocked solve
+    block, block_rhs = block_across_the_middle()
+    cases = [(block, block_rhs)]
+    for model in (FIXTURES[-1], feedback_chain(steady._LEAF // 2)):
+        _, T, U = compile(model).schur
+        cases.append((T, U.T @ compile(model).diffusion @ U))
+    assert cases[-1][0].shape == (steady._LEAF, steady._LEAF)
+    for T, C in cases:
+        (trsyl,) = scipy.linalg.get_lapack_funcs(("trsyl",), (T,))
+        Y, y_scale, _ = trsyl(T, T, C, tranb="T")
+        X = C.copy()
+        steady._lyapunov(trsyl, T, X)
+        np.testing.assert_array_equal(X, Y / y_scale)
 
 
 def test_single_oscillator_closed_form():
@@ -326,6 +401,27 @@ def test_normal_modes_ignore_defectiveness_for_frequencies():
 def test_ill_conditioned_carries_the_residual():
     err = IllConditioned("stalled", residual=3e-9)
     assert err.residual == 3e-9
+
+
+@pytest.mark.parametrize("model", [FIXTURES[3], FIXTURES[-1], feedback_chain(20)])
+def test_steady_state_reports_the_residual_of_its_last_solve(monkeypatch, model):
+    computed = []
+    residual = steady._residual
+
+    def spy(*args):
+        computed.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(steady, "_residual", spy)
+    ss = steady_state(model)
+    calls = len(computed)
+    mats = compile(model)
+    C, res, rounds = steady._solve_stationary(mats)
+    assert np.array_equal(C, ss.covariance) and res == ss.residual
+    # the first solve and every refinement round form one residual each, and
+    # steady_state forms no further one
+    assert calls == rounds + 1
+    assert ss.residual == lyapunov_residual(mats, ss.covariance)
 
 
 def test_steady_state_bundles_consistent_pieces():

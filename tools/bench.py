@@ -11,14 +11,18 @@ Sections:
 
 - ``exact_route``: ``steady_state`` (compile, Lyapunov solve and the derived
   temperatures and fluxes), ``normal_modes`` (eigenfrequencies and
-  linewidths of the drift matrix) and ``steady_then_modes`` (both, on one
-  model, as the benchmark's ``exact_network`` workload calls them) against
-  the oscillator count N, on that workload's seeded nearest-neighbour chains
-  (``perfbench/inputs.py``), one chain per seed.  Each entry is the CPU time
-  of this process, the least of ``--repeats`` calls.  A compiled model keeps
-  its matrices and their Schur factor, so every call gets a model built
-  afresh from the chain document, outside the timer: the times are those
-  of a cold model, as a run sees it.
+  linewidths of the drift matrix), ``steady_then_modes`` (both, on one
+  model, as the benchmark's ``exact_network`` workload calls them) and
+  ``solve_stationary`` against the oscillator count N, on that workload's
+  seeded nearest-neighbour chains (``perfbench/inputs.py``), one chain per
+  seed.  Each entry is the CPU time of this process, the least of
+  ``--repeats`` calls.  A compiled model keeps its matrices and their Schur
+  factor, so every call gets a model built afresh from the chain document,
+  outside the timer: the times are those of a cold model, as a run sees
+  it.  ``solve_stationary`` alone is timed on a model compiled and
+  Schur-factored outside the timer, so that its time is the Lyapunov
+  kernel and the refinement without the Schur form.  ``refinements`` gives
+  the refinement rounds of each chain's solve.
 - ``welch``: ``welch_psd`` on records of 2**17, 2**20 and 1.6 M samples of the
   shipped ``configs/spectrum.json`` oscillator (seeded ``simulate``, made
   outside the timer), at the default segmentation that ``run_spectrum``
@@ -99,7 +103,12 @@ from modeheat.errors import LargeStepWarning  # noqa: E402
 from modeheat.langevin import SimConfig, ensemble_stats, simulate, simulate_stats  # noqa: E402
 from modeheat.model import compile, model_from_dict  # noqa: E402
 from modeheat.spectra import welch_psd  # noqa: E402
-from modeheat.steady import normal_modes, steady_state  # noqa: E402
+from modeheat.steady import (  # noqa: E402
+    _solve_stationary,
+    normal_modes,
+    solve_stationary,
+    steady_state,
+)
 
 # The benchmark's input generator, loaded by path: perfbench is not a package.
 _spec = importlib.util.spec_from_file_location("chain_inputs", ROOT / "perfbench" / "inputs.py")
@@ -166,19 +175,29 @@ def steady_then_modes(model) -> None:
     normal_modes(compile(model))
 
 
+def factored(model):
+    """The compiled matrices of ``model`` with their Schur factor computed."""
+    matrices = compile(model)
+    matrices.schur
+    return matrices
+
+
 # Timed exact-route calls: what is made, untimed, from a fresh model, and the call timed on it.
 ROUTES = {
     "steady_state": (lambda model: model, steady_state),
     "normal_modes": (compile, normal_modes),
     "steady_then_modes": (lambda model: model, steady_then_modes),
+    "solve_stationary": (factored, solve_stationary),
 }
 
 
 def exact_route(sizes, seeds: int, repeats: int) -> dict:
-    """Exact-route CPU seconds per chain, by oscillator count, each on a fresh model."""
+    """Exact-route CPU seconds per chain, by oscillator count, each on a fresh model, and
+    the refinement rounds of each chain's solve."""
     by_size = {}
     for n in sizes:
         times = {key: [] for key in ROUTES}
+        times["refinements"] = []
         for seed in range(seeds):
             doc = inputs.chain_doc(random.Random(seed), n)
             for key, (prepare, call) in ROUTES.items():
@@ -186,6 +205,7 @@ def exact_route(sizes, seeds: int, repeats: int) -> dict:
                     return prepare(model_from_dict(doc))
 
                 times[key].append(cpu_seconds(fresh, call, repeats))
+            times["refinements"].append(_solve_stationary(factored(model_from_dict(doc)))[2])
         by_size[str(n)] = times
     return {
         "unit": "s",
@@ -374,10 +394,11 @@ def main(argv=None) -> int:
         "run": run_times(CONFIGS, args.repeats),
         "tier1": tier1_time(TIER1),
     }
-    print(f"{'N':>5}" + "".join(f"{key + ' s':>24}" for key in ROUTES))
+    print(f"{'N':>5}" + "".join(f"{key + ' s':>24}" for key in ROUTES) + f"{'refinements':>13}")
     for n, times in result["exact_route"]["by_n"].items():
-        spans = (f"{min(t):.4g}-{max(t):.4g}" for t in times.values())
-        print(f"{n:>5}" + "".join(f"{span:>24}" for span in spans))
+        spans = (f"{min(times[key]):.4g}-{max(times[key]):.4g}" for key in ROUTES)
+        rounds = ",".join(map(str, times["refinements"]))
+        print(f"{n:>5}" + "".join(f"{span:>24}" for span in spans) + f"{rounds:>13}")
     print(f"{'samples':>9}{'segments':>10}{'welch ms':>10}{'peak MB':>10}")
     for n, row in result["welch"]["by_samples"].items():
         print(f"{n:>9}{row['n_segments']:>10}{row['cpu_ms']:>10.1f}{row['peak_mb']:>10.1f}")
