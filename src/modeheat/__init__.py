@@ -46,6 +46,7 @@ from .langevin import (
     SimConfig,
     Trajectory,
     ensemble_stats,
+    integrate,
     mode_temperature_mc,
     simulate,
     simulate_stats,
@@ -64,6 +65,7 @@ from .spectra import (
     BandTemperature,
     PeakFit,
     Psd,
+    WelchReducer,
     fit_lorentzian,
     psd_to_csv,
     temperature_from_area,
@@ -113,6 +115,7 @@ __all__ = [
     "EnsembleStats",
     "Estimate",
     "McTemperatures",
+    "integrate",
     "simulate",
     "simulate_stats",
     "ensemble_stats",
@@ -122,6 +125,7 @@ __all__ = [
     "PeakFit",
     "BandTemperature",
     "welch_psd",
+    "WelchReducer",
     "temperature_from_area",
     "fit_lorentzian",
     "psd_to_csv",

@@ -6,6 +6,11 @@ checks and any verbatim text files.  Experiments write nothing; the runner
 turns the tables into files and the checks into the verdict file.  A PASS
 verdict means every single check passed.
 
+No experiment holds a record: the MC routes reduce their members as they
+are integrated, the moments by ``simulate_stats`` and the spectra by a
+``WelchReducer`` fed through ``integrate``, which also sums the Parseval
+target, the record's mean square, chunk by chunk.
+
 An MC bath flux is read one way, by the flux-gap formula on the MC kinetic
 temperature (``_gap_flux``), and checked against the exact flux.  The work
 average S_0/(2m) - 2 gamma m <v^2> is the same statistic, so no experiment
@@ -43,12 +48,12 @@ from .fluxlab import (
 from .langevin import (
     Estimate,
     SimConfig,
+    integrate,
     mode_temperature_mc,
-    simulate,
     simulate_stats,
 )
 from .model import SystemModel, _with_coupling
-from .spectra import fit_lorentzian, psd_table, temperature_from_area, welch_psd
+from .spectra import WelchReducer, fit_lorentzian, psd_table, temperature_from_area
 from .steady import steady_state
 from .tables import Table
 
@@ -143,7 +148,11 @@ def _ensemble(cfg: ExperimentConfig, seed: int, threads: int):
     model = cfg.model
     ss, mc = _routes(model, _sim_from_config(cfg.sim, seed), threads)
     checks = [
-        Check("lyapunov_residual", ss.residual <= 1e-10, f"residual={ss.residual:.3e}"),
+        Check(
+            "lyapunov_residual",
+            ss.residual <= 1e-10,
+            f"residual={ss.residual:.3e} refinements={ss.refinements}",
+        ),
         _balance_check(ss),
     ]
     return model, ss, mc, checks
@@ -288,24 +297,27 @@ def run_coupled_transfer(cfg: ExperimentConfig, seed: int, threads: int) -> Outc
 # -- spectrum --------------------------------------------------------------------
 
 
+def _welch(model: SystemModel, sim: SimConfig, label: str, threads: int, **options):
+    """The ``WelchReducer`` of oscillator ``label``'s position, the one
+    coordinate recorded, fed as its members are integrated."""
+    welch = WelchReducer(label, model=model, **options)
+    integrate(model, sim, [welch], threads, coordinates=(2 * model.index(label),))
+    return welch
+
+
 def run_spectrum(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
     model = cfg.model
     o = model.oscillators[0]
-    sim = _sim_from_config(cfg.sim, seed)
-    # the oscillator's position is the one coordinate read
-    traj = simulate(model, sim, threads, coordinates=(2 * model.index(o.label),))[0]
-
     analysis = cfg.analysis
     welch_keys = ("segment_length", "overlap_fraction", "window")
-    welch = {k: analysis[k] for k in welch_keys if k in analysis}
-    psd = welch_psd(traj, o.label, model=model, **welch)
+    options = {k: analysis[k] for k in welch_keys if k in analysis}
+    welch = _welch(model, _sim_from_config(cfg.sim, seed), o.label, threads, **options)
+    (psd,), (mean_square,) = welch.psds, welch.mean_squares
     band = tuple(analysis["band"]) if "band" in analysis else None
     temp = temperature_from_area(psd, model, o.label, band=band)
     fit = fit_lorentzian(psd, band=temp.band)
 
     # Welch does not detrend, so Parseval equates its area with the mean square
-    x = traj.position(o.label)
-    mean_square = float(np.dot(x, x)) / x.size
     area_full = psd.area()
     f0 = o.omega / (2.0 * math.pi)
     t_from_fit_area = model.kelvin_per_moment[0] * fit.area
@@ -413,12 +425,10 @@ def _with_equal_baths(model: SystemModel, temperature: float) -> SystemModel:
 def _psd_temperature(model: SystemModel, sim: SimConfig, label: str, threads: int):
     """Mean band-area temperature of oscillator ``label`` over the members of
     one ensemble, with the SE of that mean: the members' scatter, or the
-    per-bin SE of a lone member.  Only the position is recorded, and the
-    record is released on return, before the caller draws the next one."""
-    ens = simulate(model, sim, threads, coordinates=(2 * model.index(label),))
-    temps = [
-        temperature_from_area(welch_psd(tr, label, model=model), model, label) for tr in ens
-    ]
+    per-bin SE of a lone member.  The members' PSDs are reduced as they are
+    integrated; no record is held."""
+    psds = _welch(model, sim, label, threads).psds
+    temps = [temperature_from_area(psd, model, label) for psd in psds]
     t_psd = float(np.mean([t.value for t in temps]))
     if len(temps) > 1:
         return t_psd, float(np.std([t.value for t in temps], ddof=1) / math.sqrt(len(temps)))

@@ -6,56 +6,48 @@ the exact one-step covariance Q = int_0^dt e^{Ms} D e^{M^T s} ds, both
 precomputed once (Gillespie 1996).  The step size therefore carries no bias
 and only sets the sampling grid.
 
-One numpy kernel advances it.  The recurrence is an associative
-prefix scan (Blelloch 1990), advanced per chunk of up to 65536 steps by a
-two-level block scan, the chunked form also used for state-space models
-(Dao & Gu 2024): the steps are cut into blocks of 8, one block-Toeplitz
-product of E^0..E^7 scans inside every block, the block ends are scanned
-the same way with E^8 (recursively), and one product adds each block's
-incoming state back.  It equals the step-by-step loop up to summation order.
+One numpy kernel advances it, a prefix scan (Blelloch 1990) per chunk of
+up to 65536 steps in the two-level block form also used for state-space
+models (Dao & Gu 2024), equal to the step-by-step loop up to summation
+order.  Members are integrated in batches, one stacked GEMM per member of
+the shape a lone member gets, with noise from counter-based streams (Philox
+keyed by (seed, member)), so each member has the bits of a member integrated
+alone at any batch size and thread count.  The chunk temporaries and
+generators live in one scratch per thread, kept for the whole process.
 
-Members are integrated in batches: the scan carries a leading member axis,
-and each product is a stacked matmul, one GEMM per member of the same shape
-as for a lone member.  The chunk length fixes each member's summation order;
-the batch size does not enter it, so every member's bits are those of a
-member integrated alone.  ``simulate`` writes all members into one (members,
-coordinates, records) array, the ``Ensemble``'s record: each member's
-coordinate series is a contiguous row, and the reductions read blocks of
-members from it in place.  ``simulate_stats`` never makes that record: it
-integrates one block of 16 members at a time into one reused buffer and
-reduces each block as soon as it is integrated.  A batch's chunk temporaries
-(noise, scan products), its members' noise generators and the reduction's
-squared block and spectra live in scratch that a call allocates once per
-thread and reuses.
+One loop, ``_Integrator.run``, feeds the records to a list of reducers.  It
+takes the members one block of 16 at a time, in member order, and
+integrates a block in batches, on several threads when ``threads`` > 1.  A
+reducer has three methods, and holds its own result:
 
-The record keeps only what a caller reads.  The integrator always advances
-the full state, but only the state coordinates named at ``simulate`` time
-are stored (all 2N by default), and no time stamps: the records lie on a
-uniform grid (``RecordGrid``), from which their times are derived on request.
+- ``start(run)``, once, before any record; ``run`` gives ``members``,
+  ``labels``, the recorded ``coordinates``, ``n_records`` per member and
+  their ``grid``;
+- ``add(first, j0, samples)``, once per integrated chunk of a batch:
+  ``samples[g, c]`` holds records j0, j0 + 1, ... of coordinate
+  ``coordinates[c]`` of member first + g.  A member's chunks come in time
+  order; ``samples`` is scratch, valid during the call.  The batches of one
+  block may be added at once from several threads, so ``add`` touches only
+  the state of its own members;
+- ``end_block(start, stop)``, on the calling thread and in member order,
+  once members start, ..., stop - 1 are complete.
 
-Noise comes from counter-based per-member streams (Philox keyed by
-(seed, ensemble_index)), so every trajectory is bit-reproducible on a given
-install regardless of how members are batched or scheduled across threads.
+So a reducer that sums in member order keeps its bits at any batch size and
+thread count.  ``simulate`` is the record reducer: all members in one
+(members, coordinates, records) array, the ``Ensemble``'s record, which only
+tests, ``tools/bench.py`` and the benchmark's ``long_record`` workload hold.
+``simulate_stats`` is the moments reducer, which ``ensemble_stats`` feeds a
+stored record; ``spectra.WelchReducer`` is a streaming Welch; ``integrate``
+runs any of them.  Only the coordinates named are recorded (all 2N by
+default), with no time stamps: the records lie on a uniform ``RecordGrid``.
 
 Every trajectory starts at x = 0 and is driven by zero-mean noise with no
-constant force, so the process has mean exactly zero and every MC second
-moment is a pooled mean square about that known mean: ``ensemble_stats``
-makes one reduction per coordinate and ``mode_temperature_mc`` reads its
-<u^2> and <v^2>.  The MC bath flux is the flux-gap formula on that kinetic
-temperature (``fluxlab.flux_from_gap``), the one reading of <v^2>.
-Standard errors account for sample autocorrelation via the integrated
-autocorrelation time (windowed sum of the ensemble-averaged autocorrelation
-function), so the MC-vs-exact comparisons downstream use honest error bars.
-The ensemble sum of the member autocovariances is one inverse FFT of the
-summed member power spectra (Wiener-Khinchin), so a series set costs one
-forward FFT per member and one inverse FFT in all.  A member's series is
-complete once its block is integrated; only the centring on the pooled mean
-mu needs every member.  So each block is centred on a provisional constant
-c, the first block's mean, and the sums are moved to mu at the end by an
-exact identity: with delta = mu - c and W the spectrum of a series of ones,
-sum |F(y - mu)|^2 = sum |F(y - c)|^2 - 2 delta Re(conj(W) sum F(y - c))
-+ M delta^2 |W|^2 over M members (``_PooledMoments``).  The variance, a sum
-of x^2 per block in member order, keeps its bits either way.
+constant force, so every MC second moment is a pooled mean square about the
+known zero mean; ``mode_temperature_mc`` reads <u^2> and <v^2>, and the MC
+bath flux is the flux-gap formula on that kinetic temperature
+(``fluxlab.flux_from_gap``).  Standard errors count sample autocorrelation
+through the integrated autocorrelation time (``_PooledMoments``), so the
+MC-vs-exact comparisons downstream use honest error bars.
 """
 
 from __future__ import annotations
@@ -64,9 +56,10 @@ import concurrent.futures
 import contextlib
 import math
 import operator
+import sys
 import threading
 import warnings
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +81,7 @@ __all__ = [
     "EnsembleStats",
     "Estimate",
     "McTemperatures",
+    "integrate",
     "simulate",
     "simulate_stats",
     "ensemble_stats",
@@ -307,13 +301,12 @@ class EnsembleStats:
 # -- integration kernel ---------------------------------------------------------
 
 
-class _Scratch:
-    """Named flat buffers and noise generators that a call's batches reuse.
+class _Scratch(threading.local):
+    """Named flat buffers and noise generators, kept for the whole process,
+    one set per thread: each thread that reads ``_SCRATCH`` sees its own.
     ``take(name, shape)`` is a C-contiguous view of the leading elements of
-    buffer ``name``, which grows when a larger shape asks for it; a call's
-    first chunk and batch are its largest, so each buffer is allocated once.
-    One thread owns a scratch: batches that run at the same time never share
-    one."""
+    buffer ``name``, which grows when a larger shape asks for it, so a run
+    that repeats a shape allocates nothing."""
 
     def __init__(self):
         self._buffers: dict = {}
@@ -335,18 +328,25 @@ class _Scratch:
         while len(self._generators) < count:
             self._generators.append(np.random.Generator(np.random.Philox(0)))
         for g, rng in enumerate(self._generators[:count]):
+            key = np.array([seed, first + g], dtype=np.uint64)
             rng.bit_generator.state = {
                 "bit_generator": "Philox",
-                "state": {
-                    "counter": np.zeros(4, np.uint64),
-                    "key": np.array([seed, first + g], dtype=np.uint64),
-                },
-                "buffer": np.zeros(4, np.uint64),
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
+                "state": {"counter": np.zeros(4, np.uint64), "key": key},
+                "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
             }
         return self._generators[:count]
+
+
+_SCRATCH = _Scratch()
+
+
+def _warn(message: str, category: type[Warning]) -> None:
+    """Warn at the first caller outside this module, whatever the call depth
+    inside it."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 def _scan_operators(E: np.ndarray, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -376,10 +376,10 @@ def _scan_operators(E: np.ndarray, m: int) -> list[tuple[np.ndarray, np.ndarray]
     return ops
 
 
-def _block_scan(W: np.ndarray, ops, scratch: _Scratch, level: int = 0) -> np.ndarray:
+def _block_scan(W: np.ndarray, ops, level: int = 0) -> np.ndarray:
     """Inclusive scan s_k = sum_{j<=k} P^(k-j) w_j along axis 1 of W, one
     (m, n) series per member on axis 0, with P the propagator of ``ops[level]``.
-    The level's products are written into ``scratch``, so the result is a view
+    The level's products are written into scratch, so the result is a view
     of it, valid until the next scan."""
     G, m, n = W.shape
     if m == 1:
@@ -388,19 +388,19 @@ def _block_scan(W: np.ndarray, ops, scratch: _Scratch, level: int = 0) -> np.nda
     L = T.shape[0] // n
     B = -(-m // L)
     if B * L != m:
-        padded = scratch.take(("padded", level), (G, B * L, n))
+        padded = _SCRATCH.take(("padded", level), (G, B * L, n))
         padded[:, :m] = W
         padded[:, m:] = 0.0
         W = padded
-    S = np.matmul(W.reshape(G, B, L * n), T, out=scratch.take(("scan", level), (G, B, L * n)))
-    carries = _block_scan(S[:, :, -n:], ops, scratch, level + 1)
+    S = np.matmul(W.reshape(G, B, L * n), T, out=_SCRATCH.take(("scan", level), (G, B, L * n)))
+    carries = _block_scan(S[:, :, -n:], ops, level + 1)
     S[:, 1:] += np.matmul(
-        carries[:, :-1], F, out=scratch.take(("carry", level), (G, B - 1, L * n))
+        carries[:, :-1], F, out=_SCRATCH.take(("carry", level), (G, B - 1, L * n))
     )
     return S.reshape(G, B * L, n)[:, :m]
 
 
-def _advance_chunk(E, ops, Lq, Z, x, scratch: _Scratch):
+def _advance_chunk(E, ops, Lq, Z, x):
     """States after each of the m steps x_{k+1} = E x_k + Lq z_k, per member.
 
     Z is (G, m, channels) and x the (G, n) start states.  Two-level block
@@ -411,12 +411,12 @@ def _advance_chunk(E, ops, Lq, Z, x, scratch: _Scratch):
     state back.  ``ops`` comes from ``_scan_operators(E, ...)``.  The stacked
     products are one BLAS call per member, of the shape a lone member gets
     (E x stays a matrix-vector product), so the batch size moves no bit.
-    The states returned are a view of ``scratch``.
+    The states returned are a view of scratch.
     """
     G, m, _ = Z.shape
-    W = np.matmul(Z, Lq.T, out=scratch.take("w", (G, m, E.shape[0])))
+    W = np.matmul(Z, Lq.T, out=_SCRATCH.take("w", (G, m, E.shape[0])))
     W[:, 0] += (E @ x[:, :, None])[:, :, 0]
-    return _block_scan(W, ops, scratch)
+    return _block_scan(W, ops)
 
 
 def _noise_factor_matrix(Q: np.ndarray) -> np.ndarray:
@@ -485,35 +485,28 @@ def _resolve_burn_in(model: SystemModel, config: SimConfig) -> int:
     else:
         burn_in = 0
     if gammas and burn_in * config.dt < 5.0 / min(gammas):
-        warnings.warn(
+        _warn(
             f"burn-in of {burn_in * config.dt:.3g} s is shorter than five damping "
             f"times ({5.0 / min(gammas):.3g} s); stationary averages may be biased",
             ShortBurnInWarning,
-            stacklevel=4,
         )
     return burn_in
 
 
 class _Integrator:
-    """The member-batch integrator of one ``simulate`` or ``simulate_stats``
-    call: its checked inputs (``coordinates`` and the step guard as in
-    ``simulate``), the one-step and scan operators, and one ``_Scratch`` per
-    thread, which every batch that thread integrates reuses."""
+    """The one integration loop, ``run``, and the layout a reducer's ``start``
+    reads.  Making it checks ``coordinates`` and the step guard, as
+    ``simulate`` documents, and resolves the burn-in."""
 
     def __init__(self, model: SystemModel, config: SimConfig, coordinates: Sequence[int] | None):
         dim = 2 * len(model.oscillators)
-        if coordinates is None:
-            self.recorded = tuple(range(dim))
-            self.cols = slice(None)
-        else:
-            self.recorded = tuple(operator.index(d) for d in coordinates)
-            if not self.recorded or len(set(self.recorded)) != len(self.recorded):
-                raise ValueError(
-                    f"coordinates must be distinct and not empty, got {self.recorded}"
-                )
-            if not all(0 <= d < dim for d in self.recorded):
-                raise ValueError(f"coordinates must lie in [0, {dim}), got {self.recorded}")
-            self.cols = list(self.recorded)
+        full = coordinates is None
+        self.coordinates = tuple(range(dim) if full else map(operator.index, coordinates))
+        self.cols = slice(None) if full else list(self.coordinates)
+        if not self.coordinates or len(set(self.coordinates)) != len(self.coordinates):
+            raise ValueError(f"coordinates must be distinct and not empty, got {self.coordinates}")
+        if not all(0 <= d < dim for d in self.coordinates):
+            raise ValueError(f"coordinates must lie in [0, {dim}), got {self.coordinates}")
         omega_max = max(o.omega for o in model.oscillators)
         if config.dt * omega_max > MAX_STEP_PRODUCT:
             if not config.allow_large_step:
@@ -521,13 +514,14 @@ class _Integrator:
                     f"dt*omega_max = {config.dt * omega_max:.3g} exceeds {MAX_STEP_PRODUCT}; "
                     "set allow_large_step=True if only stationary moments are needed"
                 )
-            warnings.warn(
+            _warn(
                 f"dt*omega_max = {config.dt * omega_max:.3g} > {MAX_STEP_PRODUCT}: exact in "
                 "distribution, but spectra from these samples alias the resonance",
                 LargeStepWarning,
-                stacklevel=3,
             )
         self.config = config
+        self.members = config.ensemble_size
+        self.labels = model.labels
         self.E, self.Lq = _one_step_operators(model, config)
         self.burn_in = _resolve_burn_in(model, config)
         chunk = min(_CHUNK, self.burn_in + config.n_steps)
@@ -537,68 +531,80 @@ class _Integrator:
         self.grid = RecordGrid(
             float(config.dt), self.burn_in + config.record_stride, config.record_stride
         )
-        self._local = threading.local()
 
-    def scratch(self) -> _Scratch:
-        """The calling thread's scratch, made on its first call."""
-        try:
-            return self._local.scratch
-        except AttributeError:
-            self._local.scratch = _Scratch()
-            return self._local.scratch
+    def run(self, reducers: Sequence, threads: int = 1) -> None:
+        """Integrate every member and feed each chunk to the reducers: one
+        block of _MEMBER_BLOCK members at a time, each block in batches, spread
+        over ``threads`` threads when there are more than one."""
+        for reducer in reducers:
+            reducer.start(self)
+        pool = concurrent.futures.ThreadPoolExecutor(threads) if threads > 1 else None
+        with pool or contextlib.nullcontext():
+            for b0 in range(0, self.members, _MEMBER_BLOCK):
+                b1 = min(b0 + _MEMBER_BLOCK, self.members)
 
-    def integrate(self, first: int, out: np.ndarray, pool=None) -> None:
-        """Integrate members first, first + 1, ... into ``out``, their
-        (members, len(recorded), n_records) slice of a record, one batch at a
-        time, or spread over the threads of ``pool`` when one is given."""
+                def batch(first: int) -> None:
+                    self._integrate_batch(first, min(self.batch, b1 - first), reducers)
 
-        def batch(b: int) -> None:
-            self._integrate_batch(first + b, out[b : b + self.batch])
+                list((pool.map if pool else map)(batch, range(b0, b1, self.batch)))
+                for reducer in reducers:
+                    reducer.end_block(b0, b1)
 
-        starts = range(0, len(out), self.batch)
-        if pool is not None and len(starts) > 1:
-            list(pool.map(batch, starts))
-        else:
-            for b in starts:
-                batch(b)
-
-    def _integrate_batch(self, first: int, rec: np.ndarray) -> None:
+    def _integrate_batch(self, first: int, G: int, reducers: Sequence) -> None:
         config, E, Lq, burn_in = self.config, self.E, self.Lq, self.burn_in
-        scratch = self.scratch()
-        G = rec.shape[0]
-        rngs = scratch.generators(config.seed, first, G)
-        nchan = Lq.shape[1]
+        rngs = _SCRATCH.generators(config.seed, first, G)
         stride = config.record_stride
         x = np.zeros((G, E.shape[0]))
         total = burn_in + config.n_steps
-        k0 = 0
-        while k0 < total:
+        for k0 in range(0, total, _CHUNK):
             m = min(_CHUNK, total - k0)
-            Z = scratch.take("noise", (G, m, nchan))
+            Z = _SCRATCH.take("noise", (G, m, Lq.shape[1]))
             for rng, z in zip(rngs, Z):
                 rng.standard_normal(out=z)
-            states = _advance_chunk(E, self.ops, Lq, Z, x, scratch)
+            states = _advance_chunk(E, self.ops, Lq, Z, x)
+            finite = np.all(np.isfinite(states[:, -1]), axis=1)
+            if not np.all(finite):
+                raise NonFiniteState(
+                    f"state diverged near step {k0 + m} of member "
+                    f"{first + int(np.argmin(finite))}; the one-step propagator amplifies "
+                    "the state instead of damping it (check the feedback gains)"
+                )
             # record j is step burn_in + stride*(j+1); this chunk holds steps k0+1..k0+m
             j0 = max(0, (k0 - burn_in) // stride)
             j1 = max(0, (k0 + m - burn_in) // stride)
-            picked = states[:, burn_in + stride * (j0 + 1) - k0 - 1 :: stride, self.cols]
-            rec[:, :, j0:j1] = picked.transpose(0, 2, 1)
+            if j1 > j0:
+                picked = states[:, burn_in + stride * (j0 + 1) - k0 - 1 :: stride, self.cols]
+                for reducer in reducers:
+                    reducer.add(first, j0, picked.transpose(0, 2, 1))
             x = states[:, -1].copy()
-            k0 += m
-            finite = np.all(np.isfinite(x), axis=1)
-            if not np.all(finite):
-                raise NonFiniteState(
-                    f"state diverged near step {k0} of member {first + int(np.argmin(finite))}; "
-                    "the one-step propagator amplifies the state instead of damping it "
-                    "(check the feedback gains)"
-                )
 
 
-def _pool(threads: int):
-    """A pool of ``threads`` threads for the member batches, or no pool."""
-    if threads > 1:
-        return concurrent.futures.ThreadPoolExecutor(max_workers=threads)
-    return contextlib.nullcontext()
+class _Record:
+    """The record reducer: all members in one (members, coordinates, n_records) ``record``."""
+
+    def start(self, run: _Integrator) -> None:
+        self.record = np.empty((run.members, len(run.coordinates), run.n_records))
+
+    def add(self, first: int, j0: int, samples: np.ndarray) -> None:
+        self.record[first : first + len(samples), :, j0 : j0 + samples.shape[2]] = samples
+
+    def end_block(self, start: int, stop: int) -> None:
+        pass
+
+
+def integrate(
+    model: SystemModel,
+    config: SimConfig,
+    reducers: Sequence,
+    threads: int = 1,
+    *,
+    coordinates: Sequence[int] | None = None,
+) -> None:
+    """Integrate the Langevin system and feed its records to ``reducers``,
+    which hold the results; see the module docstring for what a reducer
+    receives.  ``coordinates``, the step guard, the warnings and every
+    member's bits are those of ``simulate``."""
+    _Integrator(model, config, coordinates).run(reducers, threads)
 
 
 def simulate(
@@ -620,43 +626,23 @@ def simulate(
     on thread count, batching or scheduling, so reruns are bit-identical.
     Raises StepTooLarge when dt*omega_max > 0.05 unless config.allow_large_step.
     """
-    integrator = _Integrator(model, config, coordinates)
-    record = np.empty((config.ensemble_size, len(integrator.recorded), integrator.n_records))
-    with _pool(threads) as pool:
-        integrator.integrate(0, record, pool)
+    integrator, record = _Integrator(model, config, coordinates), _Record()
+    integrator.run([record], threads)
     return Ensemble(
-        record=record,
-        labels=model.labels,
-        coordinates=integrator.recorded,
-        grid=integrator.grid,
-        fingerprint=model.fingerprint(),
+        record.record, model.labels, integrator.coordinates, integrator.grid, model.fingerprint()
     )
 
 
 def simulate_stats(model: SystemModel, config: SimConfig, threads: int = 1) -> EnsembleStats:
-    """``ensemble_stats(simulate(model, config, threads))`` without the record.
-
-    The members are integrated one block of _MEMBER_BLOCK at a time into one
-    reused (block, 2N, n_records) buffer, and each block is fed to the
-    reduction as soon as it is integrated, so memory does not grow with the
-    ensemble.  ``variance`` has the bits of the stored route; ``variance_se``
-    and ``tau_int`` agree with it to rounding (``_PooledMoments``).  The
-    members' bits, the step guard and the warnings are those of ``simulate``,
-    at any thread count.
-    """
+    """``ensemble_stats(simulate(model, config, threads))`` without the record:
+    the moments reducer, fed as the members are integrated, holds one block
+    of _MEMBER_BLOCK members, so memory does not grow with the ensemble.
+    ``variance`` has the bits of the stored route; ``variance_se`` and
+    ``tau_int`` agree with it to rounding (``_PooledMoments``)."""
     integrator = _Integrator(model, config, None)
-    n_members, dim, n_rec = config.ensemble_size, len(integrator.recorded), integrator.n_records
-    block = np.empty((min(_MEMBER_BLOCK, n_members), dim, n_rec))
-    moments = [_PooledMoments(n_rec) for _ in range(dim)]
-    scratch = integrator.scratch()
-    with _pool(threads) as pool:
-        for b in range(0, n_members, _MEMBER_BLOCK):
-            members = block[: min(_MEMBER_BLOCK, n_members - b)]
-            integrator.integrate(b, members, pool)
-            for d, acc in enumerate(moments):
-                squares = scratch.take("squares", (len(members), n_rec))
-                acc.add(np.square(members[:, d], out=squares), scratch)
-    return _stats(n_members, n_rec, [acc.result() for acc in moments], model.fingerprint())
+    moments = _Moments(model.labels, integrator.coordinates, integrator.n_records)
+    integrator.run([moments], threads)
+    return moments.result(model.fingerprint())
 
 
 # -- autocorrelation-aware reductions -------------------------------------------
@@ -695,7 +681,10 @@ class _PooledMoments:
         sum (y - mu)^2 = sum (y - c)^2 - N delta^2,
 
     and one inverse FFT of the first gives the summed autocovariance, divided
-    by the unbiased lag counts n - k and the member count afterwards.
+    by the unbiased lag counts n - k and the member count afterwards.  Each
+    y - c is scaled by the power of two that brings the first block's largest
+    |y - c| into [1/2, 1), and the SE back: the bits of the unscaled sums
+    where no square under- or overflows, and a tiny series keeps its SE.
     """
 
     def __init__(self, n: int):
@@ -708,20 +697,25 @@ class _PooledMoments:
         self.spectrum = np.zeros(self.nfft // 2 + 1, complex)
         self.power = np.zeros(self.nfft // 2 + 1)
 
-    def add(self, y: np.ndarray, scratch: _Scratch) -> None:
+    def add(self, y: np.ndarray) -> None:
         """Feed a (members, n) block."""
         g, n = y.shape
         self.total += float(np.sum(y))
         if self.members == 0:
             self.shift = self.total / y.size
-        self.members += g
         # the centred block, zero-padded to nfft: rfft pads a short input row
         # by row, which costs more than the transform of a padded block
-        padded = scratch.take("padded", (g, self.nfft))
+        padded = _SCRATCH.take(("moments", "padded"), (g, self.nfft))
         np.subtract(y, self.shift, out=padded[:, :n])
+        if self.members == 0:
+            peak = float(np.max(np.abs(padded[:, :n])))
+            self.scale = math.ldexp(1.0, min(-math.frexp(peak)[1], 1000)) if peak > 0 else 1.0
+        self.members += g
+        padded[:, :n] *= self.scale
         padded[:, n:] = 0.0
         self.sum_sq += float(np.vdot(padded, padded))
-        spec = np.fft.rfft(padded, out=scratch.take("spectrum", (g, self.nfft // 2 + 1), complex))
+        spectrum = _SCRATCH.take(("moments", "spectrum"), (g, self.nfft // 2 + 1), complex)
+        spec = np.fft.rfft(padded, out=spectrum)
         self.spectrum += spec.sum(axis=0)
         self.power += np.einsum("ij,ij->j", spec.real, spec.real)
         self.power += np.einsum("ij,ij->j", spec.imag, spec.imag)
@@ -731,7 +725,7 @@ class _PooledMoments:
         n, members = self.n, self.members
         n_total = members * n
         mean = self.total / n_total
-        delta = mean - self.shift
+        delta = (mean - self.shift) * self.scale
         ones = np.fft.rfft(np.ones(n), self.nfft)
         power = (
             self.power
@@ -741,33 +735,43 @@ class _PooledMoments:
         acov = np.fft.irfft(power, self.nfft)[:n] / np.arange(n, 0, -1) / members
         tau = _tau_from_acov(acov)
         var = (self.sum_sq - n_total * delta**2) / max(n_total - 1, 1)
-        return mean, math.sqrt(max(var, 0.0) * tau / n_total), tau
+        return mean, math.sqrt(max(var, 0.0) * tau / n_total) / self.scale, tau
 
 
-def _pooled_mean_se(
-    series: np.ndarray, f: Callable[[np.ndarray], np.ndarray]
-) -> tuple[float, float, float]:
-    """Pooled mean of f over the (members, n) series, with its SE and tau
-    (``_PooledMoments``), fed one block of _MEMBER_BLOCK members at a time,
-    so no mapped copy of the whole ensemble is held."""
-    acc = _PooledMoments(series.shape[1])
-    scratch = _Scratch()
-    for b in range(0, series.shape[0], _MEMBER_BLOCK):
-        acc.add(f(series[b : b + _MEMBER_BLOCK]), scratch)
-    return acc.result()
+class _Moments:
+    """The moments reducer: each state coordinate's pooled mean square about
+    the known zero mean, with SE and tau (``_PooledMoments``), reduced one
+    block of _MEMBER_BLOCK members at a time in member order.  The integrator
+    fills a block buffer in scratch; ``reduce`` also reads a stored record's
+    block in place.  A record that lacks a coordinate is refused (KeyError)."""
 
+    def __init__(self, labels: tuple[str, ...], coordinates: tuple[int, ...], n_records: int):
+        self.rows = [_row(coordinates, d, labels) for d in range(2 * len(labels))]
+        self.moments = [_PooledMoments(n_records) for _ in self.rows]
 
-def _stats(n_members: int, n_rec: int, moments, fingerprint: str) -> EnsembleStats:
-    """EnsembleStats from one (mean square, se, tau) per state coordinate."""
-    variance, variance_se, tau_int = np.array(moments).T
-    return EnsembleStats(
-        n_members=n_members,
-        n_records=n_rec,
-        variance=variance,
-        variance_se=variance_se,
-        tau_int=tau_int,
-        fingerprint=fingerprint,
-    )
+    def start(self, run: _Integrator) -> None:
+        block = (min(_MEMBER_BLOCK, run.members), len(run.coordinates), run.n_records)
+        self.block = _SCRATCH.take(("moments", "block"), block)
+
+    def add(self, first: int, j0: int, samples: np.ndarray) -> None:
+        g, _, m = samples.shape
+        b = first % _MEMBER_BLOCK
+        self.block[b : b + g, :, j0 : j0 + m] = samples
+
+    def end_block(self, start: int, stop: int) -> None:
+        self.reduce(self.block[: stop - start])
+
+    def reduce(self, block: np.ndarray) -> None:
+        """Feed a (members, coordinates, n_records) block, the next in member order."""
+        g, _, n = block.shape
+        squares = _SCRATCH.take(("moments", "squares"), (g, n))
+        for row, acc in zip(self.rows, self.moments):
+            acc.add(np.square(block[:, row], out=squares))
+
+    def result(self, fingerprint: str) -> EnsembleStats:
+        """The (mean square, SE, tau) rows of every coordinate fed."""
+        moments = np.array([acc.result() for acc in self.moments]).T
+        return EnsembleStats(self.moments[0].members, self.moments[0].n, *moments, fingerprint)
 
 
 def ensemble_stats(ensemble: Ensemble) -> EnsembleStats:
@@ -775,15 +779,14 @@ def ensemble_stats(ensemble: Ensemble) -> EnsembleStats:
 
     Each coordinate's variance is its pooled mean square, with the standard
     error from the integrated autocorrelation time of the squared series, so
-    correlated records do not masquerade as extra information.  One
-    reduction per state coordinate, in state order; a record that lacks a
-    coordinate is refused with KeyError.  ``simulate_stats`` makes the same
-    reduction without holding the record.
+    correlated records do not masquerade as extra information: the moments
+    reducer of ``simulate_stats``, fed the record one block at a time.
     """
-    n_members, _, n_rec = ensemble.record.shape
-    dim = 2 * len(ensemble.labels)
-    moments = [_pooled_mean_se(ensemble.series(d), np.square) for d in range(dim)]
-    return _stats(n_members, n_rec, moments, ensemble.fingerprint)
+    record = ensemble.record
+    moments = _Moments(ensemble.labels, ensemble.coordinates, record.shape[2])
+    for b in range(0, len(record), _MEMBER_BLOCK):
+        moments.reduce(record[b : b + _MEMBER_BLOCK])
+    return moments.result(ensemble.fingerprint)
 
 
 def mode_temperature_mc(stats: EnsembleStats, model: SystemModel) -> McTemperatures:
@@ -792,18 +795,14 @@ def mode_temperature_mc(stats: EnsembleStats, model: SystemModel) -> McTemperatu
     with standard errors propagated linearly through the same factors.
     ``ensemble_stats`` refuses a record that lacks a coordinate, so its
     stats cover the whole state."""
-    _require_model_match(stats.fingerprint, model)
+    if stats.fingerprint != model.fingerprint():
+        raise FingerprintMismatch(
+            f"data fingerprint {stats.fingerprint} does not match the model "
+            f"({model.fingerprint()})"
+        )
     T = model.kelvin_per_moment * stats.variance
     T_se = model.kelvin_per_moment * stats.variance_se
     return McTemperatures(
         positional=T[0::2], positional_se=T_se[0::2], kinetic=T[1::2], kinetic_se=T_se[1::2]
     )
-
-
-def _require_model_match(fingerprint: str, model: SystemModel) -> None:
-    expect = model.fingerprint()
-    if fingerprint != expect:
-        raise FingerprintMismatch(
-            f"data fingerprint {fingerprint} does not match the model ({expect})"
-        )
 

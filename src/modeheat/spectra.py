@@ -13,6 +13,14 @@ convention).  The displacement spectrum of a single thermally driven mode is
 whose band area recovers <u^2> (Parseval) and whose full width at half
 maximum is gamma/pi Hz; fitted widths are therefore reported as the damping
 rate gamma = pi * FWHM_Hz.
+
+Welch streams (``_WelchStream``): each piece of a series is windowed into
+the segments it overlaps, and two complete segments go to one FFT call, so
+no record is needed.  ``WelchReducer`` is the streaming Welch as a reducer
+of ``langevin.integrate`` (whose docstring gives the reducer contract): it
+keeps per member only the segments in flight and the summed power.
+``welch_psd`` feeds a stored record at once.  Either way the PSD has the
+bits of the whole-record estimate.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandOutOfRange, DegenerateBand, RecordTooShort
-from .langevin import Trajectory
+from .langevin import Trajectory, _row
 from .model import SystemModel, compile
 from .steady import normal_modes
 from .tables import Table, write_csv
@@ -33,6 +41,7 @@ __all__ = [
     "PeakFit",
     "BandTemperature",
     "welch_psd",
+    "WelchReducer",
     "temperature_from_area",
     "fit_lorentzian",
     "psd_table",
@@ -106,6 +115,108 @@ class BandTemperature:
     low_capture: bool
 
 
+def _segment_length(n: int, dt: float, segment_length, model, oscillator) -> int:
+    """The checked Welch segment length for a record of n samples dt apart."""
+    if n < 2:
+        raise RecordTooShort(f"record of {n} samples cannot be segmented")
+    if segment_length is None:
+        segment_length = max(n // 16, 64)
+        if model is not None:
+            i = model.index(oscillator) if isinstance(oscillator, str) else oscillator
+            gamma = model.oscillators[i].gamma
+            if gamma > 0:
+                segment_length = max(segment_length, math.ceil(32.0 / (gamma * dt)))
+        segment_length = min(segment_length, n)
+    if segment_length > n:
+        raise RecordTooShort(f"segment_length {segment_length} exceeds the record length {n}")
+    if segment_length < 2:
+        raise RecordTooShort("segments need at least 2 samples")
+    return segment_length
+
+
+def _window(name: str, L: int) -> np.ndarray:
+    if name == "hann":  # periodic Hann, as used for spectral analysis
+        return 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(L) / L)
+    return np.ones(L)
+
+
+def _one_sided_density(power: np.ndarray, window: np.ndarray, fs: float, n_segments: int):
+    """Welch's normalisation: the summed |rfft|^2 of the windowed segments
+    over fs * sum(window^2) * n_segments, with the negative frequencies
+    folded onto every bin except DC and, for an even length, Nyquist."""
+    L = window.size
+    values = power / (fs * float(np.sum(window * window)) * n_segments)
+    values[1 : (L + 1) // 2] *= 2.0
+    return values
+
+
+class _WelchStream:
+    """Welch's averaged periodogram of one series of n samples, fed in
+    consecutive pieces of any length.
+
+    Segment s covers samples [s * step, s * step + L).  Each piece is
+    windowed straight into the segments it overlaps, so a segment that
+    straddles two pieces is assembled in its windowed buffer and no piece
+    is kept; a buffer holds _FFT_BLOCK segments, transformed by one rfft
+    call as soon as its last segment is complete.  Whole segments and their
+    summation order are those of the series fed at once, so the bits are
+    too, however the series is cut.
+    """
+
+    def __init__(self, n: int, dt: float, L: int, step: int, window: np.ndarray):
+        self.dt, self.L, self.step, self.window = dt, L, step, window
+        self.n_segments = (n - L) // step + 1
+        self.fed = 0
+        self.buffers: dict[int, np.ndarray] = {}
+        self.power = np.zeros(L // 2 + 1)
+        self.partial = None
+
+    def feed(self, x: np.ndarray) -> None:
+        """The next x.size samples of the series."""
+        L, step, pos = self.L, self.step, self.fed
+        end = pos + x.size
+        self.fed = end
+        for s in range(max(0, (pos - L) // step + 1), min(self.n_segments, -(-end // step))):
+            a = s * step
+            lo, hi = max(a, pos), min(a + L, end)
+            b, row = divmod(s, _FFT_BLOCK)
+            if b not in self.buffers:
+                rows = min(_FFT_BLOCK, self.n_segments - b * _FFT_BLOCK)
+                self.buffers[b] = np.empty((rows, L))
+            buffer = self.buffers[b]
+            window = self.window[lo - a : hi - a]
+            np.multiply(x[lo - pos : hi - pos], window, out=buffer[row, lo - a : hi - a])
+            if hi == a + L and row == len(buffer) - 1:
+                self._add(np.fft.rfft(self.buffers.pop(b), axis=1), b * _FFT_BLOCK)
+
+    def _add(self, spec: np.ndarray, first: int) -> None:
+        """Add |spec|^2 of segments first, first + 1, ...: each block of
+        _SEGMENT_BLOCK segments is summed row by row from its first row, as
+        np.sum over the block's rows does, then added to the total once."""
+        for k, row in enumerate(spec, first):
+            squared = row.real**2
+            squared += row.imag**2
+            if k % _SEGMENT_BLOCK == 0:
+                self.partial = squared
+            else:
+                self.partial += squared
+            if (k + 1) % _SEGMENT_BLOCK == 0 or k + 1 == self.n_segments:
+                self.power += self.partial
+
+    def psd(self, window: str) -> Psd:
+        """The PSD of the series fed, its window named ``window``."""
+        fs = 1.0 / self.dt
+        values = _one_sided_density(self.power, self.window, fs, self.n_segments)
+        return Psd(np.fft.rfftfreq(self.L, self.dt), values, fs / self.L, self.n_segments, window)
+
+
+def _check_welch_options(overlap_fraction: float, window: str) -> None:
+    if window not in _WINDOWS:
+        raise ValueError(f"window must be one of {_WINDOWS}, got {window!r}")
+    if not 0.0 <= overlap_fraction <= 0.9:
+        raise ValueError(f"overlap_fraction must be in [0, 0.9], got {overlap_fraction}")
+
+
 def welch_psd(
     trajectory: Trajectory,
     oscillator: int | str = 0,
@@ -127,70 +238,74 @@ def welch_psd(
     oscillator.  Records are zero-mean by construction, so no detrending is
     applied and the full-grid area equals the record's mean square (Parseval).
 
-    Working set: two windowed segments and their spectra at a time, about
-    9 * segment_length float64 values, independent of the record length.
+    The streaming Welch of ``WelchReducer``, fed the stored series at once:
+    the series is read in place, and the working set is two windowed
+    segments and their spectra, about 9 * segment_length float64 values.
     """
-    if window not in _WINDOWS:
-        raise ValueError(f"window must be one of {_WINDOWS}, got {window!r}")
-    if not 0.0 <= overlap_fraction <= 0.9:
-        raise ValueError(f"overlap_fraction must be in [0, 0.9], got {overlap_fraction}")
-
+    _check_welch_options(overlap_fraction, window)
     u = trajectory.position(oscillator)
-    n = u.size
-    if n < 2:
-        raise RecordTooShort(f"record of {n} samples cannot be segmented")
     # Record spacing, not the integrator step: records may be strided.
     dt = trajectory.grid.spacing
-    fs = 1.0 / dt
+    L = _segment_length(u.size, dt, segment_length, model, oscillator)
+    stream = _WelchStream(u.size, dt, L, L - int(overlap_fraction * L), _window(window, L))
+    stream.feed(u)
+    return stream.psd(window)
 
-    if segment_length is None:
-        segment_length = max(n // 16, 64)
-        if model is not None:
-            i = model.index(oscillator) if isinstance(oscillator, str) else oscillator
-            gamma = model.oscillators[i].gamma
-            if gamma > 0:
-                segment_length = max(segment_length, math.ceil(32.0 / (gamma * dt)))
-        segment_length = min(segment_length, n)
-    if segment_length > n:
-        raise RecordTooShort(
-            f"segment_length {segment_length} exceeds the record length {n}"
-        )
-    if segment_length < 2:
-        raise RecordTooShort("segments need at least 2 samples")
 
-    L = segment_length
-    step = L - int(overlap_fraction * L)
-    segments = np.lib.stride_tricks.sliding_window_view(u, L)[::step]
-    n_segments = segments.shape[0]
-    if window == "hann":  # periodic Hann, as used for spectral analysis
-        w = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(L) / L)
-    else:
-        w = np.ones(L)
-    power = np.zeros(L // 2 + 1)
-    for start in range(0, n_segments, _FFT_BLOCK):
-        spec = np.fft.rfft(segments[start : start + _FFT_BLOCK] * w, axis=1)
-        # Each block of _SEGMENT_BLOCK segments is summed row by row from its
-        # first row, as np.sum over the block's rows does, then added to the
-        # total once.
-        for k, row in enumerate(spec.real**2 + spec.imag**2, start):
-            if k % _SEGMENT_BLOCK == 0:
-                partial = row.copy()
-            else:
-                partial += row
-            if (k + 1) % _SEGMENT_BLOCK == 0 or k + 1 == n_segments:
-                power += partial
-    values = power / (fs * float(np.sum(w * w)) * n_segments)
-    # One-sided density: fold the negative frequencies onto every bin except
-    # DC and, for even L, Nyquist.
-    values[1 : (L + 1) // 2] *= 2.0
-    freqs = np.fft.rfftfreq(L, dt)
-    return Psd(
-        frequencies=freqs,
-        values=values,
-        resolution_bandwidth=fs / segment_length,
-        n_segments=n_segments,
-        window=window,
-    )
+class WelchReducer:
+    """The streaming Welch reducer: ``welch_psd`` of one oscillator's
+    position for every member, as ``langevin.integrate`` feeds it, without
+    the record.  The arguments are those of ``welch_psd``; the run must
+    record that position.  After the run, ``psds`` and ``mean_squares`` (the
+    Parseval target, summed chunk by chunk) list the members in order.
+    Each member holds its segments in flight and its summed power, about
+    3 * segment_length float64 values.
+    """
+
+    def __init__(
+        self,
+        oscillator: int | str = 0,
+        segment_length: int | None = None,
+        overlap_fraction: float = 0.5,
+        window: str = "hann",
+        model: SystemModel | None = None,
+    ):
+        _check_welch_options(overlap_fraction, window)
+        self.oscillator, self.segment_length = oscillator, segment_length
+        self.overlap_fraction, self.window, self.model = overlap_fraction, window, model
+        self.streams: dict[int, _WelchStream] = {}
+        self.sums: dict[int, float] = {}
+
+    def start(self, run) -> None:
+        labels, i = run.labels, self.oscillator
+        if isinstance(i, str):
+            if i not in labels:
+                raise KeyError(f"no oscillator labelled {i!r}")
+            i = labels.index(i)
+        self.row = _row(run.coordinates, 2 * i, labels)
+        self.n, self.dt = run.n_records, run.grid.spacing
+        self.L = _segment_length(self.n, self.dt, self.segment_length, self.model, self.oscillator)
+        self.step = self.L - int(self.overlap_fraction * self.L)
+        self.w = _window(self.window, self.L)
+
+    def add(self, first: int, j0: int, samples: np.ndarray) -> None:
+        for member, x in enumerate(samples[:, self.row], first):
+            if j0 == 0:
+                self.streams[member] = _WelchStream(self.n, self.dt, self.L, self.step, self.w)
+                self.sums[member] = 0.0
+            self.streams[member].feed(x)
+            self.sums[member] += float(np.dot(x, x))
+
+    def end_block(self, start: int, stop: int) -> None:
+        pass
+
+    @property
+    def psds(self) -> list[Psd]:
+        return [self.streams[k].psd(self.window) for k in sorted(self.streams)]
+
+    @property
+    def mean_squares(self) -> list[float]:
+        return [self.sums[k] / self.n for k in sorted(self.sums)]
 
 
 def _default_band(psd: Psd, model: SystemModel, i: int) -> tuple[float, float]:

@@ -60,6 +60,8 @@ class SteadyState:
     ``covariance`` is the full 2N x 2N matrix <x x^T> in the (u_1, v_1, ...)
     state ordering.  Temperatures are per oscillator, in K; fluxes are per
     oscillator, in W, positive for energy flowing into the mode.
+    ``residual`` is the relative Lyapunov residual of ``covariance`` and
+    ``refinements`` the refinement rounds the solve made to reach it.
     """
 
     covariance: np.ndarray
@@ -68,6 +70,7 @@ class SteadyState:
     bath_flux: np.ndarray
     feedback_flux: np.ndarray
     residual: float
+    refinements: int
 
 
 @dataclass(frozen=True)
@@ -309,7 +312,7 @@ def normal_modes(matrices: StateMatrices) -> NormalModes:
 
 def steady_state(model: SystemModel) -> SteadyState:
     """Compile, solve, and assemble every stationary quantity in one call."""
-    C, residual, _ = _solve_stationary(compile(model))
+    C, residual, refinements = _solve_stationary(compile(model))
     t_pos, t_kin = mode_temperatures(C, model)
     return SteadyState(
         covariance=C,
@@ -318,4 +321,5 @@ def steady_state(model: SystemModel) -> SteadyState:
         bath_flux=bath_heat_flux(C, model),
         feedback_flux=feedback_heat_flux(C, model),
         residual=residual,
+        refinements=refinements,
     )

@@ -81,8 +81,21 @@ def test_run_times_a_fresh_modeheat_run_per_config():
     section = bench.run_times([PAPER_NUMBERS], repeats=2)
     assert list(section["by_config"]) == ["paper_numbers"]
     row = section["by_config"]["paper_numbers"]
-    assert row["exit_code"] == 0
-    assert 0 < row["wall_s"] < 60
+    # the pinned entry, and beside it the same run without the thread variables
+    assert set(row) == {"wall_s", "cpu_s", "exit_code", "unpinned"}
+    assert set(row["unpinned"]) == {"wall_s", "cpu_s", "exit_code"}
+    for entry in (row, row["unpinned"]):
+        assert entry["exit_code"] == 0
+        assert 0 < entry["wall_s"] < 60 and 0 < entry["cpu_s"] < 60
+
+
+def test_unpinned_children_get_no_thread_variables(monkeypatch):
+    for var in bench.THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    pinned, unpinned = bench.child_env(), bench.child_env(pinned=False)
+    assert {var: pinned[var] for var in bench.THREAD_VARS} == dict.fromkeys(bench.THREAD_VARS, "1")
+    assert not set(bench.THREAD_VARS) & set(unpinned)
+    assert pinned["PYTHONPATH"] == unpinned["PYTHONPATH"]
 
 
 def test_import_times_every_start_up_command():
@@ -123,4 +136,6 @@ def test_main_writes_machine_and_sections(tmp_path, monkeypatch):
     assert list(doc["simulate"]["by_dim"]["2"]) == ["2"]
     assert doc["import"]["configs"] == ["paper_numbers"]
     assert list(doc["run"]["by_config"]) == ["paper_numbers"]
+    unpinned = doc["run"]["by_config"]["paper_numbers"]["unpinned"]
+    assert set(unpinned) == {"wall_s", "cpu_s", "exit_code"}
     assert (doc["tier1"]["passed"], doc["tier1"]["failed"]) == (2, 1)

@@ -1,11 +1,14 @@
 """What the flux experiments' verdicts see: named faults and the checks they trip.
 
 Each fault scales one quantity by a stated factor, by monkeypatching the one
-function or model property that defines it, and runs ``coupled_transfer``
-and ``cold_damping`` from their shipped configs at the default seed.  The
-test pins the set of checks that then fail; an unfaulted run fails none.  A
-fault that no check trips is in the table too: the compiled spring feeds the
-exact and the MC route alike, so no comparison of the two can see it.
+function or model property that defines it, and runs the experiments it
+names from their shipped configs at the default seed: ``coupled_transfer``
+and ``cold_damping``, and ``spectrum`` where the fault changes a number that
+``spectrum`` reads.  The test pins the set of checks that then fail; an
+unfaulted run fails none.  A fault that no check trips is in the table too:
+the compiled spring feeds the exact and the MC route alike, so no comparison
+of the two can see it, and a 5 % larger one-step noise covariance moves the
+spectral temperature by less than its 5 % tolerance.
 """
 
 import dataclasses
@@ -16,13 +19,13 @@ import warnings
 import numpy as np
 import pytest
 
-from modeheat import DEFAULT_SEED, LargeStepWarning, SystemModel, fluxlab, langevin, model
+from modeheat import DEFAULT_SEED, LargeStepWarning, SystemModel, fluxlab, langevin, model, spectra
 from modeheat.config import load_config
 from modeheat.experiments import run_experiment
 
 from conftest import REPO
 
-EXPERIMENTS = ("coupled_transfer", "cold_damping")
+EXPERIMENTS = ("coupled_transfer", "cold_damping", "spectrum")
 
 
 def _scaled_property(name, factor, entries=slice(None)):
@@ -99,42 +102,55 @@ _BALANCE = {"energy_balance", "feedback_balances_bath_A", "flux_gap_identity_A",
 _PAIR_GAP = {"p_gap_vs_lyap_A", "p_gap_vs_lyap_B", "antisymmetry_mc"}
 _COOLING = {"cooling_ratio_lyap_A", "flux_gap_identity_A", "p_gap_mc_4se_A"}
 _MC = {"p_gap_mc_4se_A", "t_kin_mc_4se_A"}
-_GAP_LINE = ({"p_gap_vs_lyap_B"}, {"flux_gap_identity_A", "p_gap_mc_4se_A"})
+_POWER = {"antisymmetry_lyap", "energy_balance", "p_gap_vs_lyap_A", "p_gap_vs_lyap_B"}
 
-# fault name -> (installer, failing checks of coupled_transfer, of cold_damping)
+
+def _flux(pair, cooling):
+    """Failing checks of the two flux experiments."""
+    return {"coupled_transfer": pair, "cold_damping": cooling}
+
+
+_GAP_LINE = _flux({"p_gap_vs_lyap_B"}, {"flux_gap_identity_A", "p_gap_mc_4se_A"})
+
+# fault name -> (installer, failing checks by experiment run)
 FAULTS = {
     "injected_power x1.05": (
         _scaled_property("injected_power", 1.05),
-        {"antisymmetry_lyap", "energy_balance", "p_gap_vs_lyap_A", "p_gap_vs_lyap_B"},
-        _BALANCE,
+        _flux(_POWER, _BALANCE),
     ),
     "damping_coefficient x1.05": (
         _scaled_property("damping_coefficient", 1.05),
-        {"antisymmetry_lyap", "energy_balance", "p_gap_vs_lyap_A", "p_gap_vs_lyap_B"},
-        _BALANCE,
+        _flux(_POWER, _BALANCE),
     ),
     "equilibrium_temperature x1.05": (
-        _scaled_property("equilibrium_temperature", 1.05), _PAIR_GAP, _COOLING,
+        _scaled_property("equilibrium_temperature", 1.05),
+        {**_flux(_PAIR_GAP, _COOLING), "spectrum": {"band_temperature"}},
     ),
     "kinetic kelvin_per_moment x1.05": (
-        _scaled_property("kelvin_per_moment", 1.05, slice(1, None, 2)), _PAIR_GAP, _COOLING,
+        _scaled_property("kelvin_per_moment", 1.05, slice(1, None, 2)), _flux(_PAIR_GAP, _COOLING),
     ),
     "one-step noise covariance Q x1.05": (
-        _wrapped(langevin, "_one_step_operators", _noise_times(1.05)), _PAIR_GAP, _MC,
+        _wrapped(langevin, "_one_step_operators", _noise_times(1.05)),
+        {**_flux(_PAIR_GAP, _MC), "spectrum": set()},
     ),
-    "flux_from_gap x1.05": (_wrapped(fluxlab, "flux_from_gap", _times(1.05)), *_GAP_LINE),
-    "flux_gap_slope x1.05": (_wrapped(fluxlab, "flux_gap_slope", _times(1.05)), *_GAP_LINE),
+    "flux_from_gap x1.05": (_wrapped(fluxlab, "flux_from_gap", _times(1.05)), _GAP_LINE),
+    "flux_gap_slope x1.05": (_wrapped(fluxlab, "flux_gap_slope", _times(1.05)), _GAP_LINE),
     "MC kinetic SE x0.1": (
-        _wrapped(langevin, "mode_temperature_mc", _kinetic_se_times(0.1)), _PAIR_GAP, _MC,
+        _wrapped(langevin, "mode_temperature_mc", _kinetic_se_times(0.1)), _flux(_PAIR_GAP, _MC),
     ),
-    "compiled spring x1.05": (_wrapped(model, "_compile", _spring_times(1.05)), set(), set()),
+    "compiled spring x1.05": (
+        _wrapped(model, "_compile", _spring_times(1.05)), _flux(set(), set()),
+    ),
+    "Welch window normalisation x1.05": (
+        _wrapped(spectra, "_one_sided_density", _times(1.05)), {"spectrum": {"parseval_full_band"}},
+    ),
 }
 
 
-def _checks():
-    """The checks of each experiment in ``EXPERIMENTS``, by experiment."""
+def _checks(experiments):
+    """The checks of each of ``experiments``, by experiment."""
     checks = {}
-    for name in EXPERIMENTS:
+    for name in experiments:
         cfg = load_config(REPO / "configs" / f"{name}.json")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LargeStepWarning)
@@ -147,15 +163,15 @@ def _failed(checks):
 
 
 def test_unfaulted_runs_fail_no_check():
-    assert _failed(_checks()) == {name: set() for name in EXPERIMENTS}
+    assert _failed(_checks(EXPERIMENTS)) == {name: set() for name in EXPERIMENTS}
 
 
 @pytest.mark.parametrize("fault", FAULTS)
 def test_fault_trips_its_checks(monkeypatch, fault):
-    install, *expected = FAULTS[fault]
-    clean = _checks()
+    install, expected = FAULTS[fault]
+    clean = _checks(expected)
     install(monkeypatch)
-    faulted = _checks()
+    faulted = _checks(expected)
     # the fault is live, also where it trips nothing: some check reads another number
     assert faulted != clean
-    assert _failed(faulted) == dict(zip(EXPERIMENTS, expected))
+    assert _failed(faulted) == expected

@@ -534,9 +534,8 @@ def test_recentring_is_exact_when_the_first_block_is_far_off():
     series = rng.standard_normal((40, 257))
     series[3:] += 50.0
     acc = langevin._PooledMoments(257)
-    scratch = langevin._Scratch()
     for block in np.split(series, [3, 19]):
-        acc.add(block, scratch)
+        acc.add(block)
     got = acc.result()
     np.testing.assert_allclose(got, _reference_pooled_mean_se(list(series)), rtol=1e-13, atol=0)
 
@@ -577,6 +576,23 @@ def test_short_burn_in_warns(fast_model):
         warnings.simplefilter("ignore", LargeStepWarning)
         with pytest.warns(ShortBurnInWarning):
             simulate(fast_model, cfg)
+
+
+@pytest.mark.parametrize("entry", ["simulate", "simulate_stats", "integrate"])
+def test_warnings_point_at_the_caller(entry, fast_model):
+    # the guards warn from inside the integrator, at a depth that differs by
+    # entry; cli.run re-emits each warning at the file and line it names
+    cfg = SimConfig(dt=DT_FAST, n_steps=10, seed=1, burn_in=10, allow_large_step=True)
+    calls = {
+        "simulate": lambda: simulate(fast_model, cfg),
+        "simulate_stats": lambda: simulate_stats(fast_model, cfg),
+        "integrate": lambda: langevin.integrate(fast_model, cfg, [langevin._Record()]),
+    }
+    with warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always")
+        calls[entry]()
+    assert {w.category for w in raised} == {LargeStepWarning, ShortBurnInWarning}
+    assert {w.filename for w in raised} == {__file__}
 
 
 def test_steps_of_hundreds_of_damping_times_stay_finite():

@@ -251,12 +251,14 @@ def test_mc_estimates_within_five_se_of_exact(model):
 def test_mc_coordinates_have_zero_mean(model):
     # x_0 = 0, zero-mean noise and no constant force: every MC second moment is
     # taken about zero, so the pooled mean of each coordinate must sit within
-    # 5 SE of it (the reduction centres a copy of each block in its own
-    # scratch, so f may return a view of the record)
+    # 5 SE of it (one block of 16 members, fed as the contiguous copy that
+    # the sums of the stored route read)
     cfg = SimConfig(dt=DT_FAST, n_steps=4000, seed=5, ensemble_size=16, allow_large_step=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         ens = simulate(model, cfg)
     for d in range(2 * len(model.oscillators)):
-        mean, se, _ = langevin._pooled_mean_se(ens.series(d), np.array)
+        acc = langevin._PooledMoments(cfg.n_steps)
+        acc.add(np.array(ens.series(d)))
+        mean, se, _ = acc.result()
         assert abs(mean) <= 5.0 * se

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import modeheat.langevin as langevin
 import modeheat.spectra as spectra
 from modeheat import (
     BandOutOfRange,
@@ -20,6 +21,7 @@ from modeheat import (
     RecordTooShort,
     SimConfig,
     Trajectory,
+    WelchReducer,
     compile,
     fit_lorentzian,
     normal_modes,
@@ -142,6 +144,67 @@ def test_welch_bits_match_sixteen_segments_per_fft(
     reference = _welch_sixteen_per_fft(u, segment_length, overlap_fraction, window, 2e-5)
     assert psd.n_segments == n_segments
     assert np.array_equal(psd.values, reference)
+
+
+@pytest.mark.parametrize("n_segments", [1, 2, 16, 17, 33])
+@pytest.mark.parametrize("overlap_fraction", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("window", ["hann", "rectangular"])
+def test_streamed_welch_bits_do_not_depend_on_the_pieces(window, overlap_fraction, n_segments):
+    # pieces shorter and longer than a segment, so segments straddle one or
+    # several pieces, against the series fed at once
+    L = 65
+    step = L - int(overlap_fraction * L)
+    n = L + (n_segments - 1) * step + 5
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal(n) * 1e-9
+    whole = welch_psd(
+        _synthetic_trajectory(u, dt=2e-5), 0, segment_length=L,
+        overlap_fraction=overlap_fraction, window=window,
+    )
+    cuts = np.cumsum(rng.integers(1, 3 * L, size=n))
+    stream = spectra._WelchStream(n, 2e-5, L, step, spectra._window(window, L))
+    for piece in np.split(u, cuts[cuts < n]):
+        stream.feed(piece)
+    psd = stream.psd(window)
+    assert psd.n_segments == whole.n_segments == n_segments
+    assert np.array_equal(psd.values, whole.values)
+    assert np.array_equal(psd.frequencies, whole.frequencies)
+    assert psd.resolution_bandwidth == whole.resolution_bandwidth
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_welch_reducer_equals_welch_of_the_stored_record(spec_model, monkeypatch, threads):
+    # 1000-step chunks against segments of 32/(gamma dt) = 64000 samples: every
+    # segment straddles dozens of chunks; three members, one per batch, so at
+    # three threads the members are fed at the same time
+    monkeypatch.setattr(langevin, "_CHUNK", 1000)
+    monkeypatch.setattr(langevin, "_BATCH_STEPS", 1000)
+    cfg = SimConfig(dt=2e-5, n_steps=150_000, seed=3, ensemble_size=3, allow_large_step=True)
+    reducer = WelchReducer("A", model=spec_model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LargeStepWarning)
+        langevin.integrate(spec_model, cfg, [reducer], threads, coordinates=(0,))
+        stored = simulate(spec_model, cfg)
+    assert len(reducer.psds) == len(reducer.mean_squares) == 3
+    for traj, psd, mean_square in zip(stored, reducer.psds, reducer.mean_squares):
+        reference = welch_psd(traj, "A", model=spec_model)
+        assert psd.n_segments == reference.n_segments == 3
+        assert np.array_equal(psd.values, reference.values)
+        u = traj.position("A")
+        # summed chunk by chunk: the Parseval target to rounding
+        assert mean_square == pytest.approx(float(np.dot(u, u)) / u.size, rel=1e-12)
+
+
+def test_welch_reducer_refuses_an_unrecorded_position(spec_model):
+    cfg = SimConfig(dt=2e-5, n_steps=1000, seed=3, allow_large_step=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LargeStepWarning)
+        with pytest.raises(KeyError, match="u_A"):
+            langevin.integrate(spec_model, cfg, [WelchReducer("A")], coordinates=(1,))
+        with pytest.raises(KeyError, match="no oscillator labelled 'B'"):
+            langevin.integrate(spec_model, cfg, [WelchReducer("B")])
+    with pytest.raises(ValueError, match="window"):
+        WelchReducer("A", window="blackman")
 
 
 def test_welch_working_set_is_independent_of_record_length():

@@ -6,6 +6,7 @@ against a dense Kronecker-product solve and against closed forms, so a defect
 in either route cannot hide.
 """
 
+import importlib.util
 import math
 import warnings
 
@@ -27,6 +28,7 @@ from modeheat import (
     coupling_g,
     feedback_heat_flux,
     mode_temperatures,
+    model_from_dict,
     normal_modes,
     solve_stationary,
     steady_state,
@@ -34,7 +36,7 @@ from modeheat import (
 from modeheat import steady
 from modeheat.steady import REQUIRED_RESIDUAL, lyapunov_residual
 
-from conftest import OMEGA_FAST, cold_damped, oscillator_pair, single_oscillator
+from conftest import OMEGA_FAST, REPO, cold_damped, oscillator_pair, single_oscillator
 
 FIXTURES = [
     single_oscillator(),
@@ -435,3 +437,17 @@ def test_steady_state_bundles_consistent_pieces():
     assert abs(np.sum(ss.bath_flux) + np.sum(ss.feedback_flux)) <= 1e-8 * np.sum(
         np.abs(ss.bath_flux)
     )
+
+
+def test_steady_state_carries_the_refinement_rounds_of_its_solve():
+    # the benchmark's chains of N = 2-40 (perfbench/inputs.py, loaded by path): the
+    # first solve leaves a residual of 7e-13 to 2e-11, one round brings it
+    # below 1e-13
+    spec = importlib.util.spec_from_file_location("chain_inputs", REPO / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    for seed in (0, 3):
+        for doc in inputs.chain_docs(seed):
+            model = model_from_dict(doc)
+            ss = steady_state(model)
+            assert ss.refinements == steady._solve_stationary(compile(model))[2] == 1

@@ -37,19 +37,24 @@ Sections:
   in µs per member-step (burn-in included), ``ensemble_stats`` and
   ``simulate_stats`` (the two together, without the record) in ms; and the
   tracemalloc peak of one further call, in MB: for ``simulate`` the record
-  of every coordinate and the integrator's chunk temporaries, for
-  ``simulate_stats`` one 16-member block of it and the scratch.
+  of every coordinate, for ``simulate_stats`` what the moments reducer
+  allocates.  The integrator's scratch (chunk temporaries, noise generators,
+  the reducer's 16-member block) lasts the process, so the timed calls
+  before have made it and the peaks do not count it.
 - ``import``: start-up in fresh interpreters with the pinned thread
   settings: a bare ``python -c pass``, ``import modeheat``, ``import
   modeheat, modeheat.cli`` plus ``load_config`` of every shipped config, and
   ``python -m modeheat.cli version`` and ``schema``.  Each entry is the
-  least wall time of ``--repeats`` interpreters, interpreter start-up
-  included, in s, and the exit code of the last.
+  least wall time and the least CPU time of ``--repeats`` interpreters,
+  interpreter start-up included, in s, and the exit code of the last.
 - ``run``: ``modeheat run CONFIG`` end to end for each shipped
   ``configs/*.json``, each in a fresh interpreter (``python -m
-  modeheat.cli``, imports included) with the pinned thread settings and its
-  outputs in a temporary directory.  Each entry is the least wall time of
-  ``--repeats`` runs, in s, and the exit code of the last.
+  modeheat.cli``, imports included) with its outputs in a temporary
+  directory.  Each entry is the least wall time and the least child CPU time
+  of ``--repeats`` runs, in s, and the exit code of the last, with the
+  pinned thread settings; ``unpinned`` gives the same with the three thread
+  variables removed from the child's environment, as a user's plain
+  ``modeheat run`` starts.
 - ``tier1``: one run of the tier-1 test suite in a subprocess, with the
   invocation ``ROADMAP.md`` gives (``PYTHONPATH=src python -m pytest -q
   --continue-on-collection-errors``, from the checkout's root, with the
@@ -68,6 +73,7 @@ import os
 import platform
 import random
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -285,26 +291,34 @@ def simulate_times(dims, members, repeats: int, n_steps: int = SIM_STEPS) -> dic
     }
 
 
-def child_env() -> dict:
-    """This environment with the pinned thread settings and this checkout's ``src``
-    first on the path."""
-    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+def child_env(pinned: bool = True) -> dict:
+    """This environment with the thread settings pinned to 1, or removed when
+    not ``pinned``, and this checkout's ``src`` first on the path."""
+    env = {var: value for var, value in os.environ.items() if var not in THREAD_VARS}
+    if pinned:
+        env.update(dict.fromkeys(THREAD_VARS, "1"))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return env
 
 
-def fresh_wall_seconds(args, repeats: int) -> dict:
-    """Least wall seconds of ``repeats`` fresh ``python ARGS`` interpreters, with
-    ``child_env``, and the exit code of the last."""
-    env = child_env()
-    best, code = math.inf, None
+def children_cpu_seconds() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def fresh_wall_seconds(args, repeats: int, pinned: bool = True) -> dict:
+    """Least wall and least CPU seconds of ``repeats`` fresh ``python ARGS``
+    interpreters, with ``child_env(pinned)``, and the exit code of the last."""
+    env = child_env(pinned)
+    wall, cpu, code = math.inf, math.inf, None
     for _ in range(repeats):
-        start = time.perf_counter()
+        start, start_cpu = time.perf_counter(), children_cpu_seconds()
         code = subprocess.run(
             [sys.executable, *args], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
         ).returncode
-        best = min(best, time.perf_counter() - start)
-    return {"wall_s": best, "exit_code": code}
+        wall = min(wall, time.perf_counter() - start)
+        cpu = min(cpu, children_cpu_seconds() - start_cpu)
+    return {"wall_s": wall, "cpu_s": cpu, "exit_code": code}
 
 
 LOAD_CONFIGS = """
@@ -335,17 +349,22 @@ def import_times(configs, repeats: int) -> dict:
 
 
 def run_times(configs, repeats: int) -> dict:
-    """Least wall seconds of ``modeheat run`` per config, each run in a fresh interpreter."""
+    """Least wall and CPU seconds of ``modeheat run`` per config, each run in a fresh
+    interpreter, with the thread settings pinned and unpinned."""
     by_config = {}
     with tempfile.TemporaryDirectory() as tmp:
         for config in configs:
-            by_config[config.stem] = fresh_wall_seconds(
-                ["-m", "modeheat.cli", "run", str(config), "--out", str(Path(tmp) / config.stem)],
-                repeats,
-            )
+            args = ["-m", "modeheat.cli", "run", str(config), "--out", str(Path(tmp) / config.stem)]
+            by_config[config.stem] = {
+                **fresh_wall_seconds(args, repeats),
+                "unpinned": fresh_wall_seconds(args, repeats, pinned=False),
+            }
     return {
         "unit": "s",
-        "timer": f"wall time of a fresh `python -m modeheat.cli run CONFIG`, least of {repeats}",
+        "timer": (
+            f"wall time and child CPU time of a fresh `python -m modeheat.cli run CONFIG`, each "
+            f"the least of {repeats}; `unpinned` without the thread variables"
+        ),
         "by_config": by_config,
     }
 
@@ -416,9 +435,13 @@ def main(argv=None) -> int:
     print(f"{'start-up':>22}{'wall s':>9}{'exit':>6}")
     for name, row in result["import"]["by_command"].items():
         print(f"{name:>22}{row['wall_s']:>9.3f}{row['exit_code']:>6}")
-    print(f"{'config':>22}{'wall s':>9}{'exit':>6}")
+    print(f"{'config':>22}{'wall s':>9}{'cpu s':>9}{'unpinned wall s':>17}{'cpu s':>9}{'exit':>6}")
     for name, row in result["run"]["by_config"].items():
-        print(f"{name:>22}{row['wall_s']:>9.2f}{row['exit_code']:>6}")
+        free = row["unpinned"]
+        print(
+            f"{name:>22}{row['wall_s']:>9.2f}{row['cpu_s']:>9.2f}{free['wall_s']:>17.2f}"
+            f"{free['cpu_s']:>9.2f}{max(row['exit_code'], free['exit_code']):>6}"
+        )
     tier1 = result["tier1"]
     print(f"{'tier-1':>22}{tier1['wall_s']:>9.2f}{tier1['exit_code']:>6}  {tier1['summary']}")
     args.out.write_text(json.dumps(result, indent=2) + "\n")
