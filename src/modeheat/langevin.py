@@ -103,6 +103,9 @@ _BATCH_STEPS = 1 << 14
 _BLOCK = 8
 # Members per stacked FFT in the reductions; one block is mapped at a time.
 _MEMBER_BLOCK = 16
+# Largest scratch buffer kept for the process.  Shipped runs ask for 2 MB at
+# most; a larger buffer (the moments of long records) is made per request.
+_KEEP_BYTES = 1 << 22
 # No compiled kernel exists; perfbench/worker.py reads this to record which kernel ran.
 HAVE_NUMBA = False
 # Sokal window constant: stop summing the ACF at the first lag k >= c * tau(k).
@@ -302,11 +305,10 @@ class EnsembleStats:
 
 
 class _Scratch(threading.local):
-    """Named flat buffers and noise generators, kept for the whole process,
-    one set per thread: each thread that reads ``_SCRATCH`` sees its own.
-    ``take(name, shape)`` is a C-contiguous view of the leading elements of
-    buffer ``name``, which grows when a larger shape asks for it, so a run
-    that repeats a shape allocates nothing."""
+    """Named flat buffers and noise generators, kept for the process, one set
+    per thread (each thread sees its own ``_SCRATCH``).  ``take(name, shape)``
+    is a C-contiguous view of buffer ``name``, grown when a larger shape asks
+    for it; a shape above _KEEP_BYTES gets a new array each time."""
 
     def __init__(self):
         self._buffers: dict = {}
@@ -314,6 +316,8 @@ class _Scratch(threading.local):
 
     def take(self, name, shape: tuple[int, ...], dtype=float) -> np.ndarray:
         size = math.prod(shape)
+        if size * np.dtype(dtype).itemsize > _KEEP_BYTES:
+            return np.empty(shape, dtype)
         buffer = self._buffers.get(name)
         if buffer is None or buffer.size < size:
             buffer = self._buffers[name] = np.empty(size, dtype)
@@ -341,8 +345,7 @@ _SCRATCH = _Scratch()
 
 
 def _warn(message: str, category: type[Warning]) -> None:
-    """Warn at the first caller outside this module, whatever the call depth
-    inside it."""
+    """Warn at the first caller outside this module, at any call depth."""
     frame, level = sys._getframe(1), 2
     while frame is not None and frame.f_globals.get("__name__") == __name__:
         frame, level = frame.f_back, level + 1
@@ -478,12 +481,9 @@ def _one_step_operators(model: SystemModel, config: SimConfig):
 
 def _resolve_burn_in(model: SystemModel, config: SimConfig) -> int:
     gammas = [o.gamma for o in model.oscillators if o.gamma > 0]
-    if config.burn_in is not None:
-        burn_in = config.burn_in
-    elif gammas:
-        burn_in = math.ceil(10.0 / (min(gammas) * config.dt))
-    else:
-        burn_in = 0
+    burn_in = config.burn_in
+    if burn_in is None:
+        burn_in = math.ceil(10.0 / (min(gammas) * config.dt)) if gammas else 0
     if gammas and burn_in * config.dt < 5.0 / min(gammas):
         _warn(
             f"burn-in of {burn_in * config.dt:.3g} s is shorter than five damping "

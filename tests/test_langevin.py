@@ -540,6 +540,19 @@ def test_recentring_is_exact_when_the_first_block_is_far_off():
     np.testing.assert_allclose(got, _reference_pooled_mean_se(list(series)), rtol=1e-13, atol=0)
 
 
+def test_scratch_keeps_no_buffer_above_the_cap(monkeypatch):
+    # the scratch lasts the process, so a run over long records makes its
+    # larger buffers per request instead of holding them; no bit moves
+    cfg = SimConfig(dt=5e-4, n_steps=3001, seed=21, ensemble_size=17)
+    kept = simulate_stats(_SLOW_PAIR, cfg)
+    monkeypatch.setattr(langevin, "_SCRATCH", langevin._Scratch())
+    monkeypatch.setattr(langevin, "_KEEP_BYTES", 1 << 16)
+    capped = simulate_stats(_SLOW_PAIR, cfg)
+    assert max(b.nbytes for b in langevin._SCRATCH._buffers.values()) <= 1 << 16
+    for field in ("variance", "variance_se", "tau_int"):
+        assert np.array_equal(getattr(capped, field), getattr(kept, field))
+
+
 def test_streamed_stats_hold_less_than_half_the_record():
     # the shipped 200-member pair, 2N = 4 x 2000 records: the record of
     # 12.8 MB is never made; one 16-member block and its scratch are
