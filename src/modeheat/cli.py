@@ -22,10 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .config import CONFIG_SCHEMA, load_config
-from .constants import DEFAULT_SEED, RNG_ALGORITHM
+from .constants import DEFAULT_SEED, RNG_ALGORITHM, SEED_LIMIT
 from .errors import ConfigError, ModeheatError
-from .experiments import run_experiment
-from .tables import write_csv, write_json
 
 __all__ = ["main", "run"]
 
@@ -42,6 +40,10 @@ def run(
 ) -> int:
     """Execute the experiment named in the config; returns the exit code."""
     try:
+        if threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {threads}")
+        if seed is not None and not 0 <= seed < SEED_LIMIT:
+            raise ConfigError(f"--seed must fit in 64 bits, got {seed}")
         cfg = load_config(config_path)
         raw = Path(config_path).read_bytes()
         outdir = Path(out) if out else Path(cfg.output.get("directory", f"runs/{cfg.experiment}"))
@@ -51,6 +53,9 @@ def run(
     except ConfigError as exc:
         print(f"code=2 {exc}", file=sys.stderr)
         return 2
+
+    from .experiments import run_experiment  # deferred: numpy and every numerical layer
+    from .tables import write_csv, write_json  # deferred: numpy
 
     resolved_seed = seed if seed is not None else cfg.sim.get("seed", DEFAULT_SEED)
 

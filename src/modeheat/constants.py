@@ -7,6 +7,9 @@ BOLTZMANN = 1.380649e-23
 # fresh clones reproduce the published tables byte for byte.
 DEFAULT_SEED = 20191219
 
+# Seeds key a 64-bit counter-based generator: 0 <= seed < SEED_LIMIT.
+SEED_LIMIT = 2**64
+
 # Name of the counter-based generator backing every stochastic run.  Streams
 # are keyed by (seed, ensemble_index), so ensemble members are independent
 # and individually reproducible on any platform.

@@ -35,6 +35,7 @@ from .constants import (
     REFERENCE_BULK_FLUX,
     REFERENCE_MODE_FLUX,
     REFERENCE_MODE_GAP,
+    SEED_LIMIT,
 )
 from .config import ExperimentConfig
 from .errors import ConfigError
@@ -485,7 +486,7 @@ def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) ->
         "ensemble_size": analysis.get("psd_ensemble", 8),
         "allow_large_step": True,
     }
-    psd_sim = _sim_from_config(psd_block, (seed + 1) % 2**64, "analysis")
+    psd_sim = _sim_from_config(psd_block, (seed + 1) % SEED_LIMIT, "analysis")
 
     rows = []
     checks: list[Check] = []

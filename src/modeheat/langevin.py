@@ -52,7 +52,6 @@ MC-vs-exact comparisons downstream use honest error bars.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import math
 import operator
@@ -64,6 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import SEED_LIMIT
 from .errors import (
     FingerprintMismatch,
     LargeStepWarning,
@@ -146,7 +146,7 @@ class SimConfig:
                 f"record_stride {self.record_stride} exceeds n_steps {self.n_steps}; "
                 "nothing would be recorded"
             )
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= int(self.seed) < SEED_LIMIT:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
 
 
@@ -538,7 +538,11 @@ class _Integrator:
         over ``threads`` threads when there are more than one."""
         for reducer in reducers:
             reducer.start(self)
-        pool = concurrent.futures.ThreadPoolExecutor(threads) if threads > 1 else None
+        pool = None
+        if threads > 1:
+            import concurrent.futures  # deferred: one thread, the default, needs no pool
+
+            pool = concurrent.futures.ThreadPoolExecutor(threads)
         with pool or contextlib.nullcontext():
             for b0 in range(0, self.members, _MEMBER_BLOCK):
                 b1 = min(b0 + _MEMBER_BLOCK, self.members)

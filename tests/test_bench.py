@@ -3,6 +3,7 @@ the file it writes."""
 
 import importlib.util
 import json
+import sys
 
 from conftest import REPO
 
@@ -127,7 +128,11 @@ def test_main_writes_machine_and_sections(tmp_path, monkeypatch):
     out = tmp_path / "bench.json"
     assert bench.main(["--out", str(out), "--seeds", "1", "--repeats", "1"]) == 0
     doc = json.loads(out.read_text())
-    assert set(doc["machine"]) >= {"cpu", "nproc", "numpy", "scipy", "blas", "threads"}
+    assert set(doc["machine"]) >= {
+        "cpu", "nproc", "numpy", "scipy", "blas", "threads", "dont_write_bytecode",
+        "bytecode_cached",
+    }
+    assert doc["machine"]["dont_write_bytecode"] == sys.dont_write_bytecode
     assert set(doc["machine"]["threads"]) == set(bench.THREAD_VARS)
     assert list(doc["exact_route"]["by_n"]) == ["2"]
     assert len(doc["exact_route"]["by_n"]["2"]["refinements"]) == 1

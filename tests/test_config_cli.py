@@ -277,20 +277,34 @@ def test_cli_version_and_schema(capsys):
 
 
 _IMPORT_BOUNDARY_PROBE = """
-import glob, sys, tempfile, warnings
-import modeheat, modeheat.cli
+import glob, json, os, sys, tempfile, warnings
+import modeheat
+
+assert "numpy" not in sys.modules
+assert [m for m in sys.modules if m.startswith("modeheat.")] == []
+import modeheat.cli
 from modeheat.config import load_config
 
-def loaded():
-    return [m for m in ("scipy.linalg", "jsonschema") if m in sys.modules]
+LAYERS = ("modeheat.langevin", "modeheat.spectra", "modeheat.steady", "modeheat.experiments")
+UNUSED = LAYERS + ("modeheat.fluxlab", "modeheat.tables", "concurrent.futures")
 
-assert modeheat.cli.main(["version"]) == 0
-assert modeheat.cli.main(["schema"]) == 0
-assert not loaded(), loaded()
+def loaded(names=("scipy.linalg", "jsonschema")):
+    return [m for m in names if m in sys.modules]
+
 configs = sorted(glob.glob(sys.argv[1]))
 assert len(configs) == 6, configs
 for path in configs:
     load_config(path)
+assert not loaded(UNUSED), loaded(UNUSED)
+assert modeheat.cli.main(["version"]) == 0
+assert modeheat.cli.main(["schema"]) == 0
+with tempfile.TemporaryDirectory() as out:
+    bad = os.path.join(out, "bad.json")
+    with open(bad, "w") as f:
+        json.dump({"experiment": "warp_drive"}, f)
+    assert modeheat.cli.run(bad, out=out) == 2
+assert not loaded(LAYERS), loaded(LAYERS)
+assert not loaded(), loaded()
 with tempfile.TemporaryDirectory() as out:
     assert modeheat.cli.run(sys.argv[2], out=out) == 0
 assert not loaded(), loaded()
@@ -302,20 +316,83 @@ with warnings.catch_warnings():
 assert loaded() == ["scipy.linalg"], loaded()
 """
 
+# Run in a fresh interpreter, so that no submodule is loaded before the first access.
+_LAZY_EXPORTS_PROBE = """
+import importlib, sys
+import modeheat
+
+assert "modeheat.steady" not in sys.modules
+assert modeheat.steady is sys.modules["modeheat.steady"]
+for name in ("stedy_state", "stedy"):
+    try:
+        getattr(modeheat, name)
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError(name)
+assert set(modeheat.__all__) <= set(dir(modeheat))
+namespace = {}
+exec("from modeheat import *", namespace)
+assert set(modeheat.__all__) <= set(namespace)
+for home, names in modeheat._EXPORTS.items():
+    module = importlib.import_module("modeheat." + home)
+    for name in names:
+        value = getattr(modeheat, name)
+        assert value is getattr(module, name) is namespace[name], name
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+assert namespace["__version__"] == modeheat.__version__
+"""
+
 
 def test_cli_loads_scipy_linalg_only_where_used_and_never_jsonschema():
-    # version, schema, loading configs and the paper_numbers run, which solves
-    # nothing, load neither; a solve and a simulation load scipy.linalg alone
+    # import modeheat loads no numpy and no submodule; load_config only the
+    # config and model layers; version, schema and a config that fails
+    # validation no numerical layer; none of them, nor the paper_numbers run,
+    # which solves nothing, loads scipy.linalg or jsonschema; a solve and a
+    # simulation load scipy.linalg alone.  The package's public names load
+    # from their home modules at first access.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.dirname(os.path.dirname(modeheat.__file__)), env.get("PYTHONPATH")])
     )
-    result = subprocess.run(
-        [sys.executable, "-c", _IMPORT_BOUNDARY_PROBE, str(CONFIG_DIR / "*.json"),
-         str(CONFIG_DIR / "paper_numbers.json")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
+    for probe, args in [
+        (_IMPORT_BOUNDARY_PROBE,
+         [str(CONFIG_DIR / "*.json"), str(CONFIG_DIR / "paper_numbers.json")]),
+        (_LAZY_EXPORTS_PROBE, []),
+    ]:
+        result = subprocess.run(
+            [sys.executable, "-c", probe, *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_cli_threads_below_one_exits_2(tmp_path, capsys, threads):
+    out_dir = tmp_path / "out"
+    code = cli.main(["run", str(CONFIG_DIR / "cold_damping.json"), "--out", str(out_dir),
+                     "--threads", str(threads)])
+    assert code == 2
+    assert f"code=2 --threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_cli_seed_override_out_of_range_names_the_option(tmp_path, capsys, seed):
+    out_dir = tmp_path / "out"
+    code = cli.main(["run", str(_write(tmp_path, copy.deepcopy(GOOD_DOC))), "--out", str(out_dir),
+                     "--seed", str(seed)])
+    assert code == 2
+    assert f"code=2 --seed must fit in 64 bits, got {seed}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_config_seed_out_of_range_names_the_sim_block(tmp_path, capsys):
+    doc = json.loads((CONFIG_DIR / "cold_damping.json").read_text())
+    doc["sim"]["seed"] = 2**64
+    assert cli.run(_write(tmp_path, doc), out=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"code=2 invalid sim block: seed must fit in 64 bits, got {2**64}" in err
 
 
 def test_cli_integer_too_long_to_parse_exits_2(tmp_path, capsys):

@@ -4,8 +4,13 @@
 
 Run it from anywhere; it times the checkout it sits in (``src/``).  The BLAS
 and OpenMP thread counts are pinned to 1 before numpy loads, and the file
-records the machine, the thread settings and the BLAS build next to the
-numbers.
+records the machine, the thread settings, the BLAS build and the bytecode
+setting next to the numbers: ``dont_write_bytecode`` (set by ``-B`` or by
+``PYTHONDONTWRITEBYTECODE``, which the fresh interpreters inherit) and
+``bytecode_cached``, whether ``src/modeheat/__pycache__`` holds this
+interpreter's bytecode of every module.  Without that bytecode every fresh
+interpreter compiles the sources it imports, which moves each ``import`` and
+``run`` entry.
 
 Sections:
 
@@ -162,6 +167,11 @@ def machine() -> dict:
         "scipy": scipy.__version__,
         "blas": blas,
         "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "dont_write_bytecode": sys.dont_write_bytecode,
+        "bytecode_cached": all(
+            Path(importlib.util.cache_from_source(str(path))).exists()
+            for path in (ROOT / "src" / "modeheat").glob("*.py")
+        ),
     }
 
 
