@@ -4,8 +4,9 @@ Exit codes: 0 success (verdict PASS), 2 configuration problem, 3 numerical
 failure, 4 oracle FAIL (the run completed but a built-in tolerance check
 did not pass).  Error messages go to stderr with a machine-parsable
 `code=` prefix.  Every run directory gets a manifest (config hash, seed,
-versions, RNG algorithm) sufficient to bit-reproduce the data rows, and the
-warnings the run raised.
+versions, RNG algorithm) sufficient to bit-reproduce the data rows, the
+warnings the run raised and its BLAS thread counts: a run holds numpy's and
+scipy's OpenBLAS to one thread unless the environment sets the count.
 Experiments return data; `run` alone writes it, tables via `modeheat.tables`.
 """
 
@@ -47,21 +48,26 @@ def run(
         cfg = load_config(config_path)
         raw = Path(config_path).read_bytes()
         outdir = Path(out) if out else Path(cfg.output.get("directory", f"runs/{cfg.experiment}"))
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {outdir}: {exc}") from exc
         if not os.access(outdir, os.W_OK):
             raise ConfigError(f"output directory {outdir} is not writable")
     except ConfigError as exc:
         print(f"code=2 {exc}", file=sys.stderr)
         return 2
 
-    from .experiments import run_experiment  # deferred: numpy and every numerical layer
-    from .tables import write_csv, write_json  # deferred: numpy
+    from ._blas import one_blas_thread  # deferred: ctypes, which only a run uses
 
     resolved_seed = seed if seed is not None else cfg.sim.get("seed", DEFAULT_SEED)
 
     raised: list[warnings.WarningMessage] = []
     try:
-        with warnings.catch_warnings(record=True) as raised:
+        with warnings.catch_warnings(record=True) as raised, one_blas_thread() as blas_threads:
+            # deferred: numpy and every numerical layer, loaded on the pinned BLAS pools
+            from .experiments import run_experiment
+
             outcome = run_experiment(cfg, resolved_seed, threads)
     except ConfigError as exc:
         print(f"code=2 {exc}", file=sys.stderr)
@@ -73,6 +79,8 @@ def run(
         # recorded for the manifest, then shown as the filters say (stderr by default)
         for w in raised:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+
+    from .tables import write_csv, write_json  # deferred: numpy
 
     mirror = "json" in cfg.output.get("formats", [])
     written = ["verdict.json"]
@@ -115,6 +123,7 @@ def run(
         "seed": int(resolved_seed),
         "threads": int(threads),
         "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
+        "blas_threads": blas_threads,
         "versions": {
             "modeheat": __version__,
             "python": sys.version.split()[0],

@@ -393,9 +393,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     """Read, parse, and validate a JSON config file."""
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")  # JSON text is UTF-8 (RFC 8259)
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {p} is not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except ValueError as exc:  # json.JSONDecodeError included

@@ -31,11 +31,13 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constants import BOLTZMANN
 from .errors import NonPositiveStiffness, UnknownLabel, UnknownPair, UnstableFeedback
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "OscillatorSpec",
@@ -226,6 +228,8 @@ class SystemModel:
 
     @functools.cached_property
     def _fingerprint(self) -> str:
+        import numpy as np  # deferred: building and validating a model needs no arrays
+
         mats = compile(self)
         h = hashlib.sha256()
         h.update(np.ascontiguousarray(mats.drift).tobytes())
@@ -237,6 +241,8 @@ class SystemModel:
 
 def _frozen(values: list[float]) -> np.ndarray:
     """Read-only float array, so a cached per-model array cannot be edited."""
+    import numpy as np  # deferred: building and validating a model needs no arrays
+
     out = np.array(values, dtype=float)
     _read_only(out)
     return out
@@ -284,6 +290,7 @@ class StateMatrices:
         conjugate pair.  T is similar to M; ``solve_stationary`` and
         ``normal_modes`` both read it, so one O(n^3) factorization serves both.
         """
+        import numpy as np  # deferred: building and validating a model needs no arrays
         import scipy.linalg  # deferred: a slow import, paid only by callers that factor M
 
         M = self.drift
@@ -301,6 +308,8 @@ class StateMatrices:
 
 def _stiffness_matrix(model: SystemModel) -> np.ndarray:
     """Effective N x N stiffness (force = -K u) including feedback position gains."""
+    import numpy as np  # deferred: building and validating a model needs no arrays
+
     n = len(model.oscillators)
     K = np.zeros((n, n))
     for i, osc in enumerate(model.oscillators):
@@ -333,6 +342,8 @@ def compile(model: SystemModel) -> StateMatrices:
 
 
 def _compile(model: SystemModel) -> StateMatrices:
+    import numpy as np  # deferred: building and validating a model needs no arrays
+
     n = len(model.oscillators)
     if n == 0:
         raise ValueError("model has no oscillators")

@@ -104,9 +104,10 @@ def test_import_times_every_start_up_command():
     assert section["configs"] == ["paper_numbers"]
     assert list(section["by_command"]) == [
         "python", "import_modeheat", "load_configs", "cli_version", "cli_schema",
+        "cli_invalid_config",
     ]
-    for row in section["by_command"].values():
-        assert row["exit_code"] == 0
+    for name, row in section["by_command"].items():
+        assert row["exit_code"] == (2 if name == "cli_invalid_config" else 0), name
         assert 0 < row["wall_s"] < 60
 
 

@@ -296,13 +296,15 @@ assert len(configs) == 6, configs
 for path in configs:
     load_config(path)
 assert not loaded(UNUSED), loaded(UNUSED)
-assert modeheat.cli.main(["version"]) == 0
 assert modeheat.cli.main(["schema"]) == 0
 with tempfile.TemporaryDirectory() as out:
     bad = os.path.join(out, "bad.json")
     with open(bad, "w") as f:
         json.dump({"experiment": "warp_drive"}, f)
     assert modeheat.cli.run(bad, out=out) == 2
+assert "numpy" not in sys.modules
+# version prints numpy's and scipy's versions, so it imports both
+assert modeheat.cli.main(["version"]) == 0
 assert not loaded(LAYERS), loaded(LAYERS)
 assert not loaded(), loaded()
 with tempfile.TemporaryDirectory() as out:
@@ -346,11 +348,11 @@ assert namespace["__version__"] == modeheat.__version__
 
 def test_cli_loads_scipy_linalg_only_where_used_and_never_jsonschema():
     # import modeheat loads no numpy and no submodule; load_config only the
-    # config and model layers; version, schema and a config that fails
-    # validation no numerical layer; none of them, nor the paper_numbers run,
-    # which solves nothing, loads scipy.linalg or jsonschema; a solve and a
-    # simulation load scipy.linalg alone.  The package's public names load
-    # from their home modules at first access.
+    # config and model layers, and neither it, schema nor a config that fails
+    # validation loads numpy; version no numerical layer; none of them, nor
+    # the paper_numbers run, which solves nothing, loads scipy.linalg or
+    # jsonschema; a solve and a simulation load scipy.linalg alone.  The
+    # package's public names load from their home modules at first access.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.dirname(os.path.dirname(modeheat.__file__)), env.get("PYTHONPATH")])
@@ -385,6 +387,24 @@ def test_cli_seed_override_out_of_range_names_the_option(tmp_path, capsys, seed)
     assert code == 2
     assert f"code=2 --seed must fit in 64 bits, got {seed}" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["existing_file", "under_a_file"])
+def test_cli_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, under):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    assert cli.run(CONFIG_DIR / "paper_numbers.json", out=out) == 2
+    assert f"code=2 cannot create output directory {out}: " in capsys.readouterr().err
+
+
+def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # UTF-16 with a byte-order mark, as some editors and shells write text
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(GOOD_DOC).encode("utf-16-le"))
+    assert cli.run(path, out=tmp_path / "out") == 2
+    assert f"code=2 config {path} is not UTF-8 text: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_config_seed_out_of_range_names_the_sim_block(tmp_path, capsys):

@@ -48,8 +48,9 @@ Sections:
   before have made it and the peaks do not count it.
 - ``import``: start-up in fresh interpreters with the pinned thread
   settings: a bare ``python -c pass``, ``import modeheat``, ``import
-  modeheat, modeheat.cli`` plus ``load_config`` of every shipped config, and
-  ``python -m modeheat.cli version`` and ``schema``.  Each entry is the
+  modeheat, modeheat.cli`` plus ``load_config`` of every shipped config,
+  ``python -m modeheat.cli version`` and ``schema``, and ``run`` on a config
+  that fails validation (exit code 2).  Each entry is the
   least wall time and the least CPU time of ``--repeats`` interpreters,
   interpreter start-up included, in s, and the exit code of the last.
 - ``run``: ``modeheat run CONFIG`` end to end for each shipped
@@ -341,20 +342,27 @@ for path in sys.argv[1:]:
 
 
 def import_times(configs, repeats: int) -> dict:
-    """Least wall seconds of fresh interpreters that import modeheat, load the configs
-    or print the version or the schema."""
-    commands = {
-        "python": ["-c", "pass"],
-        "import_modeheat": ["-c", "import modeheat"],
-        "load_configs": ["-c", LOAD_CONFIGS, *map(str, configs)],
-        "cli_version": ["-m", "modeheat.cli", "version"],
-        "cli_schema": ["-m", "modeheat.cli", "schema"],
-    }
+    """Least wall seconds of fresh interpreters that import modeheat, load the configs,
+    print the version or the schema, or run a config that fails validation."""
+    with tempfile.TemporaryDirectory() as tmp:
+        invalid = Path(tmp) / "invalid.json"
+        invalid.write_text(json.dumps({"experiment": "warp_drive"}))
+        commands = {
+            "python": ["-c", "pass"],
+            "import_modeheat": ["-c", "import modeheat"],
+            "load_configs": ["-c", LOAD_CONFIGS, *map(str, configs)],
+            "cli_version": ["-m", "modeheat.cli", "version"],
+            "cli_schema": ["-m", "modeheat.cli", "schema"],
+            "cli_invalid_config": [
+                "-m", "modeheat.cli", "run", str(invalid), "--out", str(Path(tmp) / "out"),
+            ],
+        }
+        by_command = {name: fresh_wall_seconds(args, repeats) for name, args in commands.items()}
     return {
         "unit": "s",
         "timer": f"wall time of a fresh interpreter, start-up included, least of {repeats}",
         "configs": [config.stem for config in configs],
-        "by_command": {name: fresh_wall_seconds(args, repeats) for name, args in commands.items()},
+        "by_command": by_command,
     }
 
 
