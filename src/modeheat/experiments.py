@@ -8,8 +8,9 @@ verdict means every single check passed.
 
 No experiment holds a record: the MC routes reduce their members as they
 are integrated, the moments by ``simulate_stats`` and the spectra by a
-``WelchReducer`` fed through ``integrate``, which also sums the Parseval
-target, the record's mean square, chunk by chunk.
+``WelchReducer`` fed the whole state through ``integrate``: it reads one
+position and also sums the Parseval target, the record's mean square, chunk
+by chunk.
 
 An MC bath flux is read one way, by the flux-gap formula on the MC kinetic
 temperature (``_gap_flux``), and checked against the exact flux.  The work
@@ -299,10 +300,10 @@ def run_coupled_transfer(cfg: ExperimentConfig, seed: int, threads: int) -> Outc
 
 
 def _welch(model: SystemModel, sim: SimConfig, label: str, threads: int, **options):
-    """The ``WelchReducer`` of oscillator ``label``'s position, the one
-    coordinate recorded, fed as its members are integrated."""
+    """The ``WelchReducer`` of oscillator ``label``'s position, fed as its
+    members are integrated."""
     welch = WelchReducer(label, model=model, **options)
-    integrate(model, sim, [welch], threads, coordinates=(2 * model.index(label),))
+    integrate(model, sim, [welch], threads)
     return welch
 
 

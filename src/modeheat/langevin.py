@@ -21,25 +21,25 @@ integrates a block in batches, on several threads when ``threads`` > 1.  A
 reducer has three methods, and holds its own result:
 
 - ``start(run)``, once, before any record; ``run`` gives ``members``,
-  ``labels``, the recorded ``coordinates``, ``n_records`` per member and
-  their ``grid``;
+  ``labels``, the state dimension ``dim`` = 2N, ``n_records`` per member
+  and their ``grid``;
 - ``add(first, j0, samples)``, once per integrated chunk of a batch:
-  ``samples[g, c]`` holds records j0, j0 + 1, ... of coordinate
-  ``coordinates[c]`` of member first + g.  A member's chunks come in time
-  order; ``samples`` is scratch, valid during the call.  The batches of one
-  block may be added at once from several threads, so ``add`` touches only
-  the state of its own members;
+  ``samples[g, d]`` holds records j0, j0 + 1, ... of state coordinate d of
+  member first + g, in the (u_1, v_1, u_2, v_2, ...) ordering.  A member's
+  chunks come in time order; ``samples`` is scratch, valid during the call.
+  The batches of one block may be added at once from several threads, so
+  ``add`` touches only the state of its own members;
 - ``end_block(start, stop)``, on the calling thread and in member order,
   once members start, ..., stop - 1 are complete.
 
 So a reducer that sums in member order keeps its bits at any batch size and
 thread count.  ``simulate`` is the record reducer: all members in one
-(members, coordinates, records) array, the ``Ensemble``'s record, which only
-tests, ``tools/bench.py`` and the benchmark's ``long_record`` workload hold.
+(members, 2N, records) array, the ``Ensemble``'s record, which only tests,
+``tools/bench.py`` and the benchmark's ``long_record`` workload hold.
 ``simulate_stats`` is the moments reducer, which ``ensemble_stats`` feeds a
 stored record; ``spectra.WelchReducer`` is a streaming Welch; ``integrate``
-runs any of them.  Only the coordinates named are recorded (all 2N by
-default), with no time stamps: the records lie on a uniform ``RecordGrid``.
+runs any of them.  Every record holds the whole state, with no time stamps:
+the records lie on a uniform ``RecordGrid``.
 
 Every trajectory starts at x = 0 and is driven by zero-mean noise with no
 constant force, so every MC second moment is a pooled mean square about the
@@ -175,38 +175,34 @@ class RecordGrid:
         return t
 
 
-def _coordinate_name(d: int, labels: tuple[str, ...]) -> str:
-    """u_<label> or v_<label> for state coordinate d; d itself when out of range."""
-    return f"{'uv'[d % 2]}_{labels[d // 2]}" if 0 <= d < 2 * len(labels) else str(d)
-
-
-def _row(coordinates: tuple[int, ...], d: int, labels: tuple[str, ...]) -> int:
-    """Where state coordinate d sits among the recorded ``coordinates``."""
-    try:
-        return coordinates.index(d)
-    except ValueError:
-        raise KeyError(
-            f"coordinate {_coordinate_name(d, labels)} was not recorded; the record holds "
-            f"{', '.join(_coordinate_name(c, labels) for c in coordinates)}"
-        ) from None
+def _oscillator(oscillator: int | str, labels: tuple[str, ...]) -> int:
+    """The index of an oscillator named by label or index; KeyError when the
+    state holds no such oscillator (a negative index included)."""
+    if isinstance(oscillator, str):
+        if oscillator not in labels:
+            raise KeyError(f"no oscillator labelled {oscillator!r}")
+        return labels.index(oscillator)
+    i = operator.index(oscillator)
+    if not 0 <= i < len(labels):
+        raise KeyError(f"no oscillator {i}; the state holds {len(labels)}")
+    return i
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded samples of one ensemble member.
 
-    ``states`` has shape (n_records, len(coordinates)): column c holds state
-    coordinate ``coordinates[c]`` of the (u_1, v_1, u_2, v_2, ...) ordering,
-    so 2i is oscillator i's position and 2i + 1 its velocity.  From an
-    ``Ensemble`` it is a Fortran-ordered view into the ensemble's record, so
-    each coordinate series ``states[:, c]`` is contiguous.  ``grid`` places
-    the records in time (the burn-in interval is already excluded);
-    ``times`` derives their absolute simulation times.
+    ``states`` has shape (n_records, 2N): column d holds state coordinate d
+    of the (u_1, v_1, u_2, v_2, ...) ordering, so 2i is oscillator i's
+    position and 2i + 1 its velocity.  From an ``Ensemble`` it is a
+    Fortran-ordered view into the ensemble's record, so each coordinate
+    series ``states[:, d]`` is contiguous.  ``grid`` places the records in
+    time (the burn-in interval is already excluded); ``times`` derives their
+    absolute simulation times.
     """
 
     states: np.ndarray
     labels: tuple[str, ...]
-    coordinates: tuple[int, ...]
     grid: RecordGrid
 
     @property
@@ -215,23 +211,17 @@ class Trajectory:
 
     def position(self, oscillator: int | str = 0) -> np.ndarray:
         """The position series of an oscillator, by label or index; KeyError
-        when it was not recorded."""
-        if isinstance(oscillator, str):
-            try:
-                oscillator = self.labels.index(oscillator)
-            except ValueError:
-                raise KeyError(f"no oscillator labelled {oscillator!r}") from None
-        return self.states[:, _row(self.coordinates, 2 * oscillator, self.labels)]
+        when the state holds no such oscillator."""
+        return self.states[:, 2 * _oscillator(oscillator, self.labels)]
 
 
 @dataclass(frozen=True)
 class Ensemble:
     """The members of one ``simulate`` call, in one record.
 
-    ``record`` has shape (members, len(coordinates), n_records): member k's
-    state coordinate ``coordinates[c]`` is the contiguous series
-    ``record[k, c]``, sampled on ``grid``.  ``series(d)`` looks a coordinate
-    up by its index d in the (u_1, v_1, u_2, ...) state.  The ensemble is a
+    ``record`` has shape (members, 2N, n_records): member k's state
+    coordinate d of the (u_1, v_1, u_2, ...) ordering is the contiguous
+    series ``record[k, d]``, sampled on ``grid``.  The ensemble is a
     read-only sequence of members: ``ens[k]`` is member k's ``Trajectory``,
     whose ``states`` is the view ``record[k].T``, and iteration runs in
     member order.  ``fingerprint`` ties the record to the generating model,
@@ -240,7 +230,6 @@ class Ensemble:
 
     record: np.ndarray
     labels: tuple[str, ...]
-    coordinates: tuple[int, ...]
     grid: RecordGrid
     fingerprint: str
 
@@ -248,17 +237,18 @@ class Ensemble:
         return self.record.shape[0]
 
     def __getitem__(self, k: int) -> Trajectory:
-        return Trajectory(
-            self.record[operator.index(k)].T, self.labels, self.coordinates, self.grid
-        )
+        return Trajectory(self.record[operator.index(k)].T, self.labels, self.grid)
 
     def __iter__(self) -> Iterator[Trajectory]:
         return (self[k] for k in range(len(self)))
 
     def series(self, d: int) -> np.ndarray:
         """The (members, n_records) series of state coordinate d, a view of
-        the record; KeyError when d was not recorded."""
-        return self.record[:, _row(self.coordinates, d, self.labels)]
+        the record; KeyError when d lies outside the state."""
+        dim = self.record.shape[1]
+        if not 0 <= d < dim:
+            raise KeyError(f"no state coordinate {d}; the state holds {dim}")
+        return self.record[:, d]
 
 
 @dataclass(frozen=True)
@@ -495,18 +485,10 @@ def _resolve_burn_in(model: SystemModel, config: SimConfig) -> int:
 
 class _Integrator:
     """The one integration loop, ``run``, and the layout a reducer's ``start``
-    reads.  Making it checks ``coordinates`` and the step guard, as
-    ``simulate`` documents, and resolves the burn-in."""
+    reads.  Making it checks the step guard, as ``simulate`` documents, and
+    resolves the burn-in."""
 
-    def __init__(self, model: SystemModel, config: SimConfig, coordinates: Sequence[int] | None):
-        dim = 2 * len(model.oscillators)
-        full = coordinates is None
-        self.coordinates = tuple(range(dim) if full else map(operator.index, coordinates))
-        self.cols = slice(None) if full else list(self.coordinates)
-        if not self.coordinates or len(set(self.coordinates)) != len(self.coordinates):
-            raise ValueError(f"coordinates must be distinct and not empty, got {self.coordinates}")
-        if not all(0 <= d < dim for d in self.coordinates):
-            raise ValueError(f"coordinates must lie in [0, {dim}), got {self.coordinates}")
+    def __init__(self, model: SystemModel, config: SimConfig):
         omega_max = max(o.omega for o in model.oscillators)
         if config.dt * omega_max > MAX_STEP_PRODUCT:
             if not config.allow_large_step:
@@ -522,6 +504,7 @@ class _Integrator:
         self.config = config
         self.members = config.ensemble_size
         self.labels = model.labels
+        self.dim = 2 * len(model.oscillators)
         self.E, self.Lq = _one_step_operators(model, config)
         self.burn_in = _resolve_burn_in(model, config)
         chunk = min(_CHUNK, self.burn_in + config.n_steps)
@@ -577,17 +560,17 @@ class _Integrator:
             j0 = max(0, (k0 - burn_in) // stride)
             j1 = max(0, (k0 + m - burn_in) // stride)
             if j1 > j0:
-                picked = states[:, burn_in + stride * (j0 + 1) - k0 - 1 :: stride, self.cols]
+                picked = states[:, burn_in + stride * (j0 + 1) - k0 - 1 :: stride]
                 for reducer in reducers:
                     reducer.add(first, j0, picked.transpose(0, 2, 1))
             x = states[:, -1].copy()
 
 
 class _Record:
-    """The record reducer: all members in one (members, coordinates, n_records) ``record``."""
+    """The record reducer: all members in one (members, 2N, n_records) ``record``."""
 
     def start(self, run: _Integrator) -> None:
-        self.record = np.empty((run.members, len(run.coordinates), run.n_records))
+        self.record = np.empty((run.members, run.dim, run.n_records))
 
     def add(self, first: int, j0: int, samples: np.ndarray) -> None:
         self.record[first : first + len(samples), :, j0 : j0 + samples.shape[2]] = samples
@@ -596,45 +579,25 @@ class _Record:
         pass
 
 
-def integrate(
-    model: SystemModel,
-    config: SimConfig,
-    reducers: Sequence,
-    threads: int = 1,
-    *,
-    coordinates: Sequence[int] | None = None,
-) -> None:
+def integrate(model: SystemModel, config: SimConfig, reducers: Sequence, threads: int = 1) -> None:
     """Integrate the Langevin system and feed its records to ``reducers``,
     which hold the results; see the module docstring for what a reducer
-    receives.  ``coordinates``, the step guard, the warnings and every
-    member's bits are those of ``simulate``."""
-    _Integrator(model, config, coordinates).run(reducers, threads)
+    receives.  The step guard, the warnings and every member's bits are
+    those of ``simulate``."""
+    _Integrator(model, config).run(reducers, threads)
 
 
-def simulate(
-    model: SystemModel,
-    config: SimConfig,
-    threads: int = 1,
-    *,
-    coordinates: Sequence[int] | None = None,
-) -> Ensemble:
-    """Integrate the Langevin system; the ensemble of config.ensemble_size members.
-
-    ``coordinates`` names the state coordinates to record, as indices into
-    the (u_1, v_1, u_2, v_2, ...) state (2i is oscillator i's position), in
-    the order the record keeps them; None records all 2N.  The full state is
-    integrated either way, so a recorded series has the same bits whatever
-    else is recorded.
+def simulate(model: SystemModel, config: SimConfig, threads: int = 1) -> Ensemble:
+    """Integrate the Langevin system; the ensemble of config.ensemble_size
+    members, each recorded in the whole (u_1, v_1, u_2, v_2, ...) state.
 
     Deterministic: member k depends only on (model, config, seed, k), never
     on thread count, batching or scheduling, so reruns are bit-identical.
     Raises StepTooLarge when dt*omega_max > 0.05 unless config.allow_large_step.
     """
-    integrator, record = _Integrator(model, config, coordinates), _Record()
+    integrator, record = _Integrator(model, config), _Record()
     integrator.run([record], threads)
-    return Ensemble(
-        record.record, model.labels, integrator.coordinates, integrator.grid, model.fingerprint()
-    )
+    return Ensemble(record.record, model.labels, integrator.grid, model.fingerprint())
 
 
 def simulate_stats(model: SystemModel, config: SimConfig, threads: int = 1) -> EnsembleStats:
@@ -643,8 +606,8 @@ def simulate_stats(model: SystemModel, config: SimConfig, threads: int = 1) -> E
     of _MEMBER_BLOCK members, so memory does not grow with the ensemble.
     ``variance`` has the bits of the stored route; ``variance_se`` and
     ``tau_int`` agree with it to rounding (``_PooledMoments``)."""
-    integrator = _Integrator(model, config, None)
-    moments = _Moments(model.labels, integrator.coordinates, integrator.n_records)
+    integrator = _Integrator(model, config)
+    moments = _Moments(integrator.dim, integrator.n_records)
     integrator.run([moments], threads)
     return moments.result(model.fingerprint())
 
@@ -747,14 +710,13 @@ class _Moments:
     the known zero mean, with SE and tau (``_PooledMoments``), reduced one
     block of _MEMBER_BLOCK members at a time in member order.  The integrator
     fills a block buffer in scratch; ``reduce`` also reads a stored record's
-    block in place.  A record that lacks a coordinate is refused (KeyError)."""
+    block in place."""
 
-    def __init__(self, labels: tuple[str, ...], coordinates: tuple[int, ...], n_records: int):
-        self.rows = [_row(coordinates, d, labels) for d in range(2 * len(labels))]
-        self.moments = [_PooledMoments(n_records) for _ in self.rows]
+    def __init__(self, dim: int, n_records: int):
+        self.moments = [_PooledMoments(n_records) for _ in range(dim)]
 
     def start(self, run: _Integrator) -> None:
-        block = (min(_MEMBER_BLOCK, run.members), len(run.coordinates), run.n_records)
+        block = (min(_MEMBER_BLOCK, run.members), run.dim, run.n_records)
         self.block = _SCRATCH.take(("moments", "block"), block)
 
     def add(self, first: int, j0: int, samples: np.ndarray) -> None:
@@ -766,11 +728,11 @@ class _Moments:
         self.reduce(self.block[: stop - start])
 
     def reduce(self, block: np.ndarray) -> None:
-        """Feed a (members, coordinates, n_records) block, the next in member order."""
+        """Feed a (members, 2N, n_records) block, the next in member order."""
         g, _, n = block.shape
         squares = _SCRATCH.take(("moments", "squares"), (g, n))
-        for row, acc in zip(self.rows, self.moments):
-            acc.add(np.square(block[:, row], out=squares))
+        for d, acc in enumerate(self.moments):
+            acc.add(np.square(block[:, d], out=squares))
 
     def result(self, fingerprint: str) -> EnsembleStats:
         """The (mean square, SE, tau) rows of every coordinate fed."""
@@ -787,7 +749,7 @@ def ensemble_stats(ensemble: Ensemble) -> EnsembleStats:
     reducer of ``simulate_stats``, fed the record one block at a time.
     """
     record = ensemble.record
-    moments = _Moments(ensemble.labels, ensemble.coordinates, record.shape[2])
+    moments = _Moments(record.shape[1], record.shape[2])
     for b in range(0, len(record), _MEMBER_BLOCK):
         moments.reduce(record[b : b + _MEMBER_BLOCK])
     return moments.result(ensemble.fingerprint)
@@ -796,9 +758,7 @@ def ensemble_stats(ensemble: Ensemble) -> EnsembleStats:
 def mode_temperature_mc(stats: EnsembleStats, model: SystemModel) -> McTemperatures:
     """Mode temperatures from MC variances, ``model.kelvin_per_moment`` times
     each variance (T'_pos = m Omega^2 var(u)/k_B, T'_kin = m var(v)/k_B),
-    with standard errors propagated linearly through the same factors.
-    ``ensemble_stats`` refuses a record that lacks a coordinate, so its
-    stats cover the whole state."""
+    with standard errors propagated linearly through the same factors."""
     if stats.fingerprint != model.fingerprint():
         raise FingerprintMismatch(
             f"data fingerprint {stats.fingerprint} does not match the model "

@@ -18,7 +18,8 @@ Welch streams (``_WelchStream``): each piece of a series is windowed into
 the segments it overlaps, and two complete segments go to one FFT call, so
 no record is needed.  ``WelchReducer`` is the streaming Welch as a reducer
 of ``langevin.integrate`` (whose docstring gives the reducer contract): it
-keeps per member only the segments in flight and the summed power.
+reads one oscillator's position out of each whole-state chunk and keeps per
+member only the segments in flight and the summed power.
 ``welch_psd`` feeds a stored record at once.  Either way the PSD has the
 bits of the whole-record estimate.
 """
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandOutOfRange, DegenerateBand, RecordTooShort
-from .langevin import Trajectory, _row
+from .langevin import Trajectory, _oscillator
 from .model import SystemModel, compile
 from .steady import normal_modes
 from .tables import Table, write_csv
@@ -255,11 +256,10 @@ def welch_psd(
 class WelchReducer:
     """The streaming Welch reducer: ``welch_psd`` of one oscillator's
     position for every member, as ``langevin.integrate`` feeds it, without
-    the record.  The arguments are those of ``welch_psd``; the run must
-    record that position.  After the run, ``psds`` and ``mean_squares`` (the
-    Parseval target, summed chunk by chunk) list the members in order.
-    Each member holds its segments in flight and its summed power, about
-    3 * segment_length float64 values.
+    the record.  The arguments are those of ``welch_psd``.  After the run,
+    ``psds`` and ``mean_squares`` (the Parseval target, summed chunk by
+    chunk) list the members in order.  Each member holds its segments in
+    flight and its summed power, about 3 * segment_length float64 values.
     """
 
     def __init__(
@@ -277,19 +277,15 @@ class WelchReducer:
         self.sums: dict[int, float] = {}
 
     def start(self, run) -> None:
-        labels, i = run.labels, self.oscillator
-        if isinstance(i, str):
-            if i not in labels:
-                raise KeyError(f"no oscillator labelled {i!r}")
-            i = labels.index(i)
-        self.row = _row(run.coordinates, 2 * i, labels)
+        self.coordinate = 2 * _oscillator(self.oscillator, run.labels)
         self.n, self.dt = run.n_records, run.grid.spacing
         self.L = _segment_length(self.n, self.dt, self.segment_length, self.model, self.oscillator)
         self.step = self.L - int(self.overlap_fraction * self.L)
         self.w = _window(self.window, self.L)
 
     def add(self, first: int, j0: int, samples: np.ndarray) -> None:
-        for member, x in enumerate(samples[:, self.row], first):
+        # one contiguous copy of the batch's position series
+        for member, x in enumerate(np.ascontiguousarray(samples[:, self.coordinate]), first):
             if j0 == 0:
                 self.streams[member] = _WelchStream(self.n, self.dt, self.L, self.step, self.w)
                 self.sums[member] = 0.0
@@ -360,10 +356,11 @@ def temperature_from_area(
     if not np.any(mask):
         raise BandOutOfRange(f"band {band} contains no frequency bins")
 
-    df = psd.resolution_bandwidth
-    area = float(np.sum(psd.values[mask]) * df)
-    area_se = df * math.sqrt(float(np.sum(psd.values[mask] ** 2)) / psd.n_segments)
-    total = float(np.sum(psd.values) * df)
+    area = psd.area(band)
+    area_se = psd.resolution_bandwidth * math.sqrt(
+        float(np.sum(psd.values[mask] ** 2)) / psd.n_segments
+    )
+    total = psd.area()
     fraction = area / total if total > 0 else 0.0
 
     scale = float(model.kelvin_per_moment[2 * i])

@@ -23,6 +23,7 @@ from modeheat import (
     SimConfig,
     StepTooLarge,
     SystemModel,
+    WelchReducer,
     compile,
     ensemble_stats,
     mode_temperature_mc,
@@ -37,10 +38,10 @@ from modeheat.experiments import _gap_flux
 from conftest import DT_FAST, OMEGA_FAST, REPO, single_oscillator, oscillator_pair
 
 
-def _quiet_simulate(model, config, threads=1, coordinates=None):
+def _quiet_simulate(model, config, threads=1):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LargeStepWarning)
-        return simulate(model, config, threads=threads, coordinates=coordinates)
+        return simulate(model, config, threads=threads)
 
 
 # -- determinism ---------------------------------------------------------------
@@ -71,7 +72,6 @@ def test_ensemble_is_a_sequence_of_member_views(fast_model):
         assert np.array_equal(ens[k].states, t.states)
         assert t.grid is ens.grid
         assert t.labels == ens.labels
-        assert t.coordinates == ens.coordinates == (0, 1)
     with pytest.raises(IndexError):
         ens[3]
     with pytest.raises(TypeError):
@@ -702,71 +702,42 @@ def test_trajectory_label_indexing():
         traj.position("C")
 
 
-# -- recorded coordinates ---------------------------------------------------------
+# -- record layout ---------------------------------------------------------------
 
 
-def _pair_ensembles(coordinates):
+def test_indices_outside_the_state_are_refused():
+    # a bare states[:, 2 * i] would read u_B for i = -1
     model = oscillator_pair()
-    cfg = SimConfig(dt=DT_FAST, n_steps=300, seed=6, ensemble_size=3, allow_large_step=True)
-    return model, _quiet_simulate(model, cfg), _quiet_simulate(model, cfg, coordinates=coordinates)
-
-
-def test_recorded_coordinate_keeps_its_bits():
-    # the full state is integrated either way; only the stored rows change
-    model, full, only_u_b = _pair_ensembles([2])
-    assert only_u_b.record.shape == (3, 1, 300)
-    assert only_u_b.coordinates == (2,)
-    assert only_u_b.grid == full.grid
-    assert np.array_equal(only_u_b.record[:, 0], full.record[:, 2])
-    assert np.array_equal(only_u_b.series(2), full.series(2))
-    for k, traj in enumerate(only_u_b):
-        assert traj.states.shape == (300, 1)
-        assert np.array_equal(traj.position("B"), full[k].position("B"))
-        assert np.array_equal(traj.times, full[k].times)
-
-
-def test_unrecorded_coordinate_is_refused_not_misaligned():
-    model, _, only_u_b = _pair_ensembles([2])
-    with pytest.raises(KeyError, match="u_A"):
-        only_u_b[0].position("A")
-    with pytest.raises(KeyError, match="u_A"):
-        ensemble_stats(only_u_b)
-    with pytest.raises(KeyError, match="v_B"):
-        ensemble_stats(_pair_ensembles([0, 1, 2])[2])
-    with pytest.raises(KeyError, match="v_A"):
-        mode_temperature_mc(ensemble_stats(_pair_ensembles([0, 2])[2]), model)
-
-
-def test_reductions_read_coordinates_by_index_in_any_record_order():
-    model, full, permuted = _pair_ensembles([3, 2, 1, 0])
-    assert np.array_equal(permuted.record, full.record[:, ::-1])
-    a, b = ensemble_stats(full), ensemble_stats(permuted)
-    for field in ("variance", "variance_se", "tau_int"):
-        assert np.array_equal(getattr(a, field), getattr(b, field))
-    assert np.array_equal(full[1].position("A"), permuted[1].position("A"))
-
-
-@pytest.mark.parametrize("coordinates", [[], [0, 0], [4], [-1]])
-def test_invalid_coordinates_are_rejected(coordinates):
-    with pytest.raises(ValueError, match="coordinates"):
-        _pair_ensembles(coordinates)
+    cfg = SimConfig(dt=DT_FAST, n_steps=20, seed=1, ensemble_size=2, allow_large_step=True)
+    ens = _quiet_simulate(model, cfg)
+    for i in (-1, 2):
+        with pytest.raises(KeyError):
+            ens[0].position(i)
+    for d in (-1, 4):
+        with pytest.raises(KeyError):
+            ens.series(d)
+    assert np.array_equal(ens.series(3), ens.record[:, 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LargeStepWarning)
+        with pytest.raises(KeyError):
+            langevin.integrate(model, cfg, [WelchReducer(5)])
 
 
 def test_one_recorded_position_bounds_the_spectrum_simulate_peak():
-    # the shipped spectrum record, u only: no velocity row and no times array
-    # beside it, and the chunk temporaries (a few arrays of one chunk of the
-    # full state) on top
+    # the shipped spectrum record, the whole state (u and v) with no times
+    # array beside it, and the chunk temporaries (a few arrays of one chunk of
+    # the full state) on top
     cfg = load_config(REPO / "configs" / "spectrum.json")
     sim = SimConfig(seed=1, **cfg.sim)
-    record_bytes = 8 * sim.n_steps
+    record_bytes = 8 * 2 * len(cfg.model.oscillators) * sim.n_steps
     chunk_bytes = 8 * langevin._CHUNK * 2 * len(cfg.model.oscillators)
     tracemalloc.start()
     try:
-        ens = _quiet_simulate(cfg.model, sim, coordinates=[0])
+        ens = _quiet_simulate(cfg.model, sim)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ens.record.nbytes == record_bytes == 12_800_000
+    assert ens.record.nbytes == record_bytes == 25_600_000
     assert peak <= record_bytes + 8 * chunk_bytes
 
 

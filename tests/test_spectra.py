@@ -35,10 +35,12 @@ from conftest import OMEGA_SPEC, single_oscillator
 
 
 def _synthetic_trajectory(u: np.ndarray, dt: float) -> Trajectory:
-    """A record of the position of oscillator A, sampled every dt from t = dt."""
+    """A record of oscillator A with position u and a zero velocity, sampled
+    every dt from t = dt."""
     grid = RecordGrid(dt, 1, 1)
     assert np.array_equal(grid.times(u.size), dt * (1.0 + np.arange(u.size)))
-    return Trajectory(states=u[:, None], labels=("A",), coordinates=(0,), grid=grid)
+    # the (n, 2) view of a (2, n) record, as an Ensemble member's states
+    return Trajectory(states=np.stack([u, np.zeros_like(u)]).T, labels=("A",), grid=grid)
 
 
 def _lorentz(f, center, fwhm_hz, area, bg=0.0):
@@ -183,7 +185,7 @@ def test_welch_reducer_equals_welch_of_the_stored_record(spec_model, monkeypatch
     reducer = WelchReducer("A", model=spec_model)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LargeStepWarning)
-        langevin.integrate(spec_model, cfg, [reducer], threads, coordinates=(0,))
+        langevin.integrate(spec_model, cfg, [reducer], threads)
         stored = simulate(spec_model, cfg)
     assert len(reducer.psds) == len(reducer.mean_squares) == 3
     for traj, psd, mean_square in zip(stored, reducer.psds, reducer.mean_squares):
@@ -199,8 +201,6 @@ def test_welch_reducer_refuses_an_unrecorded_position(spec_model):
     cfg = SimConfig(dt=2e-5, n_steps=1000, seed=3, allow_large_step=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LargeStepWarning)
-        with pytest.raises(KeyError, match="u_A"):
-            langevin.integrate(spec_model, cfg, [WelchReducer("A")], coordinates=(1,))
         with pytest.raises(KeyError, match="no oscillator labelled 'B'"):
             langevin.integrate(spec_model, cfg, [WelchReducer("B")])
     with pytest.raises(ValueError, match="window"):
