@@ -680,7 +680,8 @@ class _PooledMoments:
         self.members += g
         padded[:, :n] *= self.scale
         padded[:, n:] = 0.0
-        self.sum_sq += float(np.vdot(padded, padded))
+        # einsum, not BLAS: a threaded dot product sums in an order set by the thread count
+        self.sum_sq += float(np.einsum("ij,ij->", padded[:, :n], padded[:, :n]))
         spectrum = _SCRATCH.take(("moments", "spectrum"), (g, self.nfft // 2 + 1), complex)
         spec = np.fft.rfft(padded, out=spectrum)
         self.spectrum += spec.sum(axis=0)

@@ -284,13 +284,14 @@ class WelchReducer:
         self.w = _window(self.window, self.L)
 
     def add(self, first: int, j0: int, samples: np.ndarray) -> None:
-        # one contiguous copy of the batch's position series
+        # contiguous, as a stored series is: einsum sums a strided one in another order
         for member, x in enumerate(np.ascontiguousarray(samples[:, self.coordinate]), first):
             if j0 == 0:
                 self.streams[member] = _WelchStream(self.n, self.dt, self.L, self.step, self.w)
                 self.sums[member] = 0.0
             self.streams[member].feed(x)
-            self.sums[member] += float(np.dot(x, x))
+            # einsum, not BLAS, so the thread count moves no bit (as in langevin._PooledMoments)
+            self.sums[member] += float(np.einsum("i,i->", x, x))
 
     def end_block(self, start: int, stop: int) -> None:
         pass

@@ -1,5 +1,6 @@
 """`modeheat run` holds numpy's and scipy's OpenBLAS to one thread, unless the environment
-sets the count, and records the setting in the manifest."""
+sets the count, and records the setting in the manifest; the MC reductions called from
+Python give the same bits at any OpenBLAS thread count."""
 
 import json
 import os
@@ -37,26 +38,56 @@ tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") e
 print(json.dumps({"code": code, "before": before, "after": after, "tasks": tasks}))
 """
 
+# The MC standard errors of two ensemble configs and the Parseval target of spectrum,
+# as float hex, by library calls that no limiter pins.
+_BITS_PROBE = """
+import json, sys, warnings
+from modeheat.config import load_config
+from modeheat.constants import DEFAULT_SEED
+from modeheat.experiments import _sim_from_config, _welch
+from modeheat.langevin import simulate_stats
+
+def sim(name):
+    cfg = load_config(f"{sys.argv[1]}/{name}.json")
+    return cfg, _sim_from_config(cfg.sim, cfg.sim.get("seed", DEFAULT_SEED))
+
+warnings.simplefilter("ignore")
+bits = {}
+for name in ("equipartition", "coupled_transfer"):
+    cfg, config = sim(name)
+    bits[name] = [x.hex() for x in simulate_stats(cfg.model, config).variance_se]
+cfg, config = sim("spectrum")
+label = cfg.model.oscillators[0].label
+bits["spectrum"] = [x.hex() for x in _welch(cfg.model, config, label, 1).mean_squares]
+print(json.dumps(bits))
+"""
+
 pytestmark = pytest.mark.skipif(
     set(_blas.find_pools()) != {"numpy", "scipy"},
     reason="numpy and scipy do not both bundle OpenBLAS here",
 )
 
 
-def _run(out, mode, **env):
-    """``cli.run`` on the config in a fresh interpreter without the thread variables,
-    plus ``env``; returns the probe's readings and the manifest's ``blas_threads``."""
+def _probe(source, *args, **env):
+    """The last stdout line of ``source`` run with ``args`` in a fresh interpreter
+    without the thread variables, plus ``env``, read as JSON."""
     child = {var: value for var, value in os.environ.items() if var not in THREAD_VARS}
     child.update(env)
     child["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.dirname(os.path.dirname(modeheat.__file__)), child.get("PYTHONPATH")])
     )
     result = subprocess.run(
-        [sys.executable, "-c", _RUN_PROBE, str(CONFIG), str(out), mode],
+        [sys.executable, "-c", source, *map(str, args)],
         env=child, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    readings = json.loads(result.stdout.strip().splitlines()[-1])
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def _run(out, mode, **env):
+    """``cli.run`` on the config in a fresh interpreter without the thread variables,
+    plus ``env``; returns the probe's readings and the manifest's ``blas_threads``."""
+    readings = _probe(_RUN_PROBE, CONFIG, out, mode, **env)
     assert readings["code"] == 0
     return readings, json.loads((out / "manifest.json").read_text())["blas_threads"]
 
@@ -103,3 +134,12 @@ def test_run_without_a_pool_runs_unpinned_to_the_same_tables(pinned, tmp_path):
     assert readings["before"] == readings["after"]
     tables = _tables(tmp_path)
     assert tables and tables == _tables(pinned_out)
+
+
+def test_mc_reductions_keep_their_bits_at_any_blas_thread_count():
+    # OpenBLAS splits a long dot product across its threads, which reorders the sum
+    one, two = (
+        _probe(_BITS_PROBE, REPO / "configs", OPENBLAS_NUM_THREADS=str(n)) for n in (1, 2)
+    )
+    assert set(one) == {"equipartition", "coupled_transfer", "spectrum"}
+    assert one == two
