@@ -1,6 +1,6 @@
-"""The golden-comparison tool: verdict, check, outputs- and warnings-list equality, cell
-bounds for CSV tables and their JSON mirrors, column by header name, byte equality for
-other files."""
+"""The golden-comparison tool: verdict, check, check detail, outputs- and warnings-list
+equality, cell bounds for CSV tables and their JSON mirrors, column by header name, byte
+equality for other files."""
 
 import importlib.util
 import json
@@ -214,6 +214,19 @@ def test_reordered_checks_fail(tmp_path, capsys):
     b = _run_dir(tmp_path / "b", checks=_checks(("c2", True), ("c1", True)))
     assert golden_diff.main([str(a), str(b), "--bound", "1"]) == 1
     assert "check #0: c1 passed -> c2 passed" in capsys.readouterr().out
+
+
+def test_changed_check_detail_fails(tmp_path, capsys):
+    # a loosened tolerance that does not flip pass/fail
+    def checks(tol):
+        return [{"name": "c1", "passed": True, "detail": f"rel=1.2e-02 tol={tol}"}]
+
+    a = _run_dir(tmp_path / "a", checks=checks("5e-02"))
+    b = _run_dir(tmp_path / "b", checks=checks("6e-02"))
+    assert golden_diff.main([str(a), str(b), "--bound", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "DIFF verdict demo" in out
+    assert "check #0 c1 detail: 'rel=1.2e-02 tol=5e-02' -> 'rel=1.2e-02 tol=6e-02'" in out
 
 
 @pytest.mark.parametrize(

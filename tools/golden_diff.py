@@ -5,8 +5,10 @@ by cell, every other output byte for byte.
 
 BEFORE and AFTER are directories holding run directories, found at any
 depth by their `verdict.json`.  For each run the verdict must be equal, the
-checks must form the same sequence of (name, pass/fail), so a reordered or
-renamed check counts, and no check name may repeat within a run.  The
+checks must form the same sequence of (name, pass/fail, detail), so a
+reordered or renamed check counts, and so does a detail text that changed
+(a tolerance, say) while pass/fail did not; no check name may repeat within
+a run.  The
 `outputs` and `warnings` lists of its `manifest.json` must be equal too: the
 files the run wrote, and the category and message of each warning it
 raised.  Each table, a CSV file or a JSON mirror (a list of row objects), is
@@ -19,7 +21,7 @@ how many of its cells differ and the worst of them, "identical", or the
 side it is only on.  Any other output (`comparison.json`,
 `comparison.txt`) must be byte-identical.  The exit status is 1 when a run
 or file is missing on one side, a verdict, check sequence, outputs list or
-warnings list differs, a check name repeats, a non-table file differs, a
+warnings list differs, a check detail differs, a check name repeats, a non-table file differs, a
 table has a column on one side only, another row count or another column
 order, or a cell exceeds --bound (default 0: every differing number fails),
 else 0.
@@ -51,9 +53,13 @@ def _files(root: Path) -> set[Path]:
     }
 
 
-def _checks(path: Path) -> tuple[str, list[tuple[str, bool]]]:
+Check = tuple[str, bool, str | None]
+
+
+def _checks(path: Path) -> tuple[str, list[Check]]:
+    """The verdict and each check's (name, passed, detail); detail None where absent."""
     doc = json.loads(path.read_text())
-    return doc["verdict"], [(c["name"], c["passed"]) for c in doc["checks"]]
+    return doc["verdict"], [(c["name"], c["passed"], c.get("detail")) for c in doc["checks"]]
 
 
 def _manifest(path: Path) -> dict:
@@ -91,21 +97,24 @@ def _rows(path: Path) -> list[list] | None:
 
 def compare_verdicts(before: Path, after: Path) -> list[str]:
     """Differences between two verdict.json files, one line each: the verdict,
-    each position where the (name, passed) sequences differ, and each check
-    name that repeats on either side."""
+    each position where the (name, passed) sequences differ, each position
+    where only the detail text differs, and each check name that repeats on
+    either side."""
     v0, c0 = _checks(before)
     v1, c1 = _checks(after)
     diffs = [f"verdict {v0} -> {v1}"] if v0 != v1 else []
     for k, (a, b) in enumerate(zip_longest(c0, c1)):
-        if a != b:
+        if a is None or b is None or a[:2] != b[:2]:
             diffs.append(f"check #{k}: {_check_text(a)} -> {_check_text(b)}")
+        elif a[2] != b[2]:
+            diffs.append(f"check #{k} {a[0]} detail: {a[2]!r} -> {b[2]!r}")
     for side, checks in (("before", c0), ("after", c1)):
-        counts = Counter(name for name, _ in checks)
+        counts = Counter(name for name, *_ in checks)
         diffs += [f"check {n} repeated {c}x in {side}" for n, c in counts.items() if c > 1]
     return diffs
 
 
-def _check_text(check: tuple[str, bool] | None) -> str:
+def _check_text(check: Check | None) -> str:
     return "absent" if check is None else f"{check[0]} {'passed' if check[1] else 'failed'}"
 
 
