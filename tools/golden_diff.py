@@ -8,10 +8,9 @@ depth by their `verdict.json`.  For each run the verdict must be equal, the
 checks must form the same sequence of (name, pass/fail, detail), so a
 reordered or renamed check counts, and so does a detail text that changed
 (a tolerance, say) while pass/fail did not; no check name may repeat within
-a run.  The
-`outputs` and `warnings` lists of its `manifest.json` must be equal too: the
-files the run wrote, and the category and message of each warning it
-raised.  Each table, a CSV file or a JSON mirror (a list of row objects), is
+a run.  The `outputs` and `warnings` lists of its `manifest.json` must be
+equal too: the files the run wrote, and the category and message of each
+warning it raised.  Each table, a CSV file or a JSON mirror (a list of row objects), is
 reported as byte-identical or by its worst cell: |after - before| over the
 largest magnitude in that column of BEFORE; text cells must match exactly.
 Columns are matched by header name, so a column dropped, added or renamed
@@ -20,11 +19,11 @@ compared cell by cell.  A table that differs also gets one line per column:
 how many of its cells differ and the worst of them, "identical", or the
 side it is only on.  Any other output (`comparison.json`,
 `comparison.txt`) must be byte-identical.  The exit status is 1 when a run
-or file is missing on one side, a verdict, check sequence, outputs list or
-warnings list differs, a check detail differs, a check name repeats, a non-table file differs, a
-table has a column on one side only, another row count or another column
-order, or a cell exceeds --bound (default 0: every differing number fails),
-else 0.
+or file is missing on one side, a verdict, check sequence, check detail,
+outputs list or warnings list differs, a check name repeats, a non-table
+file differs, a table has a column on one side only, another row count or
+another column order, or a cell exceeds --bound (default 0: every differing
+number fails), else 0.
 """
 
 from __future__ import annotations
