@@ -5,7 +5,8 @@ failure, 4 oracle FAIL (the run completed but a built-in tolerance check
 did not pass).  Error messages go to stderr with a machine-parsable
 `code=` prefix.  Every run directory gets a manifest (config hash, seed,
 versions, RNG algorithm) sufficient to bit-reproduce the data rows, the
-warnings the run raised and its BLAS thread counts: a run holds numpy's and
+warnings the run raised, the wall time of the experiment and of writing its
+files, and its BLAS thread counts: a run holds numpy's and
 scipy's OpenBLAS to one thread unless the environment sets the count.
 Experiments return data; `run` alone writes it, tables via `modeheat.tables`.
 """
@@ -18,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -68,7 +70,9 @@ def run(
             # deferred: numpy and every numerical layer, loaded on the pinned BLAS pools
             from .experiments import run_experiment
 
+            start = time.perf_counter()
             outcome = run_experiment(cfg, resolved_seed, threads)
+            experiment_s = time.perf_counter() - start
     except ConfigError as exc:
         print(f"code=2 {exc}", file=sys.stderr)
         return 2
@@ -80,6 +84,7 @@ def run(
         for w in raised:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
+    start = time.perf_counter()
     from .tables import write_csv, write_json  # deferred: numpy
 
     mirror = "json" in cfg.output.get("formats", [])
@@ -112,6 +117,7 @@ def run(
         )
         + "\n"
     )
+    write_s = time.perf_counter() - start
 
     import numpy
     import scipy
@@ -132,6 +138,8 @@ def run(
         },
         "rng": RNG_ALGORITHM,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        # wall seconds, here and in no table, so reruns keep their bytes
+        "timings": {"experiment_s": experiment_s, "write_s": write_s},
         # what this run wrote, not whatever an earlier run left in the directory
         "outputs": sorted(written),
         # each distinct warning once, in the order first raised

@@ -1,5 +1,5 @@
-"""The timing harness: its exact-route, Welch, simulate, import, run and tier-1 sections and
-the file it writes."""
+"""The timing harness: its exact-route, Welch, table-writer, simulate, import, run and tier-1
+sections and the file it writes."""
 
 import importlib.util
 import json
@@ -58,6 +58,14 @@ def test_welch_times_and_traces_every_record_length():
         assert row["cpu_ms"] >= 0
         # the windowed segment and its spectrum, at least
         assert 4096 * 8 / 1e6 < row["peak_mb"] < 1.0
+
+
+def test_table_times_write_csv_of_the_spectrum_psd_table():
+    section = bench.table_times(seed=1, repeats=1)
+    assert section["shape"] == [50_001, 2]
+    assert section["cpu_ms"] > 0
+    # a block of rows at a time: less than the text of the whole table, at 24 bytes a cell
+    assert 0 < section["peak_mb"] < 50_001 * 2 * 24 / 1e6
 
 
 def test_simulate_times_every_dimension_and_ensemble_size():
@@ -138,6 +146,7 @@ def test_main_writes_machine_and_sections(tmp_path, monkeypatch):
     assert list(doc["exact_route"]["by_n"]) == ["2"]
     assert len(doc["exact_route"]["by_n"]["2"]["refinements"]) == 1
     assert list(doc["welch"]["by_samples"]) == ["4096"]
+    assert set(doc["tables"]) == {"timer", "table", "shape", "cpu_ms", "peak_mb"}
     assert list(doc["simulate"]["by_dim"]) == ["2"]
     assert list(doc["simulate"]["by_dim"]["2"]) == ["2"]
     assert doc["import"]["configs"] == ["paper_numbers"]

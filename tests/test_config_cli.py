@@ -576,6 +576,14 @@ def test_cli_happy_path_writes_manifest_and_verdict(tmp_path, capsys):
     assert "manifest.json" not in manifest["outputs"]
     assert "verdict.json" in manifest["outputs"]
     assert manifest["warnings"] == []
+    # wall seconds of the experiment and of writing its files; a rerun keeps every table
+    assert set(manifest["timings"]) == {"experiment_s", "write_s"}
+    assert all(0 < s < 60 for s in manifest["timings"].values())
+    assert cli.run(path, seed=99, out=tmp_path / "again") == 0
+    tables = sorted(p.name for p in out_dir.glob("*.csv"))
+    assert tables == sorted(p.name for p in (tmp_path / "again").glob("*.csv"))
+    for name in tables:
+        assert (out_dir / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
 
 
 def test_cli_json_mirroring(tmp_path):

@@ -91,6 +91,31 @@ def test_every_column_of_a_differing_table_is_reported(tmp_path, capsys):
     assert golden_diff.main([str(a), str(b)]) == 1
 
 
+def test_text_change_with_equal_numbers_fails_at_bound_zero(tmp_path, capsys):
+    a = _run_dir(tmp_path / "a", table="x,label\n1e-20,a\n-4.0,b\n")
+    b = _run_dir(tmp_path / "b", table="x,label\n1.0000000000000000e-20,a\n-4.0,b\n")
+    assert golden_diff.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "OVER demo/demo.csv: worst 0 x column max at row 1 column x" in out
+    assert "  column x: 1 cell(s) differ in text only, first at row 1\n" in out
+    assert "  column label: identical\n" in out
+    # a positive bound compares the numbers only
+    assert golden_diff.main([str(a), str(b), "--bound", "1e-12"]) == 0
+    assert "within demo/demo.csv: worst 0 x column max at row 1 column x" in (
+        capsys.readouterr().out
+    )
+
+
+def test_comment_change_fails_at_bound_zero(tmp_path, capsys):
+    a = _run_dir(tmp_path / "a", table="# rbw=0.5\nx,label\n1.0,a\n-4.0,b\n")
+    b = _run_dir(tmp_path / "b", table="# rbw=0.25\nx,label\n1.0,a\n-4.0,b\n")
+    assert golden_diff.main([str(a), str(b)]) == 1
+    assert "OVER demo/demo.csv: worst 0 x column max at nowhere (cells equal, other text differs)" in (
+        capsys.readouterr().out
+    )
+    assert golden_diff.main([str(a), str(b), "--bound", "1e-12"]) == 0
+
+
 def test_a_column_on_one_side_only_is_named_and_fails(tmp_path, capsys):
     a = _run_dir(tmp_path / "a", table="x,y,label\n1.0,2.0,a\n-4.0,8.0,b\n")
     b = _run_dir(tmp_path / "b", table="x,label,z\n1.0,a,2.0\n-4.0,b,8.0\n")

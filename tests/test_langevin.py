@@ -1,6 +1,5 @@
 """Integrator determinism, distributional correctness, and estimator honesty."""
 
-import io
 import math
 import sys
 import tracemalloc
@@ -11,7 +10,6 @@ import pytest
 import scipy.linalg
 
 import modeheat.langevin as langevin
-import modeheat.tables as tables
 from modeheat import (
     CouplingSpec,
     FeedbackSpec,
@@ -739,31 +737,4 @@ def test_one_recorded_position_bounds_the_spectrum_simulate_peak():
         tracemalloc.stop()
     assert ens.record.nbytes == record_bytes == 25_600_000
     assert peak <= record_bytes + 8 * chunk_bytes
-
-
-# -- table writer ---------------------------------------------------------------
-
-
-_SPECIAL = [0.0, -0.0, -1.5, 5e-324, -2.5e-310, 1e300, -1e-300, math.nan, math.inf, -math.inf]
-
-
-@pytest.mark.parametrize(
-    "rows, block",
-    [
-        (np.array(_SPECIAL).reshape(5, 2), tables._WRITE_BLOCK),
-        (np.array(_SPECIAL).reshape(2, 5), tables._WRITE_BLOCK),
-        (np.zeros((0, 2)), tables._WRITE_BLOCK),
-        # seven rows written three at a time: the last block is partial
-        (np.random.default_rng(0).standard_normal((7, 3)) * 10.0 ** np.arange(-1, 2), 3),
-    ],
-    ids=["special", "five_columns", "no_rows", "partial_block"],
-)
-def test_write_rows_matches_savetxt(rows, block, monkeypatch, tmp_path):
-    monkeypatch.setattr(tables, "_WRITE_BLOCK", block)
-    path = tmp_path / "rows.csv"
-    tables.write_csv(tables.Table([f"c{j}" for j in range(rows.shape[1])], rows), path)
-    ours = path.read_text().split("\n", 1)[1]
-    reference = io.StringIO()
-    np.savetxt(reference, rows, fmt="%.17g", delimiter=",")
-    assert ours == reference.getvalue()
 

@@ -34,6 +34,11 @@ Sections:
   uses.  Each entry is the least process CPU time of ``--repeats`` calls, in
   ms, and the tracemalloc peak of one further call, in MB: the estimator's
   own working set, on top of the record.
+- ``tables``: ``write_csv`` of the shipped ``spectrum`` PSD table (the
+  ``spectrum_psd`` table of ``run_spectrum`` at the default seed, made
+  outside the timer, 50 001 rows of two floats) to a temporary file: the
+  least process CPU time of ``--repeats`` calls, in ms, and the tracemalloc
+  peak of one further call, in MB.
 - ``simulate``: ``simulate``, ``ensemble_stats`` and ``simulate_stats`` by
   state dimension 2N and ensemble size, on the chain of N oscillators that
   ``chain_doc(random.Random(0), N)`` draws, at the ``ensemble`` workload's
@@ -111,10 +116,13 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 from modeheat.config import load_config  # noqa: E402
+from modeheat.constants import DEFAULT_SEED  # noqa: E402
 from modeheat.errors import LargeStepWarning  # noqa: E402
+from modeheat.experiments import run_spectrum  # noqa: E402
 from modeheat.langevin import SimConfig, ensemble_stats, simulate, simulate_stats  # noqa: E402
 from modeheat.model import compile, model_from_dict  # noqa: E402
 from modeheat.spectra import welch_psd  # noqa: E402
+from modeheat.tables import write_csv  # noqa: E402
 from modeheat.steady import (  # noqa: E402
     _solve_stationary,
     normal_modes,
@@ -264,6 +272,29 @@ def welch(samples, seed: int, repeats: int) -> dict:
         "timer": f"process CPU time in ms, least of {repeats} calls; tracemalloc peak of one call in MB",
         "records": f"configs/spectrum.json oscillator, simulate seed {seed}, default segmentation",
         "by_samples": by_size,
+    }
+
+
+def table_times(seed: int, repeats: int) -> dict:
+    """write_csv CPU ms and tracemalloc peak MB of the spectrum PSD table at ``seed``."""
+    cfg = load_config(ROOT / "configs" / "spectrum.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LargeStepWarning)
+        table = run_spectrum(cfg, seed, 1).tables["spectrum_psd"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spectrum_psd.csv"
+
+        def call(t):
+            write_csv(t, path)
+
+        cpu = cpu_seconds(lambda: table, call, repeats)
+        peak = peak_bytes(lambda: call(table))
+    return {
+        "timer": f"process CPU time in ms, least of {repeats} calls; tracemalloc peak of one call in MB",
+        "table": f"configs/spectrum.json spectrum_psd, run_spectrum seed {seed}",
+        "shape": list(table.rows.shape),
+        "cpu_ms": 1e3 * cpu,
+        "peak_mb": peak / 1e6,
     }
 
 
@@ -426,6 +457,7 @@ def main(argv=None) -> int:
         "machine": machine(),
         "exact_route": exact_route(CHAIN_SIZES, args.seeds, args.repeats),
         "welch": welch(WELCH_SAMPLES, WELCH_SEED, args.repeats),
+        "tables": table_times(DEFAULT_SEED, args.repeats),
         "simulate": simulate_times(SIM_DIMS, SIM_MEMBERS, args.repeats),
         "import": import_times(CONFIGS, args.repeats),
         "run": run_times(CONFIGS, args.repeats),
@@ -439,6 +471,9 @@ def main(argv=None) -> int:
     print(f"{'samples':>9}{'segments':>10}{'welch ms':>10}{'peak MB':>10}")
     for n, row in result["welch"]["by_samples"].items():
         print(f"{n:>9}{row['n_segments']:>10}{row['cpu_ms']:>10.1f}{row['peak_mb']:>10.1f}")
+    tables = result["tables"]
+    print(f"{'write_csv':>9}{'rows':>10}{'cpu ms':>10}{'peak MB':>10}")
+    print(f"{'':>9}{tables['shape'][0]:>10}{tables['cpu_ms']:>10.1f}{tables['peak_mb']:>10.2f}")
     print(
         f"{'2N':>4}{'members':>9}{'us/member-step':>16}{'peak MB':>10}{'stats ms':>10}"
         f"{'streamed ms':>13}{'peak MB':>10}"

@@ -10,20 +10,24 @@ reordered or renamed check counts, and so does a detail text that changed
 (a tolerance, say) while pass/fail did not; no check name may repeat within
 a run.  The `outputs` and `warnings` lists of its `manifest.json` must be
 equal too: the files the run wrote, and the category and message of each
-warning it raised.  Each table, a CSV file or a JSON mirror (a list of row objects), is
-reported as byte-identical or by its worst cell: |after - before| over the
-largest magnitude in that column of BEFORE; text cells must match exactly.
-Columns are matched by header name, so a column dropped, added or renamed
-on one side is named as such and the columns both sides have are still
-compared cell by cell.  A table that differs also gets one line per column:
-how many of its cells differ and the worst of them, "identical", or the
-side it is only on.  Any other output (`comparison.json`,
-`comparison.txt`) must be byte-identical.  The exit status is 1 when a run
-or file is missing on one side, a verdict, check sequence, check detail,
-outputs list or warnings list differs, a check name repeats, a non-table
-file differs, a table has a column on one side only, another row count or
-another column order, or a cell exceeds --bound (default 0: every differing
-number fails), else 0.
+warning it raised.  Each table, a CSV file or a JSON mirror (a list of row
+objects), is reported as byte-identical or by its worst cell: |after -
+before| over the largest magnitude in that column of BEFORE, 0 for a CSV
+cell whose text differs but parses to the same number; text cells must
+match exactly.  Columns are matched by header name, so a column dropped,
+added or renamed on one side is named as such and the columns both sides
+have are still compared cell by cell.  A table that differs also gets one
+line per column: how many of its cells differ and the worst of them (or
+that they differ in text only), "identical", or the side it is only on.
+Any other output (`comparison.json`, `comparison.txt`) must be
+byte-identical.  The exit status is 1 when a run or file is missing on one
+side, a verdict, check sequence, check detail, outputs list or warnings list
+differs, a check name repeats, a non-table file differs, a table has a
+column on one side only, another row count or another column order, or a
+cell exceeds --bound, else 0.  At --bound 0, the default, a table fails
+whenever its bytes differ, even where every cell parses to the same number:
+a change of formatting fails the byte-identical gate.  A positive --bound
+compares numbers only.
 """
 
 from __future__ import annotations
@@ -78,14 +82,21 @@ def _json_cell(v):
     return float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else v
 
 
+def _value(cell, parse: bool) -> float | None:
+    """The number a cell holds: a float as is, text parsed when `parse` (a CSV
+    cell); None for text."""
+    if isinstance(cell, float):
+        return cell
+    return _number(cell) if parse else None
+
+
 def _rows(path: Path) -> list[list] | None:
-    """A table as its header row followed by data rows whose cells are float
-    (numbers) or str (text); None for a file that is no table."""
+    """A table as its header row followed by data rows: a CSV's cells as their
+    text, a JSON mirror's as float (numbers) or str (text); None for a file
+    that is no table."""
     if path.suffix == ".csv":
         with open(path, newline="") as f:
-            rows = [row for row in csv.reader(f) if row and not row[0].startswith("#")]
-        parse = [[c if (x := _number(c)) is None else x for c in row] for row in rows[1:]]
-        return rows[:1] + parse
+            return [row for row in csv.reader(f) if row and not row[0].startswith("#")]
     if path.suffix == ".json":
         doc = json.loads(path.read_text())
         if not isinstance(doc, list) or not all(isinstance(r, dict) for r in doc):
@@ -117,22 +128,30 @@ def _check_text(check: Check | None) -> str:
     return "absent" if check is None else f"{check[0]} {'passed' if check[1] else 'failed'}"
 
 
-def _cell_diffs(col0: list, col1: list) -> tuple[int, float, int]:
+def _cell_diffs(col0: list, col1: list, parse: bool) -> tuple[int, float, int]:
     """How many cells of one column differ, the largest difference relative
     to the column's max magnitude in `col0`, and the row where that sits
-    (1 is the first data row).  A text difference is infinite."""
-    scale = max((abs(x) for x in col0 if isinstance(x, float) and math.isfinite(x)), default=0.0)
+    first (1 is the first data row).  Cells differ when their text or value
+    does; one whose text differs but whose number is the same differs by 0,
+    and a difference of text that is no number is infinite.  `parse` reads
+    text cells as numbers where they parse, as a CSV's cells are read."""
+    numbers = (_value(x, parse) for x in col0)
+    scale = max((abs(x) for x in numbers if x is not None and math.isfinite(x)), default=0.0)
     count, worst, where = 0, 0.0, 0
     for i, (x, y) in enumerate(zip(col0, col1), start=1):
-        numbers = isinstance(x, float) and isinstance(y, float)
-        if x == y or (numbers and x != x and y != y):
+        if x == y or (x != x and y != y):
             continue
-        if not numbers or not math.isfinite(x - y) or scale == 0:
+        vx, vy = _value(x, parse), _value(y, parse)
+        if vx is None or vy is None:
+            rel = math.inf
+        elif vx == vy or (vx != vx and vy != vy):
+            rel = 0.0
+        elif not math.isfinite(vx - vy) or scale == 0:
             rel = math.inf
         else:
-            rel = abs(y - x) / scale
+            rel = abs(vy - vx) / scale
         count += 1
-        if rel >= worst:
+        if rel > worst or count == 1:
             worst, where = rel, i
     return count, worst, where
 
@@ -140,11 +159,12 @@ def _cell_diffs(col0: list, col1: list) -> tuple[int, float, int]:
 Column = tuple[str, int, float, int, str]
 
 
-def column_diffs(rows0: list[list], rows1: list[list]) -> list[Column] | None:
+def column_diffs(rows0: list[list], rows1: list[list], parse: bool) -> list[Column] | None:
     """Per column, matched by header name: those of `rows0` in order, then
     those only `rows1` has.  Each is its name, the `_cell_diffs` of its cells
     and the side it is only on ("before" or "after", "" for a shared column);
-    a one-sided column differs in every row, infinitely, at its header.  None
+    a one-sided column differs in every row, infinitely, at its header;
+    `parse` is passed to `_cell_diffs`.  None
     when the tables differ in row count or in the order of their shared
     columns, or a header repeats a name or is not as wide as its rows."""
     if len(rows0) != len(rows1):
@@ -163,7 +183,7 @@ def column_diffs(rows0: list[list], rows1: list[list]) -> list[Column] | None:
             columns.append((name, n, math.inf, 0, "before"))
             continue
         k = header1.index(name)
-        cells = _cell_diffs([r[j] for r in rows0[1:]], [r[k] for r in rows1[1:]])
+        cells = _cell_diffs([r[j] for r in rows0[1:]], [r[k] for r in rows1[1:]], parse)
         columns.append((name, *cells, ""))
     columns += [(name, n, math.inf, 0, "after") for name in header1 if name not in header0]
     return columns
@@ -179,7 +199,7 @@ def worst_cell(columns: list[Column] | None) -> tuple[float, str]:
         for name, n, rel, row, side in columns
         if n or side
     ]
-    return max(moved, key=lambda m: m[0], default=(0.0, "nowhere (numbers equal, text differs)"))
+    return max(moved, key=lambda m: m[0], default=(0.0, "nowhere (cells equal, other text differs)"))
 
 
 def _column_text(name: str, n: int, rel: float, row: int, side: str) -> str:
@@ -187,6 +207,8 @@ def _column_text(name: str, n: int, rel: float, row: int, side: str) -> str:
         return f"column {name}: only in {side}"
     if not n:
         return f"column {name}: identical"
+    if not rel:
+        return f"column {name}: {n} cell(s) differ in text only, first at row {row}"
     return f"column {name}: {n} cell(s) differ, worst {rel:.3g} x column max at row {row}"
 
 
@@ -227,9 +249,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"DIFF {name}: not byte-identical")
             failed = True
             continue
-        columns = column_diffs(rows0, rows1)
+        columns = column_diffs(rows0, rows1, parse=name.suffix == ".csv")
         rel, where = worst_cell(columns)
-        over = rel > args.bound
+        # at bound 0 the bytes are the contract: equal numbers in other text fail
+        over = rel > args.bound or not args.bound > 0
         print(f"{'OVER' if over else 'within'} {name}: worst {rel:.3g} x column max at {where}")
         for column in columns or []:
             print(f"  {_column_text(*column)}")
