@@ -10,22 +10,25 @@ the same rows, with numbers as float and text kept as text.
 A float array is rendered in bulk, a block of rows at a time, to exactly the
 bytes '%.17g' gives each cell.  The fast path takes finite cells with
 1e-280 <= |x| <= 1e280.  It guesses the decimal exponent k by log10, forms
-y = |x| * 10**(16 - k) from a double-double power of ten (made once per
-exponent, from Python integers) and Dekker's error-free product, and rounds y
-to the 17-digit significand N.  Its digits come four at a time from a table of
-0..9999 and are laid out in a zero-padded row of bytes per cell, in exponent
-form for k < -4 or k > 16 and in fixed form for 0 <= k <= 16, as '%g'
-chooses; the fraction's trailing zeros and a point with no fraction after it
-stay zero bytes, and one compaction per block drops every zero byte.
+y = |x| * 10**(16 - k) from a double-double power of ten (a table of them,
+made from Python integers on the first write) and Dekker's error-free
+product, and rounds y to the 17-digit significand N.  Its digits come four at
+a time from a table of 0..9999 and are laid out in a zero-padded row of bytes
+per cell, in exponent form for k < -4 or k > 16 and in fixed form for
+0 <= k <= 16, as '%g' chooses; the fraction's trailing zeros and a point
+with no fraction after it stay zero bytes, and one compaction per block drops
+every zero byte.
 
 Every other cell is formatted by '%-24.17g' itself, one %-operation per block,
 its padding dropped the same way: +-0, inf, nan, subnormal and extreme
 magnitudes, -4 <= k < 0, a k that log10 guessed wrong, a power of ten, and
 every y within 1e-6 of a rounding half (the guard band).  The computed y is
-within about 1e-14 of the exact product, so outside the band it rounds as
-'%.17g' does, and '%.17g' stays the definition.  The band also takes the exact ties that
-doubles have at 17 digits, such as 2**-25 = 2.98023223876953125e-08, which
-'%g' rounds to even.
+within a few 1e-15 of the exact product, so outside the band it rounds as
+'%.17g' does, and '%.17g' stays the definition; without the band, doubles
+such as 5.9740001618840614e+69, whose y lies within 1e-16 of a half, would
+round the wrong way.  The band also takes the exact ties that doubles have at
+17 digits, such as 2**-25 = 2.98023223876953125e-08, which '%g' rounds to
+even.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ _WRITE_BLOCK = 1 << 11
 _WORDS = 6
 _SEP = 45
 _FAST = (1e-280, 1e280)
-_K = 300  # exponents with a rendered text: -_K..._K
+_K = 290  # the exponents k the fast path meets, with a margin: -_K..._K
 _GUARD = 1e-6  # the smallest distance from a rounding half the fast path takes
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
 
@@ -94,6 +97,8 @@ def _lookup() -> dict[str, np.ndarray]:
     trailing zero count (4 for 0).
     ``leads``: the word of a first digit d, at d + 10 when negative.
     ``exponents``: the word of exponent k at k + _K, and a blank last word.
+    ``powers_hi`` and ``powers_lo``: 10**(16 - k) at k + _K as a double-double,
+    each part correctly rounded.
     ``keeps`` and ``points``: for each word and each pair (last kept digit,
     digit before the point) at 17 * last + point, the mask of its kept digits
     and the point it holds, if any.
@@ -111,6 +116,12 @@ def _lookup() -> dict[str, np.ndarray]:
     exponents[:-1, 1] = np.where(k < 0, ord("-"), ord("+"))
     exponents[:-1, 2:5] = np.abs(k)[:, None] // np.array([100, 10, 1]) % 10 + 48
     exponents[:-1, 2] *= np.abs(k) >= 100
+    powers_hi, powers_lo = np.zeros((2, k.size))
+    for j, p in enumerate((16 - k).tolist()):
+        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+        powers_hi[j] = num / den
+        m, e = float(powers_hi[j]).as_integer_ratio()
+        powers_lo[j] = (num * e - m * den) / (den * e)
     # byte b of word w holds digit i = 4w + b // 2 - 3 (even b >= 6 of word 0 and
     # every even b of the others) or the slot after it (odd b)
     i = 4 * np.arange(_WORDS - 1)[:, None] + np.arange(8) // 2 - 3
@@ -123,29 +134,11 @@ def _lookup() -> dict[str, np.ndarray]:
         "zeros": zeros,
         "leads": _words(leads),
         "exponents": _words(exponents),
+        "powers_hi": powers_hi,
+        "powers_lo": powers_lo,
         "keeps": _words(keep * np.uint8(255)).T.copy(),
         "points": _words(dot * np.uint8(46)).T.copy(),
     }
-
-
-@functools.cache
-def _pow10(p: int) -> tuple[float, float]:
-    """10**p as a double-double (hi, lo), each part correctly rounded."""
-    num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
-    hi = num / den
-    m, e = hi.as_integer_ratio()
-    return hi, (num * e - m * den) / (den * e)
-
-
-def _pow10s(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_pow10` of every exponent in `p`, as two arrays shaped like it."""
-    first = int(p.min())
-    used = np.zeros(int(p.max()) - first + 1, bool)
-    used[p - first] = True
-    hi, lo = np.zeros((2, used.size))
-    for q in np.flatnonzero(used):
-        hi[q], lo[q] = _pow10(first + int(q))
-    return hi[p - first], lo[p - first]
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,11 +151,12 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _render(x: np.ndarray, words: np.ndarray) -> None:
     """Lay out the '%.17g' text of each cell of 1-D `x` in its row of the
     (x.size, _WORDS) uint64 `words`; the separator byte is left zero."""
+    t = _lookup()
     a = np.abs(x)
     fast = (a >= _FAST[0]) & (a <= _FAST[1])
     a[~fast] = 1.0
     k = np.floor(np.log10(a)).astype(np.int64)
-    hi, lo = _pow10s(16 - k)
+    hi, lo = t["powers_hi"][k + _K], t["powers_lo"][k + _K]
     # y = a * 10**(16 - k) = ph + err + a*lo, with ph + err = a*hi exactly
     ph = a * hi
     (ah, al), (bh, bl) = _split(a), _split(hi)
@@ -177,13 +171,13 @@ def _render(x: np.ndarray, words: np.ndarray) -> None:
     fixed = (k >= 0) & (k <= 16)
     exp = (k < -4) | (k > 16)
     fast &= fixed | exp
+    # a cell left to '%g' gets a significand whose lookups stay in their tables
+    sig = np.where(fast, sig, 10**16)
 
-    t = _lookup()
     # the first digit, then the other sixteen four at a time; the last nonzero one
-    high = (sig // 10**8).astype(np.uint32)
-    low = (sig - high * np.int64(10**8)).astype(np.uint32)
-    lead = high // 10**8
-    high -= lead * np.uint32(10**8)
+    high, low = np.divmod(sig, 10**8)
+    lead, high = np.divmod(high.astype(np.uint32), 10**8)
+    low = low.astype(np.uint32)
     parts = [high // 10**4, high % 10**4, low // 10**4, low % 10**4]
     trailing = t["zeros"][parts[3]]
     for j in (2, 1, 0):

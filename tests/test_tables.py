@@ -18,9 +18,11 @@ from modeheat.experiments import run_spectrum
 
 from conftest import REPO
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-from hypothesis.extra import numpy as hnp  # noqa: E402
+try:  # only the property test needs hypothesis
+    from hypothesis import given, settings, strategies as st
+    from hypothesis.extra import numpy as hnp
+except ImportError:
+    hnp = None
 
 
 def _body(rows: np.ndarray, block: int = tables._WRITE_BLOCK) -> str:
@@ -60,18 +62,24 @@ def test_write_rows_matches_savetxt(rows, block, monkeypatch, tmp_path):
     assert ours == _savetxt(rows)
 
 
-_SHAPES = st.tuples(st.integers(0, 40), st.integers(1, 5))
-_TABLES = st.one_of(
-    # every bit pattern: subnormals, nans with payloads, both zeros
-    hnp.arrays(np.uint64, _SHAPES).map(lambda bits: bits.view(np.float64)),
-    hnp.arrays(np.float64, _SHAPES, elements=st.floats()),
-)
+if hnp is None:
 
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_rendered_rows_equal_savetxt():
+        pass
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_TABLES, st.integers(1, 50))
-def test_rendered_rows_equal_savetxt(rows, block):
-    assert _body(rows, block) == _savetxt(rows)
+else:
+    _SHAPES = st.tuples(st.integers(0, 40), st.integers(1, 5))
+    _TABLES = st.one_of(
+        # every bit pattern: subnormals, nans with payloads, both zeros
+        hnp.arrays(np.uint64, _SHAPES).map(lambda bits: bits.view(np.float64)),
+        hnp.arrays(np.float64, _SHAPES, elements=st.floats()),
+    )
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_TABLES, st.integers(1, 50))
+    def test_rendered_rows_equal_savetxt(rows, block):
+        assert _body(rows, block) == _savetxt(rows)
 
 
 def _edges() -> np.ndarray:
@@ -88,6 +96,11 @@ def _edges() -> np.ndarray:
         0.5, 12345.5,
         # an exact tie at 17 digits, which '%.17g' rounds to even
         2.0**-25,
+        # y = |x| * 10**(16 - k) within 5e-17 of a rounding half, found by a
+        # closest-vector search: the computed y lands on the wrong side of the
+        # half, so each cell needs the guard band
+        2.2134216087109993e-229, 7.862931575939347e-206,
+        4.421976605688792e-92, 5.9740001618840614e+69,
     ]
     return np.concatenate([powers, below, above, boundaries])
 
@@ -115,10 +128,8 @@ def test_import_builds_no_lookup_table():
     script = (
         "import io, numpy as np, modeheat.tables as t\n"
         "assert t._lookup.cache_info().currsize == 0\n"
-        "assert t._pow10.cache_info().currsize == 0\n"
         "t._write_rows(io.StringIO(), np.array([[1.5, 2e-30]]))\n"
         "assert t._lookup.cache_info().currsize == 1\n"
-        "assert t._pow10.cache_info().currsize == 2\n"
     )
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
