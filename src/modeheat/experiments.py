@@ -12,6 +12,13 @@ are integrated, the moments by ``simulate_stats`` and the spectra by a
 position and also sums the Parseval target, the record's mean square, chunk
 by chunk.
 
+Each ensemble names the state coordinates it reads, in the (u_1, v_1, u_2,
+v_2, ...) ordering, and ``simulate_stats`` reduces only those:
+``equipartition`` all of them, ``cold_damping`` and ``coupled_transfer``
+the velocities, and the sweep u_A and v_A on each point's model and v_A on
+its equal-bath model.  The moments of the others are NaN and reach no
+output.
+
 An MC bath flux is read one way, by the flux-gap formula on the MC kinetic
 temperature (``_gap_flux``), and checked against the exact flux.  The work
 average S_0/(2m) - 2 gamma m <v^2> is the same statistic, so no experiment
@@ -137,18 +144,24 @@ def _table(records: list[dict]) -> Table:
     return Table(list(records[0]), [list(r.values()) for r in records])
 
 
-def _routes(model: SystemModel, sim: SimConfig, threads: int):
+def _velocities(model: SystemModel) -> tuple[int, ...]:
+    """The state coordinates v_1, v_2, ... of the model's oscillators."""
+    return tuple(range(1, 2 * len(model.oscillators), 2))
+
+
+def _routes(model: SystemModel, sim: SimConfig, threads: int, coordinates=None):
     """Both routes on one model: the exact steady state and the MC mode
     temperatures of the simulated ensemble, reduced without holding its
-    record."""
-    return steady_state(model), mode_temperature_mc(simulate_stats(model, sim, threads), model)
+    record, in the state coordinates ``coordinates`` (all when None)."""
+    ss = steady_state(model)
+    return ss, mode_temperature_mc(simulate_stats(model, sim, threads, coordinates), model)
 
 
-def _ensemble(cfg: ExperimentConfig, seed: int, threads: int):
+def _ensemble(cfg: ExperimentConfig, seed: int, threads: int, coordinates=None):
     """``_routes`` on the config's model, with the two checks every ensemble
     experiment opens with."""
     model = cfg.model
-    ss, mc = _routes(model, _sim_from_config(cfg.sim, seed), threads)
+    ss, mc = _routes(model, _sim_from_config(cfg.sim, seed), threads, coordinates)
     checks = [
         Check(
             "lyapunov_residual",
@@ -214,7 +227,7 @@ def run_equipartition(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome
 
 
 def run_cold_damping(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
-    model, ss, mc, checks = _ensemble(cfg, seed, threads)
+    model, ss, mc, checks = _ensemble(cfg, seed, threads, _velocities(cfg.model))
     rows = []
     for i, o in enumerate(model.oscillators):
         fb = model.feedback(o.label)
@@ -266,7 +279,7 @@ def run_cold_damping(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
 def run_coupled_transfer(cfg: ExperimentConfig, seed: int, threads: int) -> Outcome:
     if len(cfg.model.oscillators) != 2:
         raise ConfigError("coupled_transfer expects exactly two oscillators")
-    model, ss, mc, checks = _ensemble(cfg, seed, threads)
+    model, ss, mc, checks = _ensemble(cfg, seed, threads, _velocities(cfg.model))
     checks.append(_check_rel("antisymmetry_lyap", ss.bath_flux[0], -ss.bath_flux[1], 1e-10))
     rows = []
     gaps = []
@@ -496,7 +509,7 @@ def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) ->
         g = r * osc_a.gamma
         tag = f"g{g / osc_a.gamma:g}"
         model = _with_coupling(template, pair, g)
-        ss, mc = _routes(model, sim, threads)
+        ss, mc = _routes(model, sim, threads, (2 * ia, 2 * ia + 1))
         t_lyap = ss.mode_temperature_positional[ia]
         balance = _rel(*_energy_imbalance(ss))
         t_mc, t_mc_se = mc.positional[ia], mc.positional_se[ia]
@@ -505,7 +518,8 @@ def run_strong_coupling_sweep(cfg: ExperimentConfig, seed: int, threads: int) ->
         t_psd, t_psd_se = _psd_temperature(model, psd_sim, a_label, threads)
 
         equal_model = _with_equal_baths(model, osc_a.bath_temperature)
-        equal_mc = mode_temperature_mc(simulate_stats(equal_model, sim, threads), equal_model)
+        equal_stats = simulate_stats(equal_model, sim, threads, (2 * ia + 1,))
+        equal_mc = mode_temperature_mc(equal_stats, equal_model)
         equal = _gap_flux(equal_model, equal_mc, ia)
 
         rows.append(

@@ -37,17 +37,20 @@ thread count.  ``simulate`` is the record reducer: all members in one
 (members, 2N, records) array, the ``Ensemble``'s record, which only tests,
 ``tools/bench.py`` and the benchmark's ``long_record`` workload hold.
 ``simulate_stats`` is the moments reducer, which ``ensemble_stats`` feeds a
-stored record; ``spectra.WelchReducer`` is a streaming Welch; ``integrate``
-runs any of them.  Every record holds the whole state, with no time stamps:
-the records lie on a uniform ``RecordGrid``.
+stored record; it reduces all 2N coordinates, or only those its
+``coordinates`` names, and leaves NaN in the rows of the others.
+``spectra.WelchReducer`` is a streaming Welch; ``integrate`` runs any of
+them.  Every record holds the whole state, with no time stamps: the
+records lie on a uniform ``RecordGrid``.
 
 Every trajectory starts at x = 0 and is driven by zero-mean noise with no
 constant force, so every MC second moment is a pooled mean square about the
-known zero mean; ``mode_temperature_mc`` reads <u^2> and <v^2>, and the MC
-bath flux is the flux-gap formula on that kinetic temperature
-(``fluxlab.flux_from_gap``).  Standard errors count sample autocorrelation
-through the integrated autocorrelation time (``_PooledMoments``), so the
-MC-vs-exact comparisons downstream use honest error bars.
+known zero mean; ``mode_temperature_mc`` reads <u^2> and <v^2> (NaN where
+they were not reduced), and the MC bath flux is the flux-gap formula on
+that kinetic temperature (``fluxlab.flux_from_gap``).  Standard errors count
+sample autocorrelation through the integrated autocorrelation time
+(``_PooledMoments``), so the MC-vs-exact comparisons downstream use honest
+error bars.
 """
 
 from __future__ import annotations
@@ -188,6 +191,15 @@ def _oscillator(oscillator: int | str, labels: tuple[str, ...]) -> int:
     return i
 
 
+def _coordinate(d: int, dim: int) -> int:
+    """State coordinate d of a state of dim coordinates; KeyError when d lies
+    outside it (a negative d included)."""
+    d = operator.index(d)
+    if not 0 <= d < dim:
+        raise KeyError(f"no state coordinate {d}; the state holds {dim}")
+    return d
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded samples of one ensemble member.
@@ -245,10 +257,7 @@ class Ensemble:
     def series(self, d: int) -> np.ndarray:
         """The (members, n_records) series of state coordinate d, a view of
         the record; KeyError when d lies outside the state."""
-        dim = self.record.shape[1]
-        if not 0 <= d < dim:
-            raise KeyError(f"no state coordinate {d}; the state holds {dim}")
-        return self.record[:, d]
+        return self.record[:, _coordinate(d, self.record.shape[1])]
 
 
 @dataclass(frozen=True)
@@ -278,9 +287,12 @@ class EnsembleStats:
     the pooled mean square <x^2>; ``variance_se`` is the standard error of
     that estimate; ``tau_int`` is the integrated autocorrelation time, in
     record units (1 = uncorrelated samples), of the squared series x^2 that
-    yields ``variance_se``.  Standard errors are zero only in the degenerate
-    zero-variance case.  ``fingerprint`` is the ensemble's, so
-    ``mode_temperature_mc`` refuses a mismatched model.
+    yields ``variance_se``.  Each array has one row per state coordinate of
+    the (u_1, v_1, u_2, ...) ordering; the row of a coordinate that
+    ``simulate_stats`` was not asked to reduce is NaN in all three.
+    Standard errors are zero only in the degenerate zero-variance case.
+    ``fingerprint`` is the ensemble's, so ``mode_temperature_mc`` refuses a
+    mismatched model.
     """
 
     n_members: int
@@ -600,14 +612,26 @@ def simulate(model: SystemModel, config: SimConfig, threads: int = 1) -> Ensembl
     return Ensemble(record.record, model.labels, integrator.grid, model.fingerprint())
 
 
-def simulate_stats(model: SystemModel, config: SimConfig, threads: int = 1) -> EnsembleStats:
+def simulate_stats(
+    model: SystemModel,
+    config: SimConfig,
+    threads: int = 1,
+    coordinates: Sequence[int] | None = None,
+) -> EnsembleStats:
     """``ensemble_stats(simulate(model, config, threads))`` without the record:
     the moments reducer, fed as the members are integrated, holds one block
     of _MEMBER_BLOCK members, so memory does not grow with the ensemble.
     ``variance`` has the bits of the stored route; ``variance_se`` and
-    ``tau_int`` agree with it to rounding (``_PooledMoments``)."""
+    ``tau_int`` agree with it to rounding (``_PooledMoments``).
+
+    ``coordinates`` names the state coordinates to reduce, in the (u_1, v_1,
+    u_2, v_2, ...) ordering; ``None``, the default, reduces all 2N.  The rows
+    of the others are NaN in ``variance``, ``variance_se`` and ``tau_int``,
+    and a reduced row has the bits it has when every coordinate is reduced.
+    A coordinate outside the state, or one named twice, raises ``KeyError``
+    before any member is integrated."""
     integrator = _Integrator(model, config)
-    moments = _Moments(integrator.dim, integrator.n_records)
+    moments = _Moments(integrator.dim, integrator.n_records, coordinates)
     integrator.run([moments], threads)
     return moments.result(model.fingerprint())
 
@@ -707,37 +731,52 @@ class _PooledMoments:
 
 
 class _Moments:
-    """The moments reducer: each state coordinate's pooled mean square about
-    the known zero mean, with SE and tau (``_PooledMoments``), reduced one
-    block of _MEMBER_BLOCK members at a time in member order.  The integrator
-    fills a block buffer in scratch; ``reduce`` also reads a stored record's
-    block in place."""
+    """The moments reducer: the pooled mean square about the known zero mean
+    of each named state coordinate, with SE and tau (``_PooledMoments``),
+    reduced one block of _MEMBER_BLOCK members at a time in member order.
+    ``coordinates`` (all 2N when None) must name each coordinate of the state
+    at most once.  The integrator fills a block buffer in scratch that holds
+    only the named coordinates; ``reduce`` also reads a stored record's block
+    in place.  Each coordinate has its own accumulator, so the coordinates
+    left out move no bit of the others."""
 
-    def __init__(self, dim: int, n_records: int):
-        self.moments = [_PooledMoments(n_records) for _ in range(dim)]
+    def __init__(self, dim: int, n_records: int, coordinates: Sequence[int] | None = None):
+        if coordinates is None:
+            coordinates = range(dim)
+        self.dim = dim
+        self.coordinates = [_coordinate(d, dim) for d in coordinates]
+        if not self.coordinates:
+            raise ValueError("no state coordinate to reduce")
+        if len(set(self.coordinates)) < len(self.coordinates):
+            raise KeyError(f"state coordinates {self.coordinates} name one twice")
+        self.moments = [_PooledMoments(n_records) for _ in self.coordinates]
 
     def start(self, run: _Integrator) -> None:
-        block = (min(_MEMBER_BLOCK, run.members), run.dim, run.n_records)
+        block = (min(_MEMBER_BLOCK, run.members), len(self.coordinates), run.n_records)
         self.block = _SCRATCH.take(("moments", "block"), block)
 
     def add(self, first: int, j0: int, samples: np.ndarray) -> None:
         g, _, m = samples.shape
         b = first % _MEMBER_BLOCK
-        self.block[b : b + g, :, j0 : j0 + m] = samples
+        for k, d in enumerate(self.coordinates):
+            self.block[b : b + g, k, j0 : j0 + m] = samples[:, d]
 
     def end_block(self, start: int, stop: int) -> None:
         self.reduce(self.block[: stop - start])
 
     def reduce(self, block: np.ndarray) -> None:
-        """Feed a (members, 2N, n_records) block, the next in member order."""
+        """Feed a (members, coordinates, n_records) block, the next in member
+        order: row k of axis 1 holds the k-th named coordinate."""
         g, _, n = block.shape
         squares = _SCRATCH.take(("moments", "squares"), (g, n))
-        for d, acc in enumerate(self.moments):
-            acc.add(np.square(block[:, d], out=squares))
+        for k, acc in enumerate(self.moments):
+            acc.add(np.square(block[:, k], out=squares))
 
     def result(self, fingerprint: str) -> EnsembleStats:
-        """The (mean square, SE, tau) rows of every coordinate fed."""
-        moments = np.array([acc.result() for acc in self.moments]).T
+        """The (mean square, SE, tau) rows of the state, NaN where a
+        coordinate was not reduced."""
+        moments = np.full((3, self.dim), np.nan)
+        moments[:, self.coordinates] = np.array([acc.result() for acc in self.moments]).T
         return EnsembleStats(self.moments[0].members, self.moments[0].n, *moments, fingerprint)
 
 
@@ -759,7 +798,8 @@ def ensemble_stats(ensemble: Ensemble) -> EnsembleStats:
 def mode_temperature_mc(stats: EnsembleStats, model: SystemModel) -> McTemperatures:
     """Mode temperatures from MC variances, ``model.kelvin_per_moment`` times
     each variance (T'_pos = m Omega^2 var(u)/k_B, T'_kin = m var(v)/k_B),
-    with standard errors propagated linearly through the same factors."""
+    with standard errors propagated linearly through the same factors; a
+    coordinate left unreduced gives a NaN temperature and SE."""
     if stats.fingerprint != model.fingerprint():
         raise FingerprintMismatch(
             f"data fingerprint {stats.fingerprint} does not match the model "

@@ -63,9 +63,10 @@ def test_welch_times_and_traces_every_record_length():
 def test_table_times_write_csv_of_the_spectrum_psd_table():
     section = bench.table_times(seed=1, repeats=1)
     assert section["shape"] == [50_001, 2]
-    assert section["cpu_ms"] > 0
+    assert section["cpu_ms"] > 0 and section["json_cpu_ms"] > 0
     # a block of rows at a time: less than the text of the whole table, at 24 bytes a cell
     assert 0 < section["peak_mb"] < 50_001 * 2 * 24 / 1e6
+    assert section["json_peak_mb"] > 0
 
 
 def test_simulate_times_every_dimension_and_ensemble_size():
@@ -77,9 +78,11 @@ def test_simulate_times_every_dimension_and_ensemble_size():
             assert set(row) == {
                 "us_per_member_step", "ensemble_stats_ms", "peak_mb",
                 "simulate_stats_ms", "simulate_stats_peak_mb",
+                "simulate_stats_velocities_ms", "simulate_stats_velocities_peak_mb",
             }
             assert row["us_per_member_step"] >= 0 and row["ensemble_stats_ms"] >= 0
-            assert row["simulate_stats_ms"] >= 0
+            assert row["simulate_stats_ms"] >= 0 and row["simulate_stats_velocities_ms"] >= 0
+            assert row["simulate_stats_velocities_peak_mb"] > 0
             # the record of every coordinate (members x 2N x 50 float64), at least
             assert row["peak_mb"] >= int(size) * int(dim) * 50 * 8 / 1e6
             # one block of up to 16 members of that record, at least
@@ -146,7 +149,9 @@ def test_main_writes_machine_and_sections(tmp_path, monkeypatch):
     assert list(doc["exact_route"]["by_n"]) == ["2"]
     assert len(doc["exact_route"]["by_n"]["2"]["refinements"]) == 1
     assert list(doc["welch"]["by_samples"]) == ["4096"]
-    assert set(doc["tables"]) == {"timer", "table", "shape", "cpu_ms", "peak_mb"}
+    assert set(doc["tables"]) == {
+        "timer", "table", "shape", "cpu_ms", "peak_mb", "json_cpu_ms", "json_peak_mb",
+    }
     assert list(doc["simulate"]["by_dim"]) == ["2"]
     assert list(doc["simulate"]["by_dim"]["2"]) == ["2"]
     assert doc["import"]["configs"] == ["paper_numbers"]

@@ -212,3 +212,31 @@ def test_shipped_config_passes_at_noise_factor_eight(tmp_path, name):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LargeStepWarning)
         assert cli.run(config, out=tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize(
+    "name, pair",
+    [
+        ("equipartition", None),
+        ("cold_damping", None),
+        ("coupled_transfer", None),
+        ("strong_coupling_sweep", ["A", "B"]),
+        ("strong_coupling_sweep", ["B", "A"]),
+    ],
+)
+def test_no_unreduced_moment_reaches_an_output(name, pair):
+    # each ensemble reduces only the coordinates it reads and leaves NaN in
+    # the others, so one it reads but left out shows here as a NaN cell or a
+    # nan in a check detail; the swapped pair moves the sweep's u_A and v_A
+    doc = json.loads((REPO / "configs" / f"{name}.json").read_text())
+    doc["sim"].update(n_steps=200, ensemble_size=4)
+    if pair is not None:
+        doc["analysis"].update(pair=pair, g_over_gamma=[1.0], psd_duration_s=4.0, psd_ensemble=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LargeStepWarning)
+        outcome = run_experiment(config_from_dict(doc), seed=1, threads=1)
+    for stem, table in outcome.tables.items():
+        cells = [cell for row in table.rows for cell in row if not isinstance(cell, str)]
+        assert cells and all(math.isfinite(cell) for cell in cells), stem
+    for check in outcome.checks:
+        assert "nan" not in check.detail, check

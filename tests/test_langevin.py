@@ -522,6 +522,33 @@ def test_streamed_stats_equal_the_stored_reduction(members, n_steps, threads, mo
     assert np.array_equal(streamed.variance, stored.variance)
     np.testing.assert_allclose(streamed.variance_se, stored.variance_se, rtol=1e-13, atol=0)
     np.testing.assert_allclose(streamed.tau_int, stored.tau_int, rtol=1e-13, atol=0)
+    # a subset, in any order, has the bits of the whole reduction in its rows
+    # and NaN in the others; every coordinate has its own accumulator
+    for coordinates in (None, (1, 3), (0,), (3, 0)):
+        part = simulate_stats(_SLOW_PAIR, cfg, threads, coordinates)
+        assert (part.n_members, part.n_records) == (members, n_steps)
+        rows = list(range(4) if coordinates is None else coordinates)
+        others = sorted(set(range(4)) - set(rows))
+        for got, full in zip(
+            (part.variance, part.variance_se, part.tau_int),
+            (streamed.variance, streamed.variance_se, streamed.tau_int),
+        ):
+            assert np.array_equal(got[rows], full[rows])
+            assert np.all(np.isnan(got[others]))
+
+
+def test_stats_refuse_a_coordinate_outside_the_state_or_named_twice(monkeypatch):
+    # the error of Ensemble.series, raised before any member is integrated
+    def run(self, reducers, threads=1):
+        raise AssertionError("integrated before the coordinates were checked")
+
+    monkeypatch.setattr(langevin._Integrator, "run", run)
+    cfg = SimConfig(dt=5e-4, n_steps=10, seed=21, ensemble_size=2)
+    for coordinates in ((4,), (-1,), (0, 5), (1, 1), (3, 0, 3)):
+        with pytest.raises(KeyError):
+            simulate_stats(_SLOW_PAIR, cfg, coordinates=coordinates)
+    with pytest.raises(ValueError):
+        simulate_stats(_SLOW_PAIR, cfg, coordinates=())
 
 
 def test_recentring_is_exact_when_the_first_block_is_far_off():

@@ -34,23 +34,26 @@ Sections:
   uses.  Each entry is the least process CPU time of ``--repeats`` calls, in
   ms, and the tracemalloc peak of one further call, in MB: the estimator's
   own working set, on top of the record.
-- ``tables``: ``write_csv`` of the shipped ``spectrum`` PSD table (the
-  ``spectrum_psd`` table of ``run_spectrum`` at the default seed, made
-  outside the timer, 50 001 rows of two floats) to a temporary file: the
-  least process CPU time of ``--repeats`` calls, in ms, and the tracemalloc
-  peak of one further call, in MB.
+- ``tables``: ``write_csv`` and ``write_json`` of the shipped ``spectrum``
+  PSD table (the ``spectrum_psd`` table of ``run_spectrum`` at the default
+  seed, made outside the timer, 50 001 rows of two floats) to a temporary
+  file: for each writer the least process CPU time of ``--repeats`` calls,
+  in ms, and the tracemalloc peak of one further call, in MB.
 - ``simulate``: ``simulate``, ``ensemble_stats`` and ``simulate_stats`` by
   state dimension 2N and ensemble size, on the chain of N oscillators that
   ``chain_doc(random.Random(0), N)`` draws, at the ``ensemble`` workload's
   step (dt = 5.0025 ms, 2000 recorded steps after 200 burn-in steps).  Each
   entry is the least process CPU time of ``--repeats`` calls: ``simulate``
   in µs per member-step (burn-in included), ``ensemble_stats`` and
-  ``simulate_stats`` (the two together, without the record) in ms; and the
-  tracemalloc peak of one further call, in MB: for ``simulate`` the record
-  of every coordinate, for ``simulate_stats`` what the moments reducer
-  allocates.  The integrator's scratch (chunk temporaries, noise generators,
-  the reducer's 16-member block) lasts the process, so the timed calls
-  before have made it and the peaks do not count it.
+  ``simulate_stats`` (the two together, without the record) in ms, the
+  latter of every coordinate and, as ``cold_damping`` and
+  ``coupled_transfer`` call it, of the velocities alone
+  (``simulate_stats_velocities_ms``); and the tracemalloc peak of one
+  further call, in MB: for ``simulate`` the record of every coordinate, for
+  each ``simulate_stats`` what the moments reducer allocates.  The
+  integrator's scratch (chunk temporaries, noise generators, the reducer's
+  16-member block) lasts the process, so the timed calls before have made
+  it and the peaks do not count it.
 - ``import``: start-up in fresh interpreters with the pinned thread
   settings: a bare ``python -c pass``, ``import modeheat``, ``import
   modeheat, modeheat.cli`` plus ``load_config`` of every shipped config,
@@ -77,6 +80,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import importlib.util
 import json
 import math
@@ -122,7 +126,7 @@ from modeheat.experiments import run_spectrum  # noqa: E402
 from modeheat.langevin import SimConfig, ensemble_stats, simulate, simulate_stats  # noqa: E402
 from modeheat.model import compile, model_from_dict  # noqa: E402
 from modeheat.spectra import welch_psd  # noqa: E402
-from modeheat.tables import write_csv  # noqa: E402
+from modeheat.tables import write_csv, write_json  # noqa: E402
 from modeheat.steady import (  # noqa: E402
     _solve_stationary,
     normal_modes,
@@ -276,31 +280,31 @@ def welch(samples, seed: int, repeats: int) -> dict:
 
 
 def table_times(seed: int, repeats: int) -> dict:
-    """write_csv CPU ms and tracemalloc peak MB of the spectrum PSD table at ``seed``."""
+    """write_csv and write_json CPU ms and tracemalloc peak MB of the spectrum PSD table
+    at ``seed``."""
     cfg = load_config(ROOT / "configs" / "spectrum.json")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LargeStepWarning)
         table = run_spectrum(cfg, seed, 1).tables["spectrum_psd"]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "spectrum_psd.csv"
-
-        def call(t):
-            write_csv(t, path)
-
-        cpu = cpu_seconds(lambda: table, call, repeats)
-        peak = peak_bytes(lambda: call(table))
-    return {
+    section = {
         "timer": f"process CPU time in ms, least of {repeats} calls; tracemalloc peak of one call in MB",
         "table": f"configs/spectrum.json spectrum_psd, run_spectrum seed {seed}",
         "shape": list(table.rows.shape),
-        "cpu_ms": 1e3 * cpu,
-        "peak_mb": peak / 1e6,
     }
+    with tempfile.TemporaryDirectory() as tmp:
+        for prefix, writer, path in (
+            ("", write_csv, Path(tmp) / "spectrum_psd.csv"),
+            ("json_", write_json, Path(tmp) / "spectrum_psd.json"),
+        ):
+            call = functools.partial(writer, path=path)
+            section[prefix + "cpu_ms"] = 1e3 * cpu_seconds(lambda: table, call, repeats)
+            section[prefix + "peak_mb"] = peak_bytes(lambda: call(table)) / 1e6
+    return section
 
 
 def simulate_times(dims, members, repeats: int, n_steps: int = SIM_STEPS) -> dict:
     """simulate µs per member-step and peak MB, ensemble_stats ms, and simulate_stats ms and
-    peak MB, by 2N and ensemble size."""
+    peak MB of every coordinate and of the velocities, by 2N and ensemble size."""
     by_dim = {}
     for dim in dims:
         model = model_from_dict(inputs.chain_doc(random.Random(0), dim // 2))
@@ -317,12 +321,19 @@ def simulate_times(dims, members, repeats: int, n_steps: int = SIM_STEPS) -> dic
                 peak = peak_bytes(lambda: simulate(model, sim))
                 stats_s = cpu_seconds(lambda: None, lambda _: simulate_stats(model, sim), repeats)
                 stats_peak = peak_bytes(lambda: simulate_stats(model, sim))
+                velocities = range(1, dim, 2)
+                kin_s = cpu_seconds(
+                    lambda: None, lambda _: simulate_stats(model, sim, 1, velocities), repeats
+                )
+                kin_peak = peak_bytes(lambda: simulate_stats(model, sim, 1, velocities))
             rows[str(size)] = {
                 "us_per_member_step": 1e6 * sim_s / (size * (SIM_BURN_IN + n_steps)),
                 "ensemble_stats_ms": 1e3 * cpu_seconds(lambda: ens, ensemble_stats, repeats),
                 "peak_mb": peak / 1e6,
                 "simulate_stats_ms": 1e3 * stats_s,
                 "simulate_stats_peak_mb": stats_peak / 1e6,
+                "simulate_stats_velocities_ms": 1e3 * kin_s,
+                "simulate_stats_velocities_peak_mb": kin_peak / 1e6,
             }
         by_dim[str(dim)] = rows
     return {
@@ -472,11 +483,15 @@ def main(argv=None) -> int:
     for n, row in result["welch"]["by_samples"].items():
         print(f"{n:>9}{row['n_segments']:>10}{row['cpu_ms']:>10.1f}{row['peak_mb']:>10.1f}")
     tables = result["tables"]
-    print(f"{'write_csv':>9}{'rows':>10}{'cpu ms':>10}{'peak MB':>10}")
-    print(f"{'':>9}{tables['shape'][0]:>10}{tables['cpu_ms']:>10.1f}{tables['peak_mb']:>10.2f}")
+    print(f"{'writer':>10}{'rows':>10}{'cpu ms':>10}{'peak MB':>10}")
+    for name, prefix in (("write_csv", ""), ("write_json", "json_")):
+        print(
+            f"{name:>10}{tables['shape'][0]:>10}{tables[prefix + 'cpu_ms']:>10.1f}"
+            f"{tables[prefix + 'peak_mb']:>10.2f}"
+        )
     print(
         f"{'2N':>4}{'members':>9}{'us/member-step':>16}{'peak MB':>10}{'stats ms':>10}"
-        f"{'streamed ms':>13}{'peak MB':>10}"
+        f"{'streamed ms':>13}{'peak MB':>10}{'v only ms':>11}{'peak MB':>10}"
     )
     for dim, rows in result["simulate"]["by_dim"].items():
         for size, row in rows.items():
@@ -484,6 +499,8 @@ def main(argv=None) -> int:
                 f"{dim:>4}{size:>9}{row['us_per_member_step']:>16.3f}"
                 f"{row['peak_mb']:>10.2f}{row['ensemble_stats_ms']:>10.2f}"
                 f"{row['simulate_stats_ms']:>13.2f}{row['simulate_stats_peak_mb']:>10.2f}"
+                f"{row['simulate_stats_velocities_ms']:>11.2f}"
+                f"{row['simulate_stats_velocities_peak_mb']:>10.2f}"
             )
     print(f"{'start-up':>22}{'wall s':>9}{'exit':>6}")
     for name, row in result["import"]["by_command"].items():
